@@ -5,12 +5,13 @@ the recorded object-path baseline
 (``benchmarks/output/analysis_baseline.json``) and the live benchmark
 (``test_bench_analysis.py``) measure exactly the same thing.
 
-Both workloads time the *retained* object path against the columnar
+Both workloads time the per-object reference against the columnar
 fast path in the same process, interleaved round by round, so the
 committed speedups are same-machine, same-data, same-run comparisons:
 
-* ``analysis_features`` — ``sessionize()`` + ``feature_matrix()``
-  (materialize every ``LogEntry``/``Session``, loop per session)
+* ``analysis_features`` — ``sessionize()`` + one
+  ``extract_features()`` row per session (materialize every
+  ``LogEntry``/``Session``, loop per session)
   versus one ``SessionIndex.from_log()`` pass over the columnar
   blocks.  Throughput is log rows per second.
 * ``graph_propagation`` — ``propagate_dict()`` (per-edge Python
@@ -33,6 +34,7 @@ from __future__ import annotations
 import random
 import statistics
 import time
+from types import SimpleNamespace
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -41,7 +43,7 @@ from kernel_workloads import peak_rss_mb, quick_mode
 
 from repro.common import ClientRef
 from repro.core.detection.clustering import ClusteringDetector
-from repro.core.detection.features import feature_matrix
+from repro.core.detection.features import FEATURE_NAMES, extract_features
 from repro.core.detection.fusion import FusionDetector
 from repro.core.detection.session_index import SessionIndex
 from repro.core.detection.volume import VolumeDetector
@@ -56,7 +58,7 @@ from repro.graph.propagation import (
 from repro.obs.profile import PROFILED_CASES, short_overrides
 from repro.runner import SweepSpec, run_sweep
 from repro.scenarios.graph_case import GraphCaseConfig, run_graph_case
-from repro.web.logs import COLUMNAR, WebLog, sessionize
+from repro.web.logs import WebLog, sessionize
 from repro.web.request import (
     BOARDING_PASS_SMS,
     FLIGHT_DETAILS,
@@ -111,7 +113,7 @@ def build_feature_log() -> WebLog:
         )
         for i in range(rows // 25 or 1)
     ]
-    log = WebLog(backend=COLUMNAR)
+    log = WebLog()
     clock = 0.0
     emitted = 0
     while emitted < rows:
@@ -132,6 +134,15 @@ def build_feature_log() -> WebLog:
     return log
 
 
+def object_matrix(sessions) -> np.ndarray:
+    """The per-object reference: one ``extract_features`` row per
+    session, in session order."""
+    matrix = np.zeros((len(sessions), len(FEATURE_NAMES)))
+    for row, session in enumerate(sessions):
+        matrix[row] = extract_features(session).vector()
+    return matrix
+
+
 def features_workload() -> Dict[str, float]:
     """Object path vs columnar index on the same log, interleaved."""
     log = build_feature_log()
@@ -142,7 +153,7 @@ def features_workload() -> Dict[str, float]:
     for _ in range(default_rounds()):
         started = time.perf_counter()
         sessions = sessionize(log)
-        matrix = feature_matrix(sessions)
+        matrix = object_matrix(sessions)
         object_seconds.append(time.perf_counter() - started)
 
         started = time.perf_counter()
@@ -270,16 +281,21 @@ def _case_fused_verdicts_identical(case: str) -> bool:
     index = SessionIndex.from_log(log)
     if index.session_ids != [s.session_id for s in sessions]:
         return False
-    if not np.array_equal(index.matrix, feature_matrix(sessions)):
+    matrix = object_matrix(sessions)
+    if not np.array_equal(index.matrix, matrix):
         return False
     if index.sessions() != sessions:
         return False
     kmeans_seed = 20_250_808
+    volume = VolumeDetector()
+    object_index = SimpleNamespace(
+        session_ids=[s.session_id for s in sessions], matrix=matrix
+    )
     object_fused = FusionDetector().fuse([
-        VolumeDetector().judge_all(sessions),
+        [volume.judge(session) for session in sessions],
         ClusteringDetector(
             np.random.default_rng(kmeans_seed)
-        ).judge_all(sessions),
+        ).judge_index(object_index),
     ])
     columnar_fused = FusionDetector().fuse([
         VolumeDetector().judge_index(index),

@@ -4,7 +4,7 @@ Measures the analysis workloads defined in :mod:`analysis_workloads`
 (median-of-N interleaved rounds) and emits a machine-readable
 artifact, ``output/bench_analysis.json``, holding feature-extraction
 rows/s, propagation edge-visits/s, the in-run speedups over the
-retained object path, and the speedups against the recorded
+per-object reference, and the speedups against the recorded
 object-path baseline (``output/analysis_baseline.json``, medians on
 the recording machine).
 

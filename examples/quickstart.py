@@ -19,6 +19,7 @@ from repro.analysis.reports import render_distribution, render_table
 from repro.common import SEAT_SPINNER
 from repro.core.detection.anomaly import NipDistributionMonitor
 from repro.core.detection.passenger_details import PassengerDetailAnalyzer
+from repro.core.detection.session_index import SessionIndex
 from repro.core.detection.volume import VolumeDetector
 from repro.core.mitigation.policies import NipCapPolicy
 from repro.identity.forge import (
@@ -36,7 +37,6 @@ from repro.traffic.legitimate import (
     LegitimatePopulation,
 )
 from repro.traffic.seat_spinner import SeatSpinnerBot, SeatSpinnerConfig
-from repro.web.logs import sessionize
 
 
 def main() -> None:
@@ -76,11 +76,17 @@ def main() -> None:
           f"{world.metrics.counter('booking.holds_created'):.0f} holds\n")
 
     # -- 3. the detection ladder ------------------------------------------------
-    sessions = sessionize(world.app.log)
-    volume_verdicts = VolumeDetector().judge_all(sessions)
-    bot_sessions = [s for s in sessions if s.actor_class == SEAT_SPINNER]
+    index = SessionIndex.from_log(world.app.log)
+    volume_verdicts = VolumeDetector().judge_index(index)
+    bot_sessions = [
+        session_id
+        for session_id, actor_class in zip(
+            index.session_ids, index.actor_classes
+        )
+        if actor_class == SEAT_SPINNER
+    ]
     flagged = {v.subject_id for v in volume_verdicts if v.is_bot}
-    caught = sum(1 for s in bot_sessions if s.session_id in flagged)
+    caught = sum(1 for session_id in bot_sessions if session_id in flagged)
     print(f"[volume detection]    bot sessions: {len(bot_sessions)}, "
           f"flagged: {caught}  <- low-volume DoI evades it")
 

@@ -874,15 +874,16 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         ))
         return 0
 
+    from .core.detection.session_index import SessionIndex
     from .scenarios.learned import variant_case_config
     from .scenarios.case_a import run_case_a
-    from .web.logs import sessionize
 
     world = run_case_a(
         variant_case_config(args.variant, args.seed, args.ticks_short)
     ).world
-    sessions = sessionize(world.app.log)
-    verdicts = detector.judge_all(sessions)
+    index = SessionIndex.from_log(world.app.log)
+    sessions = index.sessions()
+    verdicts = detector.judge_index(index)
     evaluation = evaluate_verdicts(sessions, verdicts)
     digest = hashlib.sha256(
         np.array([v.score for v in verdicts]).tobytes()

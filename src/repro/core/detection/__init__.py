@@ -23,12 +23,7 @@ from .anomaly import (
 )
 from .classifier import LogisticSessionClassifier, TrainingReport
 from .clustering import ClusteringConfig, ClusteringDetector, kmeans
-from .features import (
-    FEATURE_NAMES,
-    SessionFeatures,
-    extract_features,
-    feature_matrix,
-)
+from .features import FEATURE_NAMES, SessionFeatures, extract_features
 from .fingerprint_rules import (
     FingerprintDetector,
     FingerprintWeights,
@@ -85,7 +80,6 @@ __all__ = [
     "FEATURE_NAMES",
     "SessionFeatures",
     "extract_features",
-    "feature_matrix",
     "DEFAULT_WEIGHTS",
     "FusionDetector",
     "GeoVelocityConfig",

@@ -14,20 +14,15 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ...ml.models import sigmoid
 from ...ml.standardize import Standardiser
-from ...web.logs import Session
-from .features import feature_matrix
 from .verdict import Verdict
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Clipped for numerical stability at extreme logits.
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
 
 
 @dataclass
 class TrainingReport:
-    """Convergence summary returned by :meth:`LogisticSessionClassifier.fit`."""
+    """Convergence summary returned by
+    :meth:`LogisticSessionClassifier.fit_matrix`."""
 
     iterations: int
     final_loss: float
@@ -73,24 +68,12 @@ class LogisticSessionClassifier:
         assert self._standardiser is not None
         return self._standardiser.transform(matrix)
 
-    def fit(
-        self, sessions: Sequence[Session], labels: Sequence[bool]
-    ) -> TrainingReport:
-        """Train on labelled sessions (True = bot)."""
-        if len(sessions) != len(labels):
-            raise ValueError(
-                f"{len(sessions)} sessions but {len(labels)} labels"
-            )
-        return self.fit_matrix(feature_matrix(list(sessions)), labels)
-
     def fit_matrix(
         self, matrix: np.ndarray, labels: Sequence[bool]
     ) -> TrainingReport:
-        """Train on a prebuilt feature matrix (True = bot).
-
-        Training is bit-identical to :meth:`fit` on the sessions the
-        matrix was extracted from.
-        """
+        """Train on a session feature matrix (True = bot), e.g. a
+        :class:`~repro.core.detection.session_index.SessionIndex`'s
+        ``matrix``."""
         if matrix.shape[0] != len(labels):
             raise ValueError(
                 f"{matrix.shape[0]} feature rows but {len(labels)} labels"
@@ -110,7 +93,7 @@ class LogisticSessionClassifier:
         previous_loss = np.inf
         iterations = 0
         for iterations in range(1, self.max_iterations + 1):
-            probabilities = _sigmoid(x @ weights + bias)
+            probabilities = sigmoid(x @ weights + bias)
             gradient_w = (
                 x.T @ (probabilities - target) / n_samples
                 + self.l2 * weights
@@ -141,19 +124,14 @@ class LogisticSessionClassifier:
         )
 
     def predict_proba_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        """Probabilities straight from a prebuilt feature matrix."""
+        """Bot probability per feature-matrix row."""
         if not self.fitted:
             raise RuntimeError("classifier is not fitted")
         if matrix.shape[0] == 0:
             return np.zeros(0)
         x = self._standardise(matrix)
         assert self._weights is not None
-        return _sigmoid(x @ self._weights + self._bias)
-
-    def predict_proba(self, sessions: Sequence[Session]) -> np.ndarray:
-        if not self.fitted:
-            raise RuntimeError("classifier is not fitted")
-        return self.predict_proba_matrix(feature_matrix(list(sessions)))
+        return sigmoid(x @ self._weights + self._bias)
 
     def _verdicts(
         self, session_ids: Sequence[str], probabilities: np.ndarray
@@ -169,16 +147,9 @@ class LogisticSessionClassifier:
             for session_id, probability in zip(session_ids, probabilities)
         ]
 
-    def judge_all(self, sessions: Sequence[Session]) -> List[Verdict]:
-        return self._verdicts(
-            [session.session_id for session in sessions],
-            self.predict_proba(sessions),
-        )
-
     def judge_index(self, index) -> List[Verdict]:
-        """Judge a :class:`~repro.core.detection.session_index.
-        SessionIndex` — same verdicts as :meth:`judge_all` on the
-        corresponding sessions, no per-session feature extraction."""
+        """Judge every session in a :class:`~repro.core.detection.
+        session_index.SessionIndex` from its feature matrix."""
         return self._verdicts(
             index.session_ids, self.predict_proba_matrix(index.matrix)
         )

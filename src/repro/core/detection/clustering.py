@@ -10,13 +10,12 @@ whole cluster as bot when its centroid is behaviourally extreme
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ...ml.standardize import Standardiser
-from ...web.logs import Session
-from .features import FEATURE_NAMES, feature_matrix
+from .features import FEATURE_NAMES
 from .verdict import Verdict
 
 
@@ -108,22 +107,11 @@ class ClusteringDetector:
         self.config = config
         self._rng = rng
 
-    def judge_all(self, sessions: Sequence[Session]) -> List[Verdict]:
-        sessions = list(sessions)
-        return self.judge_matrix(
-            [session.session_id for session in sessions],
-            feature_matrix(sessions),
-        )
-
     def judge_index(self, index) -> List[Verdict]:
-        """Judge a :class:`~repro.core.detection.session_index.
-        SessionIndex` — verdict- and RNG-stream-identical to
-        :meth:`judge_all` on the corresponding sessions."""
-        return self.judge_matrix(index.session_ids, index.matrix)
-
-    def judge_matrix(
-        self, session_ids: Sequence[str], matrix: np.ndarray
-    ) -> List[Verdict]:
+        """Judge every session in a :class:`~repro.core.detection.
+        session_index.SessionIndex` from its feature matrix."""
+        session_ids = index.session_ids
+        matrix = index.matrix
         if len(session_ids) < self.config.k:
             return [
                 Verdict(session_id, self.name, 0.0, False)

@@ -164,37 +164,3 @@ def extract_features(session: Session) -> SessionFeatures:
         error_fraction=errors / count,
         trap_hits=by_path[TRAP],
     )
-
-
-def feature_matrix(sessions: List[Session]) -> np.ndarray:
-    """Stack per-session vectors into an ``(n, d)`` matrix.
-
-    The output is preallocated and filled row by row — ``np.vstack``
-    over n small vectors allocated the list, the vectors *and* the
-    result before copying everything once more.
-    """
-    matrix = np.zeros((len(sessions), len(FEATURE_NAMES)))
-    for row, session in enumerate(sessions):
-        matrix[row] = extract_features(session).vector()
-    return matrix
-
-
-def feature_matrix_columnar(log, idle_gap=None):
-    """``(session_ids, matrix)`` straight from a log's columns.
-
-    The columnar fast path: vectorized sessionization + group-by
-    feature aggregation via :class:`~repro.core.detection.
-    session_index.SessionIndex`, bit-identical to
-    ``feature_matrix(sessionize(log, idle_gap))`` without building a
-    single ``LogEntry`` or ``Session``.  Callers that need more than
-    the matrix (detector verdicts, sequences, Session objects) should
-    build the :class:`SessionIndex` themselves and share it.
-    """
-    # Local import: session_index imports FEATURE_NAMES from here.
-    from ...web.logs import DEFAULT_IDLE_GAP
-    from .session_index import SessionIndex
-
-    index = SessionIndex.from_log(
-        log, idle_gap=DEFAULT_IDLE_GAP if idle_gap is None else idle_gap
-    )
-    return index.session_ids, index.matrix

@@ -108,8 +108,8 @@ class SessionIndex:
         #: Session ids in ``sessionize()`` output order.
         self.session_ids = session_ids
         #: ``(n, len(FEATURE_NAMES))`` float64, rows aligned with
-        #: ``session_ids`` — bit-identical to ``feature_matrix(
-        #: sessionize(log))``.
+        #: ``session_ids`` — bit-identical to ``extract_features`` over
+        #: ``sessionize(log)``.
         self.matrix = matrix
         self.counts = counts            # (n,) int64 request counts
         self.starts = starts            # (n,) float64

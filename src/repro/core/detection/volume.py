@@ -12,13 +12,18 @@ that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
-
-import numpy as np
+from typing import List, Tuple
 
 from ...web.logs import Session
 from .features import FEATURE_NAMES, extract_features
 from .verdict import Verdict
+
+#: Matrix columns :meth:`VolumeDetector.judge_index` reads, in
+#: :meth:`VolumeDetector._verdict` argument order.
+_COLUMNS = [
+    FEATURE_NAMES.index(name)
+    for name in ("request_count", "duration_minutes", "requests_per_minute")
+]
 
 
 @dataclass(frozen=True)
@@ -46,87 +51,41 @@ class VolumeDetector:
 
     def judge(self, session: Session) -> Verdict:
         features = extract_features(session)
-        reasons = []
-        if (
-            features.request_count
-            > self.thresholds.max_requests_per_session
-        ):
-            reasons.append("session-request-count")
-        if (
-            features.duration_minutes >= self.thresholds.min_duration_for_rate
-            and features.requests_per_minute
-            > self.thresholds.max_requests_per_minute
-        ):
-            reasons.append("request-rate")
-        # Score: how far past the worst-violated threshold we are.
-        count_ratio = (
-            features.request_count
-            / self.thresholds.max_requests_per_session
+        return self._verdict(
+            session.session_id,
+            features.request_count,
+            features.duration_minutes,
+            features.requests_per_minute,
         )
-        rate_ratio = (
-            features.requests_per_minute
-            / self.thresholds.max_requests_per_minute
-            if features.duration_minutes
-            >= self.thresholds.min_duration_for_rate
-            else 0.0
-        )
-        score = min(max(count_ratio, rate_ratio) / 2.0, 1.0)
-        return Verdict(
-            subject_id=session.session_id,
-            detector=self.name,
-            score=score,
-            is_bot=bool(reasons),
-            reasons=tuple(reasons),
-        )
-
-    def judge_all(self, sessions: List[Session]) -> List[Verdict]:
-        return [self.judge(session) for session in sessions]
-
-    def judge_matrix(
-        self, session_ids: Sequence[str], matrix: np.ndarray
-    ) -> List[Verdict]:
-        """Vectorized :meth:`judge` over a prebuilt feature matrix.
-
-        Verdict-identical to judging the corresponding sessions one by
-        one — the thresholds and the score arithmetic see the exact
-        same float64 values the per-session path computes.
-        """
-        counts = matrix[:, FEATURE_NAMES.index("request_count")]
-        durations = matrix[:, FEATURE_NAMES.index("duration_minutes")]
-        rates = matrix[:, FEATURE_NAMES.index("requests_per_minute")]
-        count_hit = counts > self.thresholds.max_requests_per_session
-        rate_eligible = durations >= self.thresholds.min_duration_for_rate
-        rate_hit = rate_eligible & (
-            rates > self.thresholds.max_requests_per_minute
-        )
-        count_ratio = counts / self.thresholds.max_requests_per_session
-        rate_ratio = np.where(
-            rate_eligible,
-            rates / self.thresholds.max_requests_per_minute,
-            0.0,
-        )
-        scores = np.minimum(
-            np.maximum(count_ratio, rate_ratio) / 2.0, 1.0
-        )
-        verdicts = []
-        for row, session_id in enumerate(session_ids):
-            reasons = []
-            if count_hit[row]:
-                reasons.append("session-request-count")
-            if rate_hit[row]:
-                reasons.append("request-rate")
-            verdicts.append(
-                Verdict(
-                    subject_id=session_id,
-                    detector=self.name,
-                    score=float(scores[row]),
-                    is_bot=bool(reasons),
-                    reasons=tuple(reasons),
-                )
-            )
-        return verdicts
 
     def judge_index(self, index) -> List[Verdict]:
         """Judge every session in a :class:`~repro.core.detection.
-        session_index.SessionIndex` without materialising any."""
-        return self.judge_matrix(index.session_ids, index.matrix)
+        session_index.SessionIndex` without materialising any.
+
+        Verdict-identical to :meth:`judge` on the corresponding
+        sessions: both feed the same float64 values to :meth:`_verdict`.
+        """
+        counts, minutes, rates = index.matrix[:, _COLUMNS].T.tolist()
+        return list(
+            map(self._verdict, index.session_ids, counts, minutes, rates)
+        )
+
+    def _verdict(
+        self, session_id: str, count: float, minutes: float, rate: float
+    ) -> Verdict:
+        thresholds = self.thresholds
+        reasons: Tuple[str, ...] = ()
+        if count > thresholds.max_requests_per_session:
+            reasons = ("session-request-count",)
+        # Score: how far past the worst-violated threshold we are.
+        worst = count / thresholds.max_requests_per_session
+        if minutes >= thresholds.min_duration_for_rate:
+            if rate > thresholds.max_requests_per_minute:
+                reasons += ("request-rate",)
+            rate_ratio = rate / thresholds.max_requests_per_minute
+            if rate_ratio > worst:
+                worst = rate_ratio
+        return Verdict(
+            session_id, self.name, min(worst / 2.0, 1.0), bool(reasons),
+            reasons,
+        )

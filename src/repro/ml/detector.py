@@ -1,7 +1,7 @@
 """The learned arm as a detector family.
 
 Wraps any fitted ladder rung behind the same surface every other family
-exposes — ``judge(session)`` / ``judge_all(sessions)`` returning
+exposes — ``judge(session)`` / ``judge_index(index)`` returning
 :class:`~repro.core.detection.verdict.Verdict` — so the fusion layer,
 the streaming :class:`~repro.stream.adapters.SessionDetectorAdapter`
 and the benchmark harnesses treat a trained model exactly like the
@@ -12,7 +12,7 @@ seventh entry in the fusion weight table.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Sequence, Tuple, Union
+from typing import List, Tuple, Union
 
 from ..core.detection.verdict import Verdict
 from ..web.logs import Session
@@ -61,21 +61,10 @@ class LearnedSessionDetector:
         probability = float(self.model.predict_proba(dataset)[0])
         return self._verdict(session.session_id, probability)
 
-    def judge_all(self, sessions: Sequence[Session]) -> List[Verdict]:
-        sessions = list(sessions)
-        if not sessions:
-            return []
-        dataset = build_dataset(sessions)
-        probabilities = self.model.predict_proba(dataset)
-        return [
-            self._verdict(session.session_id, float(probability))
-            for session, probability in zip(sessions, probabilities)
-        ]
-
     def judge_index(self, index) -> List[Verdict]:
-        """Judge a :class:`~repro.core.detection.session_index.
-        SessionIndex` — verdict-identical to :meth:`judge_all` on the
-        corresponding sessions, via the columnar dataset builder."""
+        """Judge every session in a :class:`~repro.core.detection.
+        session_index.SessionIndex` — verdict-identical to :meth:`judge`
+        per session, via the columnar dataset builder."""
         from .data import build_dataset_columnar
 
         if not len(index):

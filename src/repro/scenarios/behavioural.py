@@ -41,6 +41,7 @@ from ..core.detection.navigation import (
     NavigationDetector,
     NavigationDetectorConfig,
 )
+from ..core.detection.session_index import SessionIndex
 from ..core.detection.verdict import Verdict
 from ..core.detection.volume import VolumeDetector
 from ..identity.biometrics import (
@@ -70,7 +71,7 @@ from ..traffic.seat_spinner import (
     SeatSpinnerBot,
     SeatSpinnerConfig,
 )
-from ..web.logs import Session, sessionize
+from ..web.logs import Session
 from .world import (
     FlightSpec,
     World,
@@ -215,13 +216,16 @@ def run_behavioural_stack(
     world = _build_world(config, config.seed)
     _add_attacks(world, config)
     world.run_until(config.duration)
-    sessions = sessionize(world.app.log)
+    index = SessionIndex.from_log(world.app.log)
+    sessions = index.sessions()
 
     # Training world: legitimate traffic only, disjoint seed — this is
     # what the navigation model learns "normal" from.
     training_world = _build_world(config, config.seed + 1000)
     training_world.run_until(config.duration)
-    training_sessions = sessionize(training_world.app.log)
+    training_sessions = SessionIndex.from_log(
+        training_world.app.log
+    ).sessions()
 
     runs: Dict[str, BehaviouralRun] = {}
 
@@ -234,7 +238,7 @@ def run_behavioural_stack(
         return verdicts
 
     volume_verdicts = score(
-        "volume", VolumeDetector().judge_all(sessions)
+        "volume", VolumeDetector().judge_index(index)
     )
 
     navigation = NavigationDetector(

@@ -29,6 +29,7 @@ from ..core.detection.passenger_details import (
     PassengerDetailAnalyzer,
     PassengerFinding,
 )
+from ..core.detection.session_index import SessionIndex
 from ..core.detection.volume import VolumeDetector
 from ..identity.forge import (
     BotIdentity,
@@ -45,7 +46,7 @@ from ..traffic.seat_spinner import (
     SeatSpinnerBot,
     SeatSpinnerConfig,
 )
-from ..web.logs import Session, sessionize
+from ..web.logs import Session
 from .world import (
     FlightSpec,
     World,
@@ -239,9 +240,9 @@ def run_case_b(
         r.hold_id for r in held if r.client.actor_class == LEGIT
     }
 
-    sessions = sessionize(app.log)
-    volume = VolumeDetector()
-    verdicts = volume.judge_all(sessions)
+    index = SessionIndex.from_log(app.log)
+    sessions = index.sessions()
+    verdicts = VolumeDetector().judge_index(index)
     from ..analysis.evaluation import recall_by_class
 
     return CaseBResult(

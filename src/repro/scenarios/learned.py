@@ -37,6 +37,7 @@ from ..analysis.evaluation import (
 )
 from ..core.detection.clustering import ClusteringDetector
 from ..core.detection.fusion import DEFAULT_WEIGHTS, FusionDetector
+from ..core.detection.session_index import SessionIndex
 from ..core.detection.verdict import Verdict
 from ..core.detection.volume import VolumeDetector
 from ..ml.data import Dataset
@@ -47,7 +48,7 @@ from ..sim.clock import DAY, HOUR
 from ..sim.rng import derive_seed
 from ..stream.pipeline import StreamPipeline
 from ..traffic.seat_spinner import FIXED_NAME_ROTATING_DOB
-from ..web.logs import Session, sessionize
+from ..web.logs import Session
 from .case_a import CaseAConfig, run_case_a
 from .graph_case import _fingerprint_session_verdicts
 from .world import World
@@ -231,19 +232,20 @@ def run_learned_case(
         config.variant, config.seed, config.ticks_short
     )
     world = run_case_a(eval_config).world
-    sessions = sessionize(world.app.log)
+    index = SessionIndex.from_log(world.app.log)
+    sessions = index.sessions()
 
     # Hand-tuned arm: identical to the graph experiment's session arm.
-    volume = VolumeDetector().judge_all(sessions)
+    volume = VolumeDetector().judge_index(index)
     kmeans = ClusteringDetector(
         world.rngs.numpy_stream("detector.kmeans")
-    ).judge_all(sessions)
-    fingerprint = _fingerprint_session_verdicts(world, sessions)
+    ).judge_index(index)
+    fingerprint = _fingerprint_session_verdicts(world, index)
     hand_families = [volume, kmeans, fingerprint]
     hand_fused = FusionDetector().fuse(hand_families)
 
-    learned_verdicts = LearnedSessionDetector(train.model).judge_all(
-        sessions
+    learned_verdicts = LearnedSessionDetector(train.model).judge_index(
+        index
     )
     combined_fused = FusionDetector(
         weights=dict(DEFAULT_WEIGHTS)

@@ -248,9 +248,9 @@ def batch_session_verdicts(
 ) -> List[Verdict]:
     """The batch pipeline the stream is measured against: sessionize
     the finished log, judge every session with every detector."""
-    from ..web.logs import sessionize
+    from ..core.detection.session_index import SessionIndex
 
-    sessions = sessionize(log, idle_gap=idle_gap)
+    sessions = SessionIndex.from_log(log, idle_gap=idle_gap).sessions()
     verdicts: List[Verdict] = []
     for detector in detectors:
         for session in sessions:

@@ -1,10 +1,13 @@
 """Web logs and sessionization.
 
 Behaviour-based bot detection (Section III-A) starts from web logs
-grouped into user sessions.  :class:`WebLog` records one
-:class:`LogEntry` per request; :func:`sessionize` groups entries by
-client identity (IP + fingerprint) split on idle gaps, reproducing the
-standard log-analysis pipeline the paper describes.
+grouped into user sessions.  :class:`WebLog` records one row per
+request in a columnar store; batch analysis sessionizes it with
+:class:`~repro.core.detection.session_index.SessionIndex`.
+:func:`sessionize` is the per-entry reference reconstruction —
+entries grouped by client identity (IP + fingerprint), split on idle
+gaps, the standard log-analysis pipeline the paper describes — that
+the columnar index and the streaming sessionizer are tested against.
 """
 
 from __future__ import annotations
@@ -51,42 +54,27 @@ def _observer_name(observer: LogObserver) -> str:
     return repr(observer)
 
 
-#: Backend names accepted by :class:`WebLog`.
-COLUMNAR = "columnar"
-LIST = "list"
-
-
 class WebLog:
     """Append-only request log with time-ordered access.
 
     Consumers that need the whole log as they please can call
     :meth:`entries` (a defensive copy); hot paths should iterate
-    :meth:`iter_entries` instead, and *online* consumers (the streaming
-    detection pipeline, trace capture) should :meth:`subscribe` and be
-    handed each entry as it lands.
+    :meth:`iter_entries` instead, batch analysis should read
+    :meth:`columns`, and *online* consumers (the streaming detection
+    pipeline, trace capture) should :meth:`subscribe` and be handed
+    each entry as it lands.
 
-    Storage is columnar by default (one NumPy array per field, see
+    Storage is columnar (one NumPy array per field, see
     :mod:`repro.web.logstore`) so million-visitor worlds keep the log
-    at rest in bounded memory; ``backend="list"`` keeps one
-    :class:`LogEntry` object per request instead — the reference
-    implementation the columnar path is tested byte-for-byte against.
-    Producers that already hold the raw fields should call
-    :meth:`append_fields`, which skips ``LogEntry`` construction
-    entirely unless an observer is subscribed.
+    at rest in bounded memory.  Producers that already hold the raw
+    fields should call :meth:`append_fields`, which skips ``LogEntry``
+    construction entirely unless an observer is subscribed.
     """
 
-    def __init__(self, backend: str = COLUMNAR) -> None:
-        if backend not in (COLUMNAR, LIST):
-            raise ValueError(f"unknown WebLog backend {backend!r}")
-        self.backend = backend
-        if backend == COLUMNAR:
-            from .logstore import ColumnarLogStore
+    def __init__(self) -> None:
+        from .logstore import ColumnarLogStore
 
-            self._store: Optional["ColumnarLogStore"] = ColumnarLogStore()
-            self._entries: List[LogEntry] = []
-        else:
-            self._store = None
-            self._entries = []
+        self._store = ColumnarLogStore()
         self._observers: List[LogObserver] = []
         #: The observer currently being dispatched to (``None`` outside
         #: :meth:`_notify`) — named in the re-entrancy error so the
@@ -100,12 +88,8 @@ class WebLog:
                 f"{_observer_name(self._dispatching)}: an observer may "
                 "not append to the log it is observing"
             )
-        if len(self):
-            last = (
-                self._store.last_time()
-                if self._store is not None
-                else self._entries[-1].time
-            )
+        if len(self._store):
+            last = self._store.last_time()
             if time < last:
                 raise ValueError(
                     f"log entries must be time-ordered: {time} < {last}"
@@ -125,10 +109,7 @@ class WebLog:
 
     def append(self, entry: LogEntry) -> None:
         self._check_order(entry.time)
-        if self._store is not None:
-            self._store.append_entry(entry)
-        else:
-            self._entries.append(entry)
+        self._store.append_entry(entry)
         if self._observers:
             self._notify(entry)
 
@@ -144,26 +125,16 @@ class WebLog:
     ) -> None:
         """Append from raw fields — the request hot path.
 
-        On the columnar backend with no observers subscribed this
-        writes straight into the arrays and never builds a
-        :class:`LogEntry`; otherwise it behaves exactly like
-        :meth:`append`.
+        With no observers subscribed this writes straight into the
+        arrays and never builds a :class:`LogEntry`; otherwise it
+        behaves exactly like :meth:`append`.
         """
         self._check_order(time)
-        if self._store is not None:
-            self._store.append(
-                time, method, path, status, client, blocked_by, outcome
-            )
-            if self._observers:
-                self._notify(self._store.get(len(self._store) - 1))
-            return
-        entry = LogEntry(
-            time=time, method=method, path=path, status=status,
-            client=client, blocked_by=blocked_by, outcome=outcome,
+        self._store.append(
+            time, method, path, status, client, blocked_by, outcome
         )
-        self._entries.append(entry)
         if self._observers:
-            self._notify(entry)
+            self._notify(self._store.get(len(self._store) - 1))
 
     def subscribe(self, observer: LogObserver) -> Callable[[], None]:
         """Register ``observer`` to receive every future entry.
@@ -197,45 +168,30 @@ class WebLog:
 
     def entries(self) -> List[LogEntry]:
         """The whole log as a fresh list (O(n) per call)."""
-        if self._store is not None:
-            return list(self._store.iter_entries())
-        return list(self._entries)
+        return list(self._store.iter_entries())
 
     def iter_entries(self) -> Iterator[LogEntry]:
         """Lazy iteration without a defensive copy.
 
-        On the columnar backend the row set is pinned at call time:
-        entries appended after the view is taken are not yielded.
+        The row set is pinned at call time: entries appended after the
+        view is taken are not yielded.
         """
-        if self._store is not None:
-            return self._store.iter_entries()
-        return iter(self._entries)
+        return self._store.iter_entries()
 
     def entry_at(self, index: int) -> LogEntry:
         """Random access to one entry by row index."""
-        if self._store is not None:
-            return self._store.get(index)
-        return self._entries[index]
+        return self._store.get(index)
 
     def entries_between(self, start: float, end: float) -> List[LogEntry]:
-        if self._store is not None:
-            return self._store.entries_between(start, end)
-        return [e for e in self._entries if start <= e.time < end]
+        return self._store.entries_between(start, end)
 
     def columns(self):
         """Whole-log columnar view (:class:`~repro.web.logstore.
-        LogColumns`) — free of per-row materialisation on the columnar
-        backend, built by one interning pass on the list backend."""
-        if self._store is not None:
-            return self._store.columns()
-        from .logstore import columns_from_entries
-
-        return columns_from_entries(self._entries)
+        LogColumns`), free of per-row materialisation."""
+        return self._store.columns()
 
     def __len__(self) -> int:
-        if self._store is not None:
-            return len(self._store)
-        return len(self._entries)
+        return len(self._store)
 
 
 @dataclass(slots=True)

@@ -29,7 +29,7 @@ the original entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterator, List
 
 import numpy as np
 
@@ -45,11 +45,10 @@ class LogColumns:
     element per row (string and client columns hold intern-table ids);
     ``strings``/``clients`` are the intern tables themselves and
     ``string_ids`` the reverse string lookup.  The arrays are copies
-    (concatenated from the store's blocks, or built from a list
-    backend), but the tables are live references — read-only by
-    contract.  This is what the columnar fast paths (vectorized
-    sessionization + feature extraction) consume instead of
-    materialising ``LogEntry`` objects row by row.
+    (concatenated from the store's blocks), but the tables are live
+    references — read-only by contract.  This is what the columnar
+    fast paths (vectorized sessionization + feature extraction)
+    consume instead of materialising ``LogEntry`` objects row by row.
     """
 
     time: np.ndarray        # (n,) float64
@@ -70,49 +69,6 @@ class LogColumns:
         a never-seen endpoint needs)."""
         return self.string_ids.get(value, -1)
 
-
-def columns_from_entries(entries: Iterable[LogEntry]) -> LogColumns:
-    """Build a :class:`LogColumns` view from materialised entries —
-    the list-backend equivalent of :meth:`ColumnarLogStore.columns`.
-
-    Interning mirrors the store's: strings by value into one shared
-    table, clients by object identity (the funnel reuses one
-    ``ClientRef`` per visitor).
-    """
-    entries = list(entries)
-    n = len(entries)
-    time = np.empty(n, dtype=np.float64)
-    status = np.empty(n, dtype=np.int16)
-    method = np.empty(n, dtype=np.int32)
-    path = np.empty(n, dtype=np.int32)
-    client = np.empty(n, dtype=np.int32)
-    string_ids: Dict[str, int] = {}
-    strings: List[str] = []
-    client_ids: Dict[int, int] = {}
-    clients: List[ClientRef] = []
-    for row, entry in enumerate(entries):
-        time[row] = entry.time
-        status[row] = entry.status
-        sid = string_ids.get(entry.method)
-        if sid is None:
-            sid = string_ids[entry.method] = len(strings)
-            strings.append(entry.method)
-        method[row] = sid
-        sid = string_ids.get(entry.path)
-        if sid is None:
-            sid = string_ids[entry.path] = len(strings)
-            strings.append(entry.path)
-        path[row] = sid
-        cid = client_ids.get(id(entry.client))
-        if cid is None:
-            cid = client_ids[id(entry.client)] = len(clients)
-            clients.append(entry.client)
-        client[row] = cid
-    return LogColumns(
-        time=time, status=status, method=method, path=path,
-        client=client, strings=strings, clients=clients,
-        string_ids=string_ids,
-    )
 
 #: Rows per block.  64Ki rows x ~22 bytes/row of arrays ~= 1.4 MiB per
 #: block — large enough that block bookkeeping is noise, small enough

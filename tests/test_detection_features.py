@@ -3,13 +3,10 @@
 import pytest
 
 from repro.common import ClientRef, LEGIT
-from repro.core.detection.features import (
-    FEATURE_NAMES,
-    extract_features,
-    feature_matrix,
-)
+from repro.core.detection.features import FEATURE_NAMES, extract_features
+from repro.core.detection.session_index import SessionIndex
 from repro.core.detection.volume import VolumeDetector, VolumeThresholds
-from repro.web.logs import LogEntry, Session
+from repro.web.logs import LogEntry, Session, WebLog
 from repro.web.request import HOLD, PAY, SEARCH
 
 
@@ -41,6 +38,24 @@ def make_session(times_paths, session_id="S1", statuses=None):
         fingerprint_id="fp",
         entries=entries,
     )
+
+
+def one_request_per_client_log(clients):
+    """A log of one search request from each of ``clients`` visitors."""
+    log = WebLog()
+    for i in range(clients):
+        log.append_fields(
+            float(i), "GET", SEARCH, 200,
+            ClientRef(
+                ip_address=f"1.1.1.{i}",
+                ip_country="US",
+                ip_residential=True,
+                fingerprint_id=f"fp{i}",
+                user_agent="UA",
+                actor_class=LEGIT,
+            ),
+        )
+    return log
 
 
 class TestExtractFeatures:
@@ -87,14 +102,12 @@ class TestExtractFeatures:
         assert vector[FEATURE_NAMES.index("request_count")] == 1
 
     def test_feature_matrix_shape(self):
-        sessions = [
-            make_session([(0.0, SEARCH)], session_id=f"S{i}")
-            for i in range(3)
-        ]
-        assert feature_matrix(sessions).shape == (3, len(FEATURE_NAMES))
+        index = SessionIndex.from_log(one_request_per_client_log(3))
+        assert index.matrix.shape == (3, len(FEATURE_NAMES))
 
     def test_empty_matrix(self):
-        assert feature_matrix([]).shape == (0, len(FEATURE_NAMES))
+        index = SessionIndex.from_log(WebLog())
+        assert index.matrix.shape == (0, len(FEATURE_NAMES))
 
 
 class TestVolumeDetector:
@@ -139,11 +152,11 @@ class TestVolumeDetector:
 
     def test_judge_all(self):
         detector = VolumeDetector()
-        sessions = [
-            make_session([(0.0, SEARCH)], session_id=f"S{i}")
-            for i in range(4)
-        ]
-        verdicts = detector.judge_all(sessions)
+        index = SessionIndex.from_log(one_request_per_client_log(4))
+        verdicts = detector.judge_index(index)
         assert [v.subject_id for v in verdicts] == [
-            "S0", "S1", "S2", "S3",
+            "S0000001", "S0000002", "S0000003", "S0000004",
+        ]
+        assert verdicts == [
+            detector.judge(session) for session in index.sessions()
         ]

@@ -10,8 +10,10 @@ from repro.core.detection.clustering import (
     ClusteringDetector,
     kmeans,
 )
+from repro.core.detection.features import FEATURE_NAMES
 from repro.web.logs import LogEntry, Session
 from repro.web.request import SEARCH
+from tests.feature_oracle import object_index, object_matrix
 
 
 def make_session(session_id, request_count, spacing=10.0, actor=LEGIT):
@@ -61,34 +63,39 @@ def separable_dataset(humans=20, scrapers=20):
 class TestLogisticClassifier:
     def test_learns_separable_data(self):
         sessions, labels = separable_dataset()
+        matrix = object_matrix(sessions)
         classifier = LogisticSessionClassifier()
-        report = classifier.fit(sessions, labels)
+        report = classifier.fit_matrix(matrix, labels)
         assert report.training_accuracy == 1.0
-        probabilities = classifier.predict_proba(sessions)
+        probabilities = classifier.predict_proba_matrix(matrix)
         assert probabilities[:20].max() < 0.5
         assert probabilities[20:].min() > 0.5
 
     def test_judge_all_threshold(self):
         sessions, labels = separable_dataset()
         classifier = LogisticSessionClassifier()
-        classifier.fit(sessions, labels)
-        verdicts = classifier.judge_all(sessions)
+        classifier.fit_matrix(object_matrix(sessions), labels)
+        verdicts = classifier.judge_index(object_index(sessions))
         assert sum(v.is_bot for v in verdicts) == 20
 
     def test_unfitted_predict_raises(self):
         with pytest.raises(RuntimeError):
-            LogisticSessionClassifier().predict_proba([])
+            LogisticSessionClassifier().predict_proba_matrix(
+                np.zeros((0, len(FEATURE_NAMES)))
+            )
 
     def test_label_mismatch_rejected(self):
         sessions, _ = separable_dataset()
         with pytest.raises(ValueError):
-            LogisticSessionClassifier().fit(sessions, [True])
+            LogisticSessionClassifier().fit_matrix(
+                object_matrix(sessions), [True]
+            )
 
     def test_single_class_rejected(self):
         sessions, _ = separable_dataset()
         with pytest.raises(ValueError):
-            LogisticSessionClassifier().fit(
-                sessions, [True] * len(sessions)
+            LogisticSessionClassifier().fit_matrix(
+                object_matrix(sessions), [True] * len(sessions)
             )
 
     def test_bad_threshold(self):
@@ -97,12 +104,13 @@ class TestLogisticClassifier:
 
     def test_deterministic_training(self):
         sessions, labels = separable_dataset()
+        matrix = object_matrix(sessions)
         a = LogisticSessionClassifier()
         b = LogisticSessionClassifier()
-        a.fit(sessions, labels)
-        b.fit(sessions, labels)
+        a.fit_matrix(matrix, labels)
+        b.fit_matrix(matrix, labels)
         assert np.allclose(
-            a.predict_proba(sessions), b.predict_proba(sessions)
+            a.predict_proba_matrix(matrix), b.predict_proba_matrix(matrix)
         )
 
 
@@ -168,7 +176,10 @@ class TestClusteringDetector:
         detector = ClusteringDetector(
             np.random.default_rng(7), ClusteringConfig(k=2)
         )
-        verdicts = {v.subject_id: v for v in detector.judge_all(sessions)}
+        verdicts = {
+            v.subject_id: v
+            for v in detector.judge_index(object_index(sessions))
+        }
         scraper_flagged = sum(verdicts[f"B{i}"].is_bot for i in range(5))
         human_flagged = sum(verdicts[f"H{i}"].is_bot for i in range(40))
         assert scraper_flagged == 5
@@ -179,7 +190,7 @@ class TestClusteringDetector:
             np.random.default_rng(7), ClusteringConfig(k=4)
         )
         sessions = [make_session("S1", 3)]
-        verdicts = detector.judge_all(sessions)
+        verdicts = detector.judge_index(object_index(sessions))
         assert len(verdicts) == 1
         assert not verdicts[0].is_bot
 
@@ -190,5 +201,5 @@ class TestClusteringDetector:
             for i in range(30)
         ]
         detector = ClusteringDetector(np.random.default_rng(3))
-        verdicts = detector.judge_all(sessions)
+        verdicts = detector.judge_index(object_index(sessions))
         assert not any(v.is_bot for v in verdicts)

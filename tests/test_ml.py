@@ -5,6 +5,7 @@ import pytest
 
 from repro.common import ClientRef, LEGIT, SCRAPER
 from repro.core.detection.features import FEATURE_NAMES
+from repro.core.detection.session_index import SessionIndex
 from repro.ml import (
     Dataset,
     FeatureStore,
@@ -399,6 +400,41 @@ def assert_verdicts_close(actual, expected):
         assert got.score == pytest.approx(want.score, rel=1e-9)
 
 
+def mixed_log():
+    """Four human-paced browsers and four hold-looping bots, one
+    client identity (so one session) each."""
+    log = WebLog()
+    clients = [
+        make_client(ip=f"10.0.0.{i}", fingerprint=f"fp{i}")
+        for i in range(4)
+    ] + [
+        make_client(
+            ip=f"10.0.1.{i}",
+            fingerprint=f"bot{i}",
+            actor=SCRAPER,
+        )
+        for i in range(4)
+    ]
+    entries = []
+    for rank, client in enumerate(clients):
+        bot = client.actor_class == SCRAPER
+        count = 20 if bot else 5
+        spacing = 2.0 if bot else 40.0
+        for step in range(count):
+            entries.append(LogEntry(
+                time=rank * 7.0 + step * spacing,
+                method="GET",
+                path=(SEARCH, FLIGHT_DETAILS, HOLD)[step % 3]
+                if bot
+                else (SEARCH, FLIGHT_DETAILS)[step % 2],
+                status=200,
+                client=client,
+            ))
+    for entry in sorted(entries, key=lambda e: e.time):
+        log.append(entry)
+    return log
+
+
 class TestLearnedDetector:
     def test_requires_fitted_model(self):
         with pytest.raises(ValueError):
@@ -406,49 +442,20 @@ class TestLearnedDetector:
 
     def test_judge_matches_judge_all(self, trained_mlp):
         """Scoring one session at a time (the streaming path) matches
-        batch scoring to float round-off — the standardiser and
-        weights are frozen at train time."""
-        sessions, _ = separable_sessions(6, 6)
+        batch scoring of the whole index to float round-off — the
+        standardiser and weights are frozen at train time."""
+        index = SessionIndex.from_log(mixed_log())
         detector = LearnedSessionDetector(trained_mlp)
-        batch = detector.judge_all(sessions)
-        single = [detector.judge(session) for session in sessions]
+        batch = detector.judge_index(index)
+        single = [detector.judge(session) for session in index.sessions()]
         assert_verdicts_close(single, batch)
         assert all(v.detector == "learned-sequence" for v in batch)
-        assert not any(v.is_bot for v in batch[:6])
-        assert all(v.is_bot for v in batch[6:])
+        assert [v.is_bot for v in batch] == list(index.is_attacker)
 
     def test_stream_adapter_equivalence(self, trained_mlp):
         """The learned arm behind SessionDetectorAdapter emits the
         same verdict set as the batch pipeline on the same log."""
-        log = WebLog()
-        clients = [
-            make_client(ip=f"10.0.0.{i}", fingerprint=f"fp{i}")
-            for i in range(4)
-        ] + [
-            make_client(
-                ip=f"10.0.1.{i}",
-                fingerprint=f"bot{i}",
-                actor=SCRAPER,
-            )
-            for i in range(4)
-        ]
-        entries = []
-        for rank, client in enumerate(clients):
-            bot = client.actor_class == SCRAPER
-            count = 20 if bot else 5
-            spacing = 2.0 if bot else 40.0
-            for step in range(count):
-                entries.append(LogEntry(
-                    time=rank * 7.0 + step * spacing,
-                    method="GET",
-                    path=(SEARCH, FLIGHT_DETAILS, HOLD)[step % 3]
-                    if bot
-                    else (SEARCH, FLIGHT_DETAILS)[step % 2],
-                    status=200,
-                    client=client,
-                ))
-        for entry in sorted(entries, key=lambda e: e.time):
-            log.append(entry)
+        log = mixed_log()
         detector = LearnedSessionDetector(trained_mlp)
         pipeline = StreamPipeline(
             adapters=[SessionDetectorAdapter(detector)]
@@ -456,7 +463,7 @@ class TestLearnedDetector:
         for entry in log.entries():
             pipeline.process(entry)
         report = pipeline.finish()
-        batch = detector.judge_all(sessionize(log))
+        batch = detector.judge_index(SessionIndex.from_log(log))
         streamed = sorted(
             report.session_verdicts, key=lambda v: v.subject_id
         )

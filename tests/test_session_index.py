@@ -4,11 +4,12 @@
 reproduce ``sessionize()`` + ``extract_features()`` *exactly* — same
 session ids in the same order, bit-identical feature matrix, same
 ground-truth classes, equal ``Session`` objects, identical ML
-encodings — on both WebLog backends.  These tests pin that equality on
-randomized logs engineered to hit the nasty corners (equal start
-times, exact idle-gap boundaries, key interleavings, majority-class
-ties) plus hypothesis-generated schedules, and then pin the
-verdict-level equality of every matrix detector family.
+encodings.  These tests pin that equality on randomized logs
+engineered to hit the nasty corners (equal start times, exact
+idle-gap boundaries, key interleavings, majority-class ties) plus
+hypothesis-generated schedules, and then pin the verdict-level
+equality of every matrix detector family against the same detectors
+fed per-session ``extract_features`` rows.
 """
 
 import random
@@ -20,16 +21,13 @@ from hypothesis import given, settings, strategies as st
 from repro.common import ClientRef
 from repro.core.detection.classifier import LogisticSessionClassifier
 from repro.core.detection.clustering import ClusteringDetector
-from repro.core.detection.features import (
-    FEATURE_NAMES,
-    feature_matrix,
-    feature_matrix_columnar,
-)
+from repro.core.detection.features import FEATURE_NAMES
 from repro.core.detection.session_index import SessionIndex
 from repro.core.detection.volume import VolumeDetector
 from repro.ml.data import build_dataset, build_dataset_columnar
 from repro.obs.core import ObsRegistry
-from repro.web.logs import COLUMNAR, LIST, WebLog, sessionize
+from repro.web.logs import WebLog, sessionize
+from tests.feature_oracle import object_index, object_matrix
 
 PATHS = [
     "/search", "/flight", "/hold", "/pay", "/login/otp",
@@ -72,8 +70,8 @@ def _random_rows(rng: random.Random, count: int):
     return rows
 
 
-def _log(rows, backend: str) -> WebLog:
-    log = WebLog(backend=backend)
+def _log(rows) -> WebLog:
+    log = WebLog()
     for time, method, path, status, client in rows:
         log.append_fields(time, method, path, status, client)
     return log
@@ -81,7 +79,7 @@ def _log(rows, backend: str) -> WebLog:
 
 def _assert_index_matches(log: WebLog, idle_gap: float) -> SessionIndex:
     sessions = sessionize(log, idle_gap)
-    reference = feature_matrix(sessions)
+    reference = object_matrix(sessions)
     index = SessionIndex.from_log(log, idle_gap)
     assert index.session_ids == [s.session_id for s in sessions]
     assert np.array_equal(reference, index.matrix), "matrix not bit-equal"
@@ -95,20 +93,24 @@ def _assert_index_matches(log: WebLog, idle_gap: float) -> SessionIndex:
     return index
 
 
+#: Test-id suffix naming the log storage the index reads.
+STORAGE = pytest.mark.parametrize("storage", ["columnar"])
+
+
 class TestSessionIndexEquality:
-    @pytest.mark.parametrize("backend", [COLUMNAR, LIST])
+    @STORAGE
     @pytest.mark.parametrize("idle_gap", [1800.0, 100.0, 0.5])
     @pytest.mark.parametrize("trial", range(3))
     def test_randomized_logs_match_object_path(
-        self, backend, idle_gap, trial
+        self, storage, idle_gap, trial
     ):
         rng = random.Random(1000 * trial + int(idle_gap))
         rows = _random_rows(rng, rng.randint(1, 2500))
-        _assert_index_matches(_log(rows, backend), idle_gap)
+        _assert_index_matches(_log(rows), idle_gap)
 
-    @pytest.mark.parametrize("backend", [COLUMNAR, LIST])
-    def test_empty_log(self, backend):
-        index = SessionIndex.from_log(WebLog(backend=backend))
+    @STORAGE
+    def test_empty_log(self, storage):
+        index = SessionIndex.from_log(WebLog())
         assert len(index) == 0
         assert index.matrix.shape == (0, len(FEATURE_NAMES))
         assert index.sessions() == []
@@ -117,7 +119,7 @@ class TestSessionIndexEquality:
 
     def test_single_entry_log(self):
         rng = random.Random(5)
-        log = _log(_random_rows(rng, 1), COLUMNAR)
+        log = _log(_random_rows(rng, 1))
         index = _assert_index_matches(log, 1800.0)
         assert len(index) == 1
         assert index.matrix[0, FEATURE_NAMES.index("request_count")] == 1.0
@@ -170,7 +172,7 @@ class TestSessionIndexEquality:
 
     def test_obs_instrumentation(self):
         rng = random.Random(3)
-        log = _log(_random_rows(rng, 500), COLUMNAR)
+        log = _log(_random_rows(rng, 500))
         registry = ObsRegistry()
         index = SessionIndex.from_log(log, obs=registry)
         assert registry.counter("detect.sessions") == float(len(index))
@@ -179,34 +181,24 @@ class TestSessionIndexEquality:
         assert timers and sum(t.count for t in timers.values()) == 1
 
 
-class TestFeatureMatrixColumnar:
-    @pytest.mark.parametrize("backend", [COLUMNAR, LIST])
-    def test_wrapper_matches_object_path(self, backend):
-        rng = random.Random(17)
-        log = _log(_random_rows(rng, 800), backend)
-        sessions = sessionize(log)
-        session_ids, matrix = feature_matrix_columnar(log)
-        assert session_ids == [s.session_id for s in sessions]
-        assert np.array_equal(matrix, feature_matrix(sessions))
-
-
 class TestDetectorEquivalence:
     def _fixture(self):
         rng = random.Random(77)
-        log = _log(_random_rows(rng, 2000), COLUMNAR)
+        log = _log(_random_rows(rng, 2000))
         return sessionize(log), SessionIndex.from_log(log)
 
     def test_volume_verdicts_identical(self):
         sessions, index = self._fixture()
-        assert VolumeDetector().judge_all(sessions) == (
-            VolumeDetector().judge_index(index)
+        detector = VolumeDetector()
+        assert [detector.judge(s) for s in sessions] == (
+            detector.judge_index(index)
         )
 
     def test_kmeans_verdicts_identical(self):
         sessions, index = self._fixture()
         object_path = ClusteringDetector(
             np.random.default_rng(42)
-        ).judge_all(sessions)
+        ).judge_index(object_index(sessions))
         columnar = ClusteringDetector(
             np.random.default_rng(42)
         ).judge_index(index)
@@ -218,11 +210,11 @@ class TestDetectorEquivalence:
         if len(set(labels)) < 2:
             pytest.skip("fixture produced single-class labels")
         object_clf = LogisticSessionClassifier(max_iterations=200)
-        report_obj = object_clf.fit(sessions, labels)
+        report_obj = object_clf.fit_matrix(object_matrix(sessions), labels)
         matrix_clf = LogisticSessionClassifier(max_iterations=200)
         report_mat = matrix_clf.fit_matrix(index.matrix, index.is_attacker)
         assert report_obj == report_mat
-        assert object_clf.judge_all(sessions) == (
+        assert object_clf.judge_index(object_index(sessions)) == (
             matrix_clf.judge_index(index)
         )
 

@@ -120,7 +120,8 @@ class TestEvasiveScraper:
             for s in sessionize(world.app.log)
             if s.actor_class == SCRAPER
         ]
-        verdicts = VolumeDetector().judge_all(sessions)
+        detector = VolumeDetector()
+        verdicts = [detector.judge(session) for session in sessions]
         assert not any(v.is_bot for v in verdicts)
 
     def test_backs_off_after_blocks(self):

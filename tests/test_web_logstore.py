@@ -1,12 +1,15 @@
-"""Columnar web-log store: golden equality against the list backend.
+"""Columnar web-log store: golden equality against the appended entries.
 
 The :class:`~repro.web.logstore.ColumnarLogStore` must be invisible to
 every consumer: the ``LogEntry`` views it materialises have to compare
 equal — field for field, including the interned strings and the
-``ClientRef`` — to what the plain list-of-objects backend records for
-the same run.  The golden tests below run each case study twice with
-identical seeds, once per backend, and require entry-for-entry
-equality of the whole log (and of the sessions built from it).
+``ClientRef`` — to the raw fields each request was appended with.  The
+golden tests below run each case study with a log that also records a
+``LogEntry`` built from every ``append_fields`` call (the request hot
+path, left unobserved so the store's fast path runs), and require
+entry-for-entry equality of the whole log read back at the end (and
+of the sessions built from it by the per-entry reference and by the
+columnar index).
 
 The unit tests pin the block machinery's edges: empty store, a block
 filled to exactly its capacity, appends landing after a view was
@@ -16,8 +19,9 @@ taken, and the half-open ``entries_between`` window.
 import pytest
 
 from repro.common import ClientRef
+from repro.core.detection.session_index import SessionIndex
 from repro.sim.clock import DAY
-from repro.web.logs import COLUMNAR, LIST, LogEntry, WebLog, sessionize
+from repro.web.logs import LogEntry, WebLog, sessionize
 from repro.web.logstore import ColumnarLogStore
 
 
@@ -159,28 +163,29 @@ class TestViewsAndInterning:
 
 
 class TestWebLogBackends:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            WebLog(backend="parquet")
-
     def test_backends_record_identical_entries(self):
+        """``append`` and ``append_fields`` both read back as the
+        ``LogEntry`` objects they describe."""
         who_a, who_b = client("a"), client("b")
-        logs = [WebLog(backend=COLUMNAR), WebLog(backend=LIST)]
-        for log in logs:
-            log.append(entry(0.0, who_a))
-            log.append_fields(
-                time=1.0, method="POST", path="/hold", status=201,
-                client=who_b, outcome="hold-created",
-            )
-        assert logs[0].entries() == logs[1].entries()
-        assert len(logs[0]) == len(logs[1]) == 2
-        assert (
-            logs[0].entries_between(0.5, 1.5)
-            == logs[1].entries_between(0.5, 1.5)
+        first = entry(0.0, who_a)
+        second = LogEntry(
+            time=1.0, method="POST", path="/hold", status=201,
+            client=who_b, outcome="hold-created",
         )
+        log = WebLog()
+        log.append(first)
+        log.append_fields(
+            time=1.0, method="POST", path="/hold", status=201,
+            client=who_b, outcome="hold-created",
+        )
+        assert log.entries() == [first, second]
+        assert list(log.iter_entries()) == [first, second]
+        assert [log.entry_at(0), log.entry_at(1)] == [first, second]
+        assert len(log) == 2
+        assert log.entries_between(0.5, 1.5) == [second]
 
     def test_observer_sees_materialised_entry_from_append_fields(self):
-        log = WebLog(backend=COLUMNAR)
+        log = WebLog()
         seen = []
         log.subscribe(seen.append)
         who = client()
@@ -191,7 +196,7 @@ class TestWebLogBackends:
         assert seen[0].client is who
 
     def test_out_of_order_append_raises_on_columnar(self):
-        log = WebLog(backend=COLUMNAR)
+        log = WebLog()
         log.append(entry(5.0, client()))
         with pytest.raises(ValueError):
             log.append(entry(4.0, client()))
@@ -201,7 +206,7 @@ class TestWebLogBackends:
             )
 
     def test_reentrant_append_raises_on_columnar(self):
-        log = WebLog(backend=COLUMNAR)
+        log = WebLog()
 
         def evil(seen_entry):
             log.append_fields(
@@ -217,33 +222,40 @@ class TestWebLogBackends:
 # -- golden equality on the case studies -------------------------------------
 
 
-def run_both(monkeypatch, builder):
-    """Run ``builder`` per backend: columnar (default), then list."""
-    columnar_world = builder()
+def run_captured(monkeypatch, builder):
+    """Run ``builder`` with the application's log also recording a
+    ``LogEntry`` per appended request; returns ``(world, captured)``."""
     import repro.web.application as application
 
-    monkeypatch.setattr(
-        application, "WebLog", lambda: WebLog(backend=LIST)
+    captured = []
+
+    class CapturingLog(WebLog):
+        def append_fields(self, time, method, path, status, client,
+                          blocked_by="", outcome=""):
+            captured.append(LogEntry(
+                time=time, method=method, path=path, status=status,
+                client=client, blocked_by=blocked_by, outcome=outcome,
+            ))
+            super().append_fields(
+                time, method, path, status, client, blocked_by, outcome
+            )
+
+    monkeypatch.setattr(application, "WebLog", CapturingLog)
+    return builder(), captured
+
+
+def assert_logs_match(world, captured):
+    log = world.app.log
+    entries = log.entries()
+    assert len(entries) == len(captured) == len(log)
+    assert entries == captured
+    assert all(
+        stored.client is seen.client
+        for stored, seen in zip(entries, captured)
     )
-    return columnar_world, builder()
-
-
-def assert_logs_match(columnar_world, list_world):
-    columnar_log, list_log = columnar_world.app.log, list_world.app.log
-    assert columnar_log.backend == COLUMNAR
-    assert list_log.backend == LIST
-    columnar_entries = columnar_log.entries()
-    list_entries = list_log.entries()
-    assert len(columnar_entries) == len(list_entries)
-    assert columnar_entries == list_entries
-    columnar_sessions = sessionize(columnar_log)
-    list_sessions = sessionize(list_log)
-    assert [s.session_id for s in columnar_sessions] == [
-        s.session_id for s in list_sessions
-    ]
-    assert [s.entries for s in columnar_sessions] == [
-        s.entries for s in list_sessions
-    ]
+    sessions = sessionize(log)
+    assert sum(s.request_count for s in sessions) == len(captured)
+    assert SessionIndex.from_log(log).sessions() == sessions
 
 
 class TestCaseGoldenEquality:
@@ -280,10 +292,10 @@ class TestCaseGoldenEquality:
         ).world
 
     def test_case_a_logs_identical(self, monkeypatch):
-        assert_logs_match(*run_both(monkeypatch, self._case_a))
+        assert_logs_match(*run_captured(monkeypatch, self._case_a))
 
     def test_case_b_logs_identical(self, monkeypatch):
-        assert_logs_match(*run_both(monkeypatch, self._case_b))
+        assert_logs_match(*run_captured(monkeypatch, self._case_b))
 
     def test_case_c_logs_identical(self, monkeypatch):
-        assert_logs_match(*run_both(monkeypatch, self._case_c))
+        assert_logs_match(*run_captured(monkeypatch, self._case_c))
