@@ -83,8 +83,16 @@ class EntityGraph:
         #: — timestamps are not structure).  Consumers that compile the
         #: graph (:func:`repro.graph.propagation.compile_graph`) cache
         #: the compiled form keyed on this and recompile only when the
-        #: structure actually changed.
+        #: structure changed — and then incrementally, from the nodes
+        #: recorded below.
         self.version = 0
+        #: Nodes whose adjacency changed (new edge or raised weight)
+        #: since the compile stamped ``_compile_stamp``.  ``None`` until
+        #: the first compile: with nothing to diff against, nothing is
+        #: recorded.  Nodes are never removed, so a compile appends the
+        #: new nodes and re-sorts only these nodes' neighbour groups.
+        self._changed: Optional[Set[EntityId]] = None
+        self._compile_stamp: Optional[object] = None
 
     # -- construction --------------------------------------------------------
 
@@ -123,13 +131,33 @@ class EntityGraph:
         existing = self._adjacency[a].get(b)
         if existing is None:
             self.edge_count += 1
-            self._adjacency[a][b] = weight
-            self._adjacency[b][a] = weight
-            self.version += 1
-        elif weight > existing:
-            self._adjacency[a][b] = weight
-            self._adjacency[b][a] = weight
-            self.version += 1
+        elif weight <= existing:
+            return
+        self._adjacency[a][b] = weight
+        self._adjacency[b][a] = weight
+        self.version += 1
+        if self._changed is not None:
+            self._changed.add(a)
+            self._changed.add(b)
+
+    def drain_changes(
+        self, since: Optional[object], stamp: object
+    ) -> Optional[Set[EntityId]]:
+        """Nodes whose adjacency changed since the compile ``since``.
+
+        ``since`` is the stamp of the caller's previous compile; the
+        answer is ``None`` (diff unknown: treat every node as changed)
+        unless that compile is the last one taken from *this* graph.
+        Tracking restarts under ``stamp``, the caller's new compile.
+        """
+        changed = (
+            self._changed
+            if since is not None and since is self._compile_stamp
+            else None
+        )
+        self._changed = set()
+        self._compile_stamp = stamp
+        return changed
 
     # -- reads ---------------------------------------------------------------
 

@@ -216,12 +216,12 @@ def analyze(
     """Propagate ``seeds`` and extract campaign verdicts (pure).
 
     The graph is compiled to CSR form once (or reused via ``compiled``
-    when the caller's cached copy is still structurally current) and
-    shared by both the propagation sweep and the campaign extraction's
-    neighbour scans.
+    when the caller's cached copy is still structurally current, and
+    spliced forward from it when not) and shared by both the
+    propagation sweep and the campaign extraction's neighbour scans.
     """
     if compiled is None or compiled.version != graph.version:
-        compiled = compile_graph(graph, obs=obs)
+        compiled = compile_graph(graph, obs=obs, previous=compiled)
     result = propagate(
         graph, seeds, config=config.propagation, obs=obs,
         compiled=compiled,

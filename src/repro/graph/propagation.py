@@ -41,22 +41,31 @@ Properties the test-suite pins:
   below tolerance.
 
 The sweep itself runs on a :class:`CompiledGraph`: the adjacency dicts
-are compiled once into int-indexed CSR arrays (incoming edges grouped
-by destination, sources sorted within each group) and every Jacobi
-round becomes three NumPy operations — gather source mass, scale by
-the precomputed coupling, ``np.bincount`` back onto destinations.
-``np.bincount`` accumulates its weights in array order, which is the
-sorted-neighbour order the CSR layout stores, so the vectorized sweep
-is bit-identical to the historical per-edge Python loop (kept as
+are compiled into int-indexed CSR arrays (nodes in insertion order,
+incoming edges grouped by destination, sources sorted by node id within
+each group) and every Jacobi round becomes three NumPy operations —
+gather source mass, scale by the precomputed coupling, ``np.bincount``
+back onto destinations.  ``np.bincount`` accumulates each bin in array
+order, which within a group is the sorted-neighbour order; where the
+group sits in the array does not matter.  So the vectorized sweep is
+bit-identical to the historical per-edge Python loop (kept as
 :func:`propagate_dict`, the reference the property tests compare
-against).  Compilation is seed-independent, so streaming callers
-reuse one compiled graph across refreshes until the structure grows.
+against).
+
+Compilation is seed-independent and incremental.  Node indices are
+append-only, and the graph records which nodes' adjacency changed
+since the last compile, so a streaming caller hands its cached compile
+back as ``previous``: only the changed nodes' groups are re-sorted and
+spliced in, new nodes are appended, and the result equals a cold
+compile array for array.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
+from operator import getitem
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -116,19 +125,24 @@ class PropagationResult:
 class CompiledGraph:
     """Int-indexed CSR form of an :class:`EntityGraph`.
 
-    Incoming edges are grouped by destination node (``indptr`` bounds
-    node ``i``'s group at ``src[indptr[i]:indptr[i+1]]``) with sources
-    *sorted by node id* inside each group — the same sorted-neighbour
-    iteration order the dict reference uses, which is what keeps float
-    accumulation bit-identical across build orders.  ``degree`` is the
-    weighted degree summed in that order, and ``src_degree`` gathers
-    it per edge so the damped coupling is one elementwise expression
-    at propagate time.
+    Node indices follow graph insertion order, so they are append-only:
+    a node keeps its index across every later compile of the same
+    graph.  Incoming edges are grouped by destination node (``indptr``
+    bounds node ``i``'s group at ``src[indptr[i]:indptr[i+1]]``) with
+    sources *sorted by node id* inside each group — the same
+    sorted-neighbour iteration order the dict reference uses, and the
+    only order ``np.bincount`` summation depends on, which is what
+    keeps float accumulation bit-identical across build orders.
+    ``degree`` is the weighted degree summed in that order, and
+    ``src_degree`` gathers it per edge so the damped coupling is one
+    elementwise expression at propagate time.
 
     Compilation depends only on graph *structure* (not on seeds or
-    config), and carries the graph's structural ``version`` stamp so
-    callers can cache the compiled form and recompile only when the
-    graph actually grew.
+    config), and carries the graph's structural ``version`` so callers
+    can cache the compiled form and recompile only when the graph
+    changed — passing the cache back as ``previous`` so only the
+    changed groups are re-sorted.  ``stamp`` identifies this compile to
+    the graph's change log (:meth:`EntityGraph.drain_changes`).
     """
 
     nodes: List[EntityId]
@@ -140,6 +154,7 @@ class CompiledGraph:
     degree: np.ndarray      # (n,) float64 — weighted degree per node
     src_degree: np.ndarray  # (e,) float64 — degree[src] per edge
     version: int = 0
+    stamp: Optional[object] = field(default=None, repr=False)
 
     @property
     def node_count(self) -> int:
@@ -160,32 +175,92 @@ class CompiledGraph:
 
 
 def compile_graph(
-    graph: EntityGraph, obs: Optional[object] = None
+    graph: EntityGraph,
+    obs: Optional[object] = None,
+    previous: Optional[CompiledGraph] = None,
 ) -> CompiledGraph:
-    """Compile ``graph`` into CSR arrays (one-time, seed-independent)."""
+    """Compile ``graph`` into CSR arrays (seed-independent).
+
+    With ``previous`` — the last compile taken from this same graph —
+    only the groups of nodes whose adjacency changed since are
+    re-sorted; every other group is copied from ``previous`` to its
+    shifted offset, and new nodes are appended.  Any other
+    ``previous`` (a foreign graph, an older compile, ``None``) makes
+    every node count as changed: the cold compile is the same routine
+    splicing into nothing.  Either way the arrays equal a cold
+    compile's exactly.
+    """
     span = obs.timer("graph.compile").time() if obs is not None else None
     if span is not None:
         span.__enter__()
     try:
-        nodes = sorted(graph.nodes())
-        index = {node: i for i, node in enumerate(nodes)}
+        stamp = object()
+        changed = graph.drain_changes(
+            previous.stamp if previous is not None else None, stamp
+        )
+        nodes = graph.nodes()
         n = len(nodes)
-        counts = np.empty(n, dtype=np.int64)
-        src_ids: List[int] = []
-        weight_list: List[float] = []
-        for i, node in enumerate(nodes):
-            items = sorted(graph.neighbors_view(node).items())
-            counts[i] = len(items)
-            for neighbor, weight in items:
-                src_ids.append(index[neighbor])
-                weight_list.append(weight)
+        if changed is None:
+            changed = ()
+            old_n = 0
+            index: Dict[EntityId, int] = {}
+            old_indptr = np.zeros(1, dtype=np.int64)
+            old_src = old_dst = np.empty(0, dtype=np.int64)
+            old_weights = np.empty(0, dtype=np.float64)
+        else:
+            old_n = previous.node_count
+            index = dict(previous.index)
+            old_indptr = previous.indptr
+            old_src, old_dst = previous.src, previous.dst
+            old_weights = previous.weights
+        index.update(zip(nodes[old_n:], range(old_n, n)))
+        # Changed and new nodes, ascending: their groups are re-sorted.
+        is_dirty = np.zeros(n, dtype=bool)
+        is_dirty[list(map(index.__getitem__, changed))] = True
+        is_dirty[old_n:] = True
+        dirty = np.flatnonzero(is_dirty)
+        adjacencies = [graph.neighbors_view(nodes[i]) for i in dirty.tolist()]
+        dirty_counts = np.fromiter(
+            map(len, adjacencies), dtype=np.int64, count=len(adjacencies)
+        )
+        # Each changed group's neighbours, sorted by node id, end to end.
+        neighbors = list(chain.from_iterable(map(sorted, adjacencies)))
+        counts = np.zeros(n, dtype=np.int64)
+        counts[:old_n] = np.diff(old_indptr)
+        counts[dirty] = dirty_counts
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        src = np.asarray(src_ids, dtype=np.int64)
-        weights = np.asarray(weight_list, dtype=np.float64)
+        src = np.empty(int(indptr[-1]), dtype=np.int64)
+        weights = np.empty(src.shape[0], dtype=np.float64)
+        # Unchanged groups keep their contents, shifted to new offsets.
+        kept = np.flatnonzero(~is_dirty[old_dst])
+        kept_dst = old_dst[kept]
+        at = kept + (indptr[kept_dst] - old_indptr[kept_dst])
+        src[at] = old_src[kept]
+        weights[at] = old_weights[kept]
+        # Re-sorted groups land at their own new offsets.
+        group_starts = np.zeros(dirty.shape[0], dtype=np.int64)
+        np.cumsum(dirty_counts[:-1], out=group_starts[1:])
+        at = np.arange(len(neighbors), dtype=np.int64) + np.repeat(
+            indptr[dirty] - group_starts, dirty_counts
+        )
+        src[at] = np.fromiter(
+            map(index.__getitem__, neighbors),
+            dtype=np.int64,
+            count=len(neighbors),
+        )
+        # Each neighbour's weight, read from its own group's adjacency.
+        owners = chain.from_iterable(
+            map(repeat, adjacencies, dirty_counts.tolist())
+        )
+        weights[at] = np.fromiter(
+            map(getitem, owners, neighbors),
+            dtype=np.float64,
+            count=len(neighbors),
+        )
         # Destination index per edge; bincount over it accumulates each
         # node's incoming sum in sorted-source order — the dict path's
-        # exact summation order.
+        # exact summation order, wherever the group sits in the array.
         dst = np.repeat(np.arange(n, dtype=np.int64), counts)
         degree = np.bincount(dst, weights=weights, minlength=n)
         src_degree = degree[src] if n else np.empty(0, dtype=np.float64)
@@ -199,6 +274,7 @@ def compile_graph(
             degree=degree,
             src_degree=src_degree,
             version=graph.version,
+            stamp=stamp,
         )
     finally:
         if span is not None:
@@ -206,6 +282,7 @@ def compile_graph(
     if obs is not None:
         obs.increment("graph.compile.nodes", float(n))
         obs.increment("graph.compile.edges", float(compiled.edge_count))
+        obs.increment("graph.compile.resorted", float(dirty.shape[0]))
     return compiled
 
 
@@ -226,7 +303,8 @@ def propagate(
 
     ``compiled`` reuses a previous :func:`compile_graph` result; it
     must match the graph's current structural version (streaming
-    callers cache it and recompile only when the graph grew).
+    callers cache it and recompile, incrementally, when the graph
+    changed).
     """
     config = config or PropagationConfig()
     if compiled is None:
@@ -238,18 +316,25 @@ def propagate(
         )
 
     n = compiled.node_count
+    slots = np.fromiter(
+        (compiled.index.get(node, -1) for node in seeds),
+        dtype=np.int64,
+        count=len(seeds),
+    )
+    clipped = np.clip(
+        np.fromiter(seeds.values(), dtype=np.float64, count=len(seeds)),
+        0.0,
+        1.0,
+    )
+    on_graph = slots >= 0
     seed_vec = np.zeros(n, dtype=np.float64)
-    for node, value in seeds.items():
-        i = compiled.index.get(node)
-        if i is not None:
-            seed_vec[i] = min(max(float(value), 0.0), 1.0)
+    seed_vec[slots[on_graph]] = clipped[on_graph]
     # Seeded nodes absent from the graph are isolated by definition:
     # their read-out is exactly the clipped seed, no sweep needed.
-    extras = {
-        node: min(max(float(value), 0.0), 1.0)
-        for node, value in seeds.items()
-        if node not in compiled.index
-    }
+    off_graph = ~on_graph
+    extras = dict(
+        zip(compress(seeds, off_graph.tolist()), clipped[off_graph].tolist())
+    )
 
     # Per-edge damped coupling, computed exactly as the dict reference
     # does per pair: (damping * weight) / degree[source].
@@ -276,10 +361,7 @@ def propagate(
         if delta < config.tolerance:
             converged = True
             break
-    scores = {
-        node: min(1.0, float(value))
-        for node, value in zip(compiled.nodes, mass)
-    }
+    scores = dict(zip(compiled.nodes, np.minimum(mass, 1.0).tolist()))
     scores.update(extras)
     if obs is not None:
         obs.set_gauge("graph.propagation.rounds", float(rounds))

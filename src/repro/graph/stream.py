@@ -89,10 +89,18 @@ class GraphStreamAdapter(StreamAdapter):
         #: Cached CSR compile of the builder's graph, keyed on the
         #: graph's structural version: refreshes that land between
         #: structural changes (or the final analysis right after a
-        #: periodic one) reuse the arrays instead of recompiling.
+        #: periodic one) reuse the arrays, and the others hand it to
+        #: ``compile_graph`` so only the changed nodes are re-sorted.
+        #: Derived state, so it is left out of pickles.
         self._compiled: Optional[CompiledGraph] = None
         self.refreshes = 0
         self.final_analysis: Optional[GraphAnalysis] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # A restored adapter cold-compiles once, at its first refresh.
+        state = self.__dict__.copy()
+        state["_compiled"] = None
+        return state
 
     # -- stream hooks --------------------------------------------------------
 
@@ -158,7 +166,9 @@ class GraphStreamAdapter(StreamAdapter):
             self._compiled is None
             or self._compiled.version != graph.version
         ):
-            self._compiled = compile_graph(graph, obs=self.obs)
+            self._compiled = compile_graph(
+                graph, obs=self.obs, previous=self._compiled
+            )
         analysis = analyze(
             graph,
             merged_seeds(self._seeds, self.builder, self.config),

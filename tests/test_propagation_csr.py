@@ -7,7 +7,10 @@ damping factor associativity — so these tests pin exact equality on
 random multipartite graphs (including isolated nodes and zero-seed
 worlds), identical round counts and convergence flags, and identical
 ``top()`` rankings.  Alongside: the ``top()`` heap-selection tie-break
-regression and the ``CompiledGraph`` version-stamp lifecycle.
+regression, the ``CompiledGraph`` version-stamp lifecycle, and the
+incremental compile: splicing forward from the previous compile must
+give a cold compile's arrays exactly, and a ``previous`` that is not
+the graph's last compile must never be spliced.
 """
 
 import numpy as np
@@ -231,3 +234,131 @@ class TestConfigEquivalenceAcrossSweeps:
         ref = propagate_dict(graph, seed_map, config=config)
         assert csr.scores == ref.scores
         assert (csr.rounds, csr.converged) == (ref.rounds, ref.converged)
+
+
+def _compile_arrays(compiled: CompiledGraph):
+    """Everything a compile carries, floats as raw bytes (bit-exact)."""
+    names = ("indptr", "src", "dst", "weights", "degree", "src_degree")
+    arrays = [getattr(compiled, name) for name in names]
+    raw = [(array.dtype.str, array.tobytes()) for array in arrays]
+    return compiled.nodes, compiled.index, raw, compiled.version
+
+
+def _resorted(graph, previous=None):
+    """Compile ``graph`` and report how many groups were re-sorted."""
+    from repro.obs.core import ObsRegistry
+
+    registry = ObsRegistry()
+    compiled = compile_graph(graph, obs=registry, previous=previous)
+    return compiled, int(registry.counter("graph.compile.resorted"))
+
+
+#: Graph mutations: ``("edge", ka, a, kb, b, weight)`` adds an edge or
+#: raises/keeps an existing one; ``("raise", pick, bump)`` raises the
+#: weight of an existing edge; ``("node", k, i)`` adds a node;
+#: ``("compile", pick)`` compiles with ``previous`` chosen by ``pick``
+#: from the last compile, an older one, a foreign graph's, or none.
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("edge"),
+            st.integers(0, 3), st.integers(0, 11),
+            st.integers(0, 3), st.integers(0, 11),
+            st.floats(min_value=0.05, max_value=1.0),
+        ).filter(lambda op: (op[1], op[2]) != (op[3], op[4])),
+        st.tuples(
+            st.just("raise"),
+            st.integers(0, 1_000),
+            st.floats(min_value=0.01, max_value=0.5),
+        ),
+        st.tuples(st.just("node"), st.integers(0, 3), st.integers(0, 15)),
+        st.tuples(st.just("compile"), st.integers(0, 9)),
+    ),
+    max_size=60,
+)
+
+
+class TestIncrementalCompile:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_OPS, seeds=_SEEDS)
+    def test_incremental_compile_equals_cold_compile(self, ops, seeds):
+        """Whatever the mutation history and whichever ``previous`` is
+        passed, the compile equals a cold compile array for array, and
+        propagating over it still equals the dict reference."""
+        graph = EntityGraph()
+        # Same mutations, compiled cold only: the reference arrays.
+        mirror = EntityGraph()
+        foreign = _build([(0, 0, 1, 1, 0.5), (1, 1, 2, 2, 0.25)])
+        history = [compile_graph(foreign)]
+        last = None
+        seed_map = {
+            _node(kind, index): value
+            for (kind, index), value in seeds.items()
+        }
+        for op in ops + [("compile", 0)]:
+            if op[0] == "edge":
+                _, ka, a, kb, b, weight = op
+                for target in (graph, mirror):
+                    target.add_edge(_node(ka, a), _node(kb, b), weight)
+            elif op[0] == "raise":
+                edges = graph.edges()
+                if edges:
+                    a, b, weight = edges[op[1] % len(edges)]
+                    for target in (graph, mirror):
+                        target.add_edge(a, b, min(1.0, weight + op[2]))
+            elif op[0] == "node":
+                for target in (graph, mirror):
+                    target.add_node(_node(op[1], op[2]))
+            else:
+                pick = op[1]
+                if pick < 6:
+                    previous = last          # the normal, spliced case
+                elif pick < 9:
+                    previous = history[pick % len(history)]
+                else:
+                    previous = None
+                compiled, resorted = _resorted(graph, previous)
+                cold = compile_graph(mirror)
+                assert _compile_arrays(compiled) == _compile_arrays(cold)
+                if previous is not last or last is None:
+                    # Not the graph's last compile: nothing spliced.
+                    assert resorted == graph.node_count
+                history.append(compiled)
+                last = compiled
+        csr = propagate(graph, seed_map, compiled=last)
+        ref = propagate_dict(graph, seed_map)
+        assert csr.scores == ref.scores
+        assert (csr.rounds, csr.converged) == (ref.rounds, ref.converged)
+
+    def test_only_changed_groups_are_resorted(self):
+        graph = _build([(0, i, 1, i % 3, 0.5) for i in range(10)])
+        first, resorted = _resorted(graph)
+        assert resorted == graph.node_count
+        same, resorted = _resorted(graph, first)
+        assert resorted == 0
+        assert _compile_arrays(same) == _compile_arrays(first)
+        # A new edge touches its two endpoints; a new node appends.
+        graph.add_edge(_node(0, 0), _node(2, 0), 0.7)
+        grown, resorted = _resorted(graph, same)
+        assert resorted == 2
+        assert grown.nodes[:first.node_count] == first.nodes
+        # A weight raise touches both endpoints; a no-op touches none.
+        graph.add_edge(_node(0, 1), _node(1, 1), 0.9)
+        graph.add_edge(_node(0, 2), _node(1, 2), 0.1)
+        _, resorted = _resorted(graph, grown)
+        assert resorted == 2
+
+    def test_foreign_or_older_previous_compiles_cold(self):
+        graph = _build([(0, i, 1, i % 3, 0.5) for i in range(6)])
+        other = _build([(0, i, 1, i % 3, 0.5) for i in range(6)])
+        older = compile_graph(graph)
+        latest = compile_graph(graph, previous=older)
+        graph.add_edge(_node(0, 0), _node(2, 0), 0.7)
+        # Same structure, but another graph's compile: not spliced.
+        _, resorted = _resorted(graph, compile_graph(other))
+        assert resorted == graph.node_count
+        # The compile above superseded ``latest``, so it is stale too.
+        _, resorted = _resorted(graph, latest)
+        assert resorted == graph.node_count
+        _, resorted = _resorted(graph, older)
+        assert resorted == graph.node_count

@@ -153,6 +153,40 @@ class TestRecoveryEquivalence:
         resumed.ingest(events[cut:], seq=cut)
         assert resumed.analysis_digest() == reference
 
+    def test_snapshot_omits_compile_cache_and_restores_exactly(
+        self, tmp_path
+    ):
+        """The graph adapter's CSR compile cache is derived state: the
+        snapshot leaves it out, and the restored service — cold
+        compiling once, then splicing forward through many refreshes —
+        convicts exactly what the uninterrupted service does."""
+        events = ingest_payload(
+            campaign_entries(rotations=6, legit_visitors=10)
+        )
+        options = dict(refresh_every=2, evict_every=8)
+        uninterrupted = make_service(tmp_path, "a.db", **options)
+        uninterrupted.ingest(events)
+
+        cut = 24
+        first = make_service(tmp_path, "b.db", **options)
+        first.ingest(events[:cut])
+        assert first.graph._compiled is not None
+        first.checkpoint()
+        _, core = first.store.load_snapshot()
+        assert core["graph"]._compiled is None
+        refreshes_at_cut = first.graph.refreshes
+        first.store.close()
+        del first
+
+        resumed = make_service(tmp_path, "b.db", **options)
+        assert resumed.restored and resumed.journal_replayed == 0
+        resumed.ingest(events[cut:], seq=cut)
+        assert resumed.graph.refreshes >= refreshes_at_cut + 3
+        assert resumed.campaigns_view() == uninterrupted.campaigns_view()
+        assert resumed.entities_view() == uninterrupted.entities_view()
+        assert resumed.campaigns_view()
+        assert resumed.analysis_digest() == uninterrupted.analysis_digest()
+
     def test_restore_replays_journal_tail(self, tmp_path):
         events = ingest_payload(campaign_entries())
         first = DetectionService(
