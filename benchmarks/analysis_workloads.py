@@ -50,11 +50,7 @@ from repro.core.detection.volume import VolumeDetector
 from repro.graph.builder import EntityGraph
 from repro.graph.campaigns import campaign_verdicts, extract_campaigns
 from repro.graph.entities import EntityId
-from repro.graph.propagation import (
-    compile_graph,
-    propagate,
-    propagate_dict,
-)
+from repro.graph.propagation import compile_graph, propagate
 from repro.obs.profile import PROFILED_CASES, short_overrides
 from repro.runner import SweepSpec, run_sweep
 from repro.scenarios.graph_case import GraphCaseConfig, run_graph_case
@@ -68,6 +64,7 @@ from repro.web.request import (
     SEARCH,
     TRAP,
 )
+from tests.propagation_oracle import propagate_dict
 
 
 def _scaled(full: int, quick: int) -> int:

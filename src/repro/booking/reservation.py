@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..common import ClientRef
+from ..obs.core import ObsRegistry
 from ..sim.clock import Clock, HOUR
-from ..sim.metrics import MetricsRecorder
 from .flight import Flight
 from .holds import ACTIVE, CANCELLED, CONFIRMED, EXPIRED, Hold, HoldStore
 from .passengers import Passenger
@@ -72,7 +72,7 @@ class ReservationSystem:
     def __init__(
         self,
         clock: Clock,
-        metrics: Optional[MetricsRecorder] = None,
+        metrics: Optional[ObsRegistry] = None,
         hold_ttl: float = 1.0 * HOUR,
         max_nip: int = 9,
         pricing: Optional[PricingEngine] = None,
@@ -82,7 +82,7 @@ class ReservationSystem:
         if max_nip < 1:
             raise ValueError(f"max_nip must be >= 1: {max_nip}")
         self.clock = clock
-        self.metrics = metrics if metrics is not None else MetricsRecorder()
+        self.metrics = metrics if metrics is not None else ObsRegistry()
         self.hold_ttl = hold_ttl
         self.max_nip = max_nip
         self.pricing = pricing if pricing is not None else PricingEngine()

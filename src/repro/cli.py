@@ -23,9 +23,10 @@ Usage::
 Every command accepts ``--seed`` for a different (still deterministic)
 run.  Scaled-down variants are available where full-size runs take more
 than a few seconds (``table1 --scale``).  The case-study commands also
-accept ``--reps N --workers W`` to run N independent replications
-through :mod:`repro.runner` (in W worker processes) and report each
-metric as mean +/- 95% CI instead of a single draw.
+accept ``--reps N --workers W --shards K`` to run N independent
+replications through :mod:`repro.runner` (in W worker processes, each
+cell split into K population shards) and report each metric as mean
++/- 95% CI instead of a single draw.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .analysis.reports import (
     render_table,
     render_weekly_nip,
 )
+from .obs.profile import PROFILED_CASES
 from .sim.clock import format_duration
 
 
@@ -94,10 +96,22 @@ def _print_aggregate_table(
     )
 
 
+def _default_seed(args: argparse.Namespace, config_cls: type) -> None:
+    """Fill an omitted ``--seed`` with ``config_cls``'s own default."""
+    if args.seed is None:
+        args.seed = config_cls().seed
+
+
+def _use_runner(args: argparse.Namespace) -> bool:
+    """Whether a case command goes through :mod:`repro.runner`
+    (replications, worker processes or shards) instead of one run."""
+    return args.reps > 1 or args.workers > 1 or args.shards > 1
+
+
 def _run_replicated(
     scenario: str, base: Dict[str, object], args: argparse.Namespace
 ) -> int:
-    """Shared --reps/--workers path for the case-study commands."""
+    """Shared --reps/--workers/--shards path for the case commands."""
     from .runner import SweepSpec, run_sweep
 
     try:
@@ -131,6 +145,7 @@ def _run_replicated(
 def _cmd_fig1(args: argparse.Namespace) -> int:
     from .scenarios.case_a import CaseAConfig, run_case_a
 
+    _default_seed(args, CaseAConfig)
     result = run_case_a(CaseAConfig(seed=args.seed))
     print(render_weekly_nip(
         [
@@ -145,6 +160,7 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
 def _cmd_table1(args: argparse.Namespace) -> int:
     from .scenarios.case_c import CaseCConfig, TABLE1_SURGES, run_case_c
 
+    _default_seed(args, CaseCConfig)
     result = run_case_c(
         CaseCConfig(
             seed=args.seed,
@@ -182,7 +198,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 def _cmd_case_a(args: argparse.Namespace) -> int:
     from .scenarios.case_a import CaseAConfig, run_case_a
 
-    if args.reps > 1 or args.workers > 1:
+    _default_seed(args, CaseAConfig)
+    if _use_runner(args):
         return _run_replicated("case-a", {}, args)
     result = run_case_a(CaseAConfig(seed=args.seed))
     interval = result.measured_rotation_interval
@@ -211,7 +228,8 @@ def _cmd_case_a(args: argparse.Namespace) -> int:
 def _cmd_case_b(args: argparse.Namespace) -> int:
     from .scenarios.case_b import CaseBConfig, run_case_b
 
-    if args.reps > 1 or args.workers > 1:
+    _default_seed(args, CaseBConfig)
+    if _use_runner(args):
         return _run_replicated("case-b", {}, args)
     result = run_case_b(CaseBConfig(seed=args.seed))
     print(render_table(
@@ -236,7 +254,8 @@ def _cmd_case_b(args: argparse.Namespace) -> int:
 def _cmd_case_c(args: argparse.Namespace) -> int:
     from .scenarios.case_c import CaseCConfig, run_case_c
 
-    if args.reps > 1 or args.workers > 1:
+    _default_seed(args, CaseCConfig)
+    if _use_runner(args):
         return _run_replicated(
             "case-c",
             {
@@ -277,7 +296,8 @@ def _cmd_case_c(args: argparse.Namespace) -> int:
 def _cmd_case_d(args: argparse.Namespace) -> int:
     from .scenarios.case_d import CaseDConfig, run_case_d
 
-    if args.reps > 1 or args.workers > 1:
+    _default_seed(args, CaseDConfig)
+    if _use_runner(args):
         return _run_replicated("case-d", {"variant": args.variant}, args)
     result = run_case_d(CaseDConfig(seed=args.seed, variant=args.variant))
     ttfb = result.time_to_first_block
@@ -307,7 +327,8 @@ def _cmd_case_d(args: argparse.Namespace) -> int:
 def _cmd_case_e(args: argparse.Namespace) -> int:
     from .scenarios.case_e import CaseEConfig, run_case_e
 
-    if args.reps > 1 or args.workers > 1:
+    _default_seed(args, CaseEConfig)
+    if _use_runner(args):
         return _run_replicated("case-e", {"variant": args.variant}, args)
     result = run_case_e(CaseEConfig(seed=args.seed, variant=args.variant))
     ttfb = result.time_to_first_block
@@ -342,7 +363,8 @@ def _cmd_case_e(args: argparse.Namespace) -> int:
 def _cmd_portfolio(args: argparse.Namespace) -> int:
     from .scenarios.portfolio import PortfolioConfig, run_portfolio
 
-    if args.reps > 1 or args.workers > 1:
+    _default_seed(args, PortfolioConfig)
+    if _use_runner(args):
         return _run_replicated(
             "portfolio-adaptive", {"defense": args.defense}, args
         )
@@ -418,6 +440,7 @@ def _cmd_detectors(args: argparse.Namespace) -> int:
         run_detector_comparison,
     )
 
+    _default_seed(args, DetectorComparisonConfig)
     result = run_detector_comparison(
         DetectorComparisonConfig(seed=args.seed)
     )
@@ -444,18 +467,10 @@ def _cmd_detectors(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    from .scenarios.graph_case import (
-        GRAPH_CASES,
-        GraphCaseConfig,
-        run_graph_case,
-    )
+    from .scenarios.graph_case import GraphCaseConfig, run_graph_case
 
-    if args.case not in GRAPH_CASES:
-        raise SystemExit(
-            f"unknown case {args.case!r}; "
-            f"choose from {', '.join(GRAPH_CASES)}"
-        )
-    if args.reps > 1 or args.workers > 1:
+    _default_seed(args, GraphCaseConfig)
+    if _use_runner(args):
         return _run_replicated(
             f"graph-{args.case}",
             {"ticks_short": args.ticks_short},
@@ -522,6 +537,7 @@ def _cmd_behavioural(args: argparse.Namespace) -> int:
         run_behavioural_stack,
     )
 
+    _default_seed(args, BehaviouralConfig)
     result = run_behavioural_stack(BehaviouralConfig(seed=args.seed))
     classes = ("scraper", "seat-spinner", "manual-spinner")
     print(render_table(
@@ -545,7 +561,8 @@ def _cmd_behavioural(args: argparse.Namespace) -> int:
 def _cmd_stream(args: argparse.Namespace) -> int:
     from .scenarios.streaming import StreamCaseAConfig, run_stream_case_a
 
-    if args.reps > 1 or args.workers > 1:
+    _default_seed(args, StreamCaseAConfig)
+    if _use_runner(args):
         return _run_replicated(
             "stream-case-a",
             {
@@ -636,27 +653,25 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from .obs.profile import PROFILED_CASES, profile_case, short_overrides
+    from .obs.profile import profile_case, short_overrides
     from .obs.report import write_report
 
-    if args.case not in PROFILED_CASES:
-        raise SystemExit(
-            f"unknown case {args.case!r}; "
-            f"choose from {', '.join(PROFILED_CASES)}"
-        )
-    if args.reps > 1 or args.workers > 1:
-        from .runner import SweepSpec, run_sweep
+    if _use_runner(args):
+        from .runner import SweepSpec, get_scenario, run_sweep
 
+        scenario = f"profile-{args.case}"
+        _default_seed(args, get_scenario(scenario).config_cls)
         base = short_overrides(args.case) if args.ticks_short else {}
         result = run_sweep(
             SweepSpec(
-                scenario=f"profile-{args.case}",
+                scenario=scenario,
                 base=base,
                 replications=args.reps,
                 master_seed=args.seed,
             ),
             workers=args.workers,
             cache_dir=args.cache_dir,
+            shards=args.shards,
         )
         registry = result.merged_obs()
         run_meta = {
@@ -773,6 +788,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         build_training_store,
     )
 
+    _default_seed(args, LearnedCaseConfig)
     try:
         case_config = LearnedCaseConfig(
             seed=args.seed,
@@ -875,9 +891,10 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         return 0
 
     from .core.detection.session_index import SessionIndex
-    from .scenarios.learned import variant_case_config
+    from .scenarios.learned import LearnedCaseConfig, variant_case_config
     from .scenarios.case_a import run_case_a
 
+    _default_seed(args, LearnedCaseConfig)
     world = run_case_a(
         variant_case_config(args.variant, args.seed, args.ticks_short)
     ).world
@@ -945,11 +962,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 base=base,
                 grid=grid,
                 replications=args.reps,
-                master_seed=args.seed,
+                **({} if args.seed is None else {"master_seed": args.seed}),
             ),
             workers=args.workers,
             cache_dir=args.cache_dir,
-            shards=getattr(args, "shards", 1),
+            shards=args.shards,
         )
     except (TypeError, ValueError) as error:
         raise SystemExit(f"error: {error}")
@@ -959,7 +976,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         title=(
             f"sweep {args.scenario}: "
             f"{len(result.points())} points x {args.reps} replications "
-            f"(master seed {args.seed}, mean +/- 95% CI)"
+            f"(master seed {result.spec.master_seed}, mean +/- 95% CI)"
         ),
     )
     return 0
@@ -1120,7 +1137,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile a case run: per-phase sim/web/stream wall-clock report",
     )
     profile.add_argument(
-        "case", help="case to profile (case-a, case-b, case-c)",
+        "case", choices=PROFILED_CASES, help="case to profile",
     )
     profile.add_argument(
         "--ticks-short", action="store_true",
@@ -1254,35 +1271,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Default seed per command (matches each scenario's own default).
-_DEFAULT_SEEDS = {
-    "fig1": 7,
-    "table1": 1,
-    "case-a": 7,
-    "case-b": 11,
-    "case-c": 1,
-    "case-d": 11,
-    "case-e": 13,
-    "portfolio": 17,
-    "scenarios": 0,
-    "detectors": 31,
-    "graph": 7,
-    "behavioural": 41,
-    "stream": 7,
-    "train": 7,
-    "predict": 7,
-    "replay": 0,
-    "profile": 7,
-    "serve": 0,
-    "sweep": 0,
-}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        args.seed = _DEFAULT_SEEDS[args.command]
     return args.handler(args)
 
 

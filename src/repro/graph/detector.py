@@ -202,7 +202,8 @@ class GraphAnalysis:
     campaign_verdicts: List[CampaignVerdict]
     #: The merged seed map the sweep started from — kept so equivalence
     #: harnesses can replay the exact analysis through the dict
-    #: reference path (``propagate_dict`` + uncompiled extraction).
+    #: reference path (``tests/propagation_oracle.propagate_dict`` +
+    #: uncompiled extraction).
     seeds: Dict[EntityId, float] = field(default_factory=dict)
 
 

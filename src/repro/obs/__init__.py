@@ -1,9 +1,10 @@
-"""repro.obs — unified wall-clock observability.
+"""repro.obs — the metrics registry and wall-clock observability.
 
-The package the hot paths report into:
+The package the simulated world and the hot paths report into:
 
-* :class:`~repro.obs.core.ObsRegistry` — hierarchical counters,
-  gauges, timers and histograms with snapshot/merge semantics;
+* :class:`~repro.obs.core.ObsRegistry` — the one metrics registry:
+  hierarchical counters, gauges, simulated-clock series, timers and
+  histograms with one snapshot/merge;
 * :class:`~repro.obs.context.RunContext` — run-scoped registry plus
   the event-loop dispatch hook and coarse phase profiling;
 * :mod:`~repro.obs.report` — canonical JSON and Prometheus-style
@@ -21,6 +22,7 @@ from .core import (
     DEFAULT_TIME_BOUNDS,
     Histogram,
     ObsRegistry,
+    TimePoint,
     Timer,
     merge_snapshots,
 )
@@ -39,6 +41,7 @@ __all__ = [
     "ObsRegistry",
     "REPORT_SCHEMA",
     "RunContext",
+    "TimePoint",
     "Timer",
     "build_report",
     "merge_snapshots",

@@ -12,7 +12,7 @@ hooks the instrumented subsystems call:
   itself (``setup`` / ``simulate`` / ``harvest``), nested phases
   joining with ``/`` (``phase.simulate/stream-finish``).
 
-Contexts merge like recorders: :meth:`merge` folds another context's
+Contexts merge like registries: :meth:`merge` folds another context's
 registry in, which is how the parallel runner aggregates per-cell
 profiles across worker processes.
 """

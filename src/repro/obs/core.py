@@ -1,18 +1,20 @@
-"""Low-overhead observability primitives.
+"""The one metrics registry, plus its low-overhead timing primitives.
 
 :class:`ObsRegistry` is the container every instrumented subsystem
-writes into: flat counters and gauges plus :class:`Timer`/
-:class:`Histogram` distributions under hierarchical dot-separated
-names (``sim.event.SeatSpinnerBot.step``, ``web.request./hold``,
-``stream.stage.sessionize``).
+writes into: flat counters and gauges, :class:`TimePoint` series on
+the simulated clock, and :class:`Timer`/:class:`Histogram`
+distributions under hierarchical dot-separated names
+(``booking.holds_created``, ``sms.sent_events``,
+``sim.event.SeatSpinnerBot.step``, ``web.request./hold``).
 
-Unlike :class:`~repro.sim.metrics.MetricsRecorder` — which records
-*simulated* quantities on the simulated clock — everything here is
-measured in real wall-clock seconds (``perf_counter``) and exists to
-answer "where does the run spend its time", not "what happened in the
-world".  The two deliberately share the snapshot/merge design so the
-parallel runner can fold worker registries exactly like it folds
-metric recorders.
+A run usually holds two instances.  The world's registry
+(``world.metrics``) records what happened on the platform — holds,
+SMS sent and their cost, blocked requests — on the simulated clock, so
+it is deterministic and the runner can compare it across serial and
+process-pool runs.  The optional wall-clock registry (``obs``) records
+``perf_counter`` timings that answer "where does the run spend its
+time" and can never match between runs.  Both fold through one
+:meth:`ObsRegistry.merge` and :func:`merge_snapshots`.
 
 Cost model: an un-instrumented hot path pays one ``is None`` check;
 an instrumented one pays two ``perf_counter`` calls and one histogram
@@ -24,6 +26,8 @@ the total below 5% of Case A wall-clock.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -36,6 +40,14 @@ DEFAULT_TIME_BOUNDS: Tuple[float, ...] = tuple(
     for exponent in range(-6, 1)
     for mantissa in (1.0, 2.5, 5.0)
 ) + (10.0,)
+
+
+@dataclass(frozen=True)
+class TimePoint:
+    """One timestamped observation in a simulated-clock series."""
+
+    time: float
+    value: float
 
 
 class Histogram:
@@ -198,27 +210,32 @@ class _TimerSpan:
 
 
 class ObsRegistry:
-    """Hierarchically named counters, gauges, timers and histograms.
+    """Hierarchically named counters, gauges, series, timers and histograms.
 
     Names are plain dot-separated strings; the registry imposes no
-    schema beyond "same name, same kind".  Merging follows the
-    :meth:`~repro.sim.metrics.MetricsRecorder.merge` contract: counters
-    and distributions sum (associative and commutative), gauges are
-    last-write-wins.
+    schema beyond "same name, same kind".  :meth:`merge` is the one
+    fold for worker, replication and shard pieces: counters and
+    distributions sum (associative and commutative), series interleave
+    order-independently, gauges are last-write-wins.
     """
 
     def __init__(self) -> None:
-        self._counters: Dict[str, float] = {}
+        # A defaultdict keeps ``increment`` to one ``+=``: the web edge
+        # bumps three counters on every request.
+        self._counters: Dict[str, float] = defaultdict(float)
         self._gauges: Dict[str, float] = {}
+        self._series: Dict[str, List[TimePoint]] = defaultdict(list)
         self._timers: Dict[str, Timer] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     # -- counters / gauges ---------------------------------------------------
 
     def increment(self, name: str, amount: float = 1.0) -> None:
-        self._counters[name] = self._counters.get(name, 0.0) + amount
+        """Add ``amount`` to counter ``name`` (created at 0 on first use)."""
+        self._counters[name] += amount
 
     def counter(self, name: str) -> float:
+        """Current value of counter ``name`` (0 if never incremented)."""
         return self._counters.get(name, 0.0)
 
     def counters(self, prefix: str = "") -> Dict[str, float]:
@@ -240,6 +257,31 @@ class ObsRegistry:
             for name, value in self._gauges.items()
             if name.startswith(prefix)
         }
+
+    # -- simulated-clock series ----------------------------------------------
+
+    def record(self, name: str, time: float, value: float) -> None:
+        """Append a timestamped observation to series ``name``.
+
+        Timestamps must be non-decreasing within a series; violations
+        indicate the caller mixed up clocks and raise ``ValueError``.
+        """
+        series = self._series[name]
+        if series and time < series[-1].time:
+            raise ValueError(
+                f"series {name!r}: time {time} precedes last point "
+                f"{series[-1].time}"
+            )
+        series.append(TimePoint(time, value))
+
+    def series(self, name: str) -> List[TimePoint]:
+        """The recorded series (empty list if nothing was recorded)."""
+        return list(self._series.get(name, []))
+
+    def series_names(self, prefix: str = "") -> List[str]:
+        return sorted(
+            name for name in self._series if name.startswith(prefix)
+        )
 
     # -- distributions -------------------------------------------------------
 
@@ -278,6 +320,7 @@ class ObsRegistry:
         return sorted(
             set(self._counters)
             | set(self._gauges)
+            | set(self._series)
             | set(self._timers)
             | set(self._histograms)
         )
@@ -293,11 +336,30 @@ class ObsRegistry:
         )
 
     def merge(self, other: "ObsRegistry") -> None:
-        """Fold ``other`` into this registry (worker-merge semantics)."""
+        """Fold ``other`` into this registry (worker/shard-merge semantics).
+
+        Series merge by sorting on ``(time, value)``, so folding worker
+        or shard pieces in any order yields the identical sequence.  (An
+        earlier version broke ties by fold order, which made a shard
+        merge depend on shard completion order; see
+        ``tests/test_shard_merge.py`` for the regression.)  Gauges are
+        only order-independent when no two pieces set the same gauge.
+
+        Merging an empty registry — or one rebuilt from a snapshot that
+        carries empty series lists — is an identity: it must not create
+        empty series entries here (an empty merge used to perturb
+        ``snapshot()`` equality).
+        """
         for name, value in other._counters.items():
-            self.increment(name, value)
+            self._counters[name] += value
         for name, value in other._gauges.items():
             self._gauges[name] = value
+        for name, points in other._series.items():
+            if points:
+                self._series[name] = sorted(
+                    self._series[name] + points,
+                    key=lambda point: (point.time, point.value),
+                )
         for name, timer in other._timers.items():
             mine = self._timers.get(name)
             if mine is None:
@@ -316,10 +378,17 @@ class ObsRegistry:
     # -- serialisation -------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
-        """Lossless plain-data view (JSON-able, picklable, mergeable)."""
+        """Lossless plain-data view (JSON-able, picklable, mergeable).
+
+        Every section is always present, empty or not.
+        """
         return {
             "counters": dict(self._counters),
             "gauges": dict(self._gauges),
+            "series": {
+                name: [[point.time, point.value] for point in points]
+                for name, points in self._series.items()
+            },
             "timers": {
                 name: timer.histogram.snapshot()
                 for name, timer in self._timers.items()
@@ -332,11 +401,18 @@ class ObsRegistry:
 
     @classmethod
     def from_snapshot(cls, data: Dict[str, object]) -> "ObsRegistry":
+        """Rebuild a registry from :meth:`snapshot` output (exact
+        round trip; missing sections read as empty)."""
         registry = cls()
         for name, value in dict(data.get("counters", {})).items():
             registry._counters[name] = float(value)
         for name, value in dict(data.get("gauges", {})).items():
             registry._gauges[name] = float(value)
+        for name, points in dict(data.get("series", {})).items():
+            registry._series[name] = [
+                TimePoint(float(time), float(value))
+                for time, value in points
+            ]
         for name, snap in dict(data.get("timers", {})).items():
             timer = Timer(bounds=tuple(snap["bounds"]))
             timer.histogram = Histogram.from_snapshot(snap)

@@ -19,9 +19,9 @@ canonical profile report for the run.
 
 The module-level ``profile_*_cell`` functions are picklable sweep-cell
 entry points (registered as ``profile-case-a`` etc.), so ``repro
-profile <case> --reps N --workers W`` fans replications out through
-:mod:`repro.runner` and merges the per-worker registries exactly like
-metric recorders.
+profile <case> --reps N --workers W --shards K`` fans replications
+out through :mod:`repro.runner` and merges the per-worker registries
+with :func:`~repro.obs.core.merge_snapshots`, like the world's.
 """
 
 from __future__ import annotations

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.aggregate import SummaryStats, aggregate_metrics
-from ..obs import ObsRegistry
-from ..sim.metrics import MetricsRecorder
+from ..obs import ObsRegistry, merge_snapshots
 from .cache import ResultCache
 from .registry import get_scenario
 from .spec import CellSpec, SweepSpec
@@ -73,8 +72,8 @@ class CellResult:
     def params_dict(self) -> Dict[str, object]:
         return dict(self.params)
 
-    def recorder(self) -> MetricsRecorder:
-        return MetricsRecorder.from_snapshot(self.recorder_snapshot)
+    def recorder(self) -> ObsRegistry:
+        return ObsRegistry.from_snapshot(self.recorder_snapshot)
 
     def obs(self) -> ObsRegistry:
         return ObsRegistry.from_snapshot(self.obs_snapshot)
@@ -104,16 +103,16 @@ class SweepResult:
         key = tuple(sorted(params.items()))
         return [cell for cell in self.cells if cell.params == key]
 
-    def merged_recorder(self, params: Dict[str, object]) -> MetricsRecorder:
-        """All replications' recorders folded in replication order.
+    def merged_recorder(self, params: Dict[str, object]) -> ObsRegistry:
+        """All replications' world registries folded in replication order.
 
-        Counter merging is commutative and series merging order-stable,
-        so this is identical however the cells were scheduled.
+        Counter merging is commutative and series merging
+        order-independent, so this is identical however the cells were
+        scheduled.
         """
-        merged = MetricsRecorder()
-        for cell in self.results_for(params):
-            merged.merge(cell.recorder())
-        return merged
+        return merge_snapshots(
+            cell.recorder_snapshot for cell in self.results_for(params)
+        )
 
     def merged_obs(
         self, params: Optional[Dict[str, object]] = None
@@ -125,11 +124,7 @@ class SweepResult:
         restricts the fold to one grid point; default is every cell.
         """
         cells = self.cells if params is None else self.results_for(params)
-        merged = ObsRegistry()
-        for cell in cells:
-            if cell.obs_snapshot:
-                merged.merge(ObsRegistry.from_snapshot(cell.obs_snapshot))
-        return merged
+        return merge_snapshots(cell.obs_snapshot for cell in cells)
 
     def aggregate(
         self, params: Dict[str, object], confidence: float = 0.95

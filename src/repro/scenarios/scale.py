@@ -131,10 +131,8 @@ def scale_cell(config: ScaleConfig) -> Dict[str, object]:
         # at millions of visitors that defeats the columnar store's
         # purpose, so scale cells return counters/gauges only.
         "recorder": {
-            "counters": dict(
-                result.world.metrics.snapshot()["counters"]
-            ),
-            "gauges": dict(result.world.metrics.snapshot()["gauges"]),
+            "counters": result.world.metrics.counters(),
+            "gauges": result.world.metrics.gauges(),
             "series": {},
         },
     }

@@ -13,9 +13,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..booking.flight import Flight
 from ..booking.reservation import ReservationSystem
+from ..obs.core import ObsRegistry
 from ..sim.clock import DAY, HOUR, WEEK
 from ..sim.events import EventLoop
-from ..sim.metrics import MetricsRecorder
 from ..sim.rng import RngRegistry
 from ..sms.gateway import SmsGateway
 from ..sms.telco import LocalCarrier, TelcoNetwork
@@ -74,7 +74,7 @@ class World:
 
     loop: EventLoop
     rngs: RngRegistry
-    metrics: MetricsRecorder
+    metrics: ObsRegistry
     reservations: ReservationSystem
     telco: TelcoNetwork
     sms: SmsGateway
@@ -93,7 +93,7 @@ def build_world(config: WorldConfig) -> World:
     """Assemble all substrates around one event loop."""
     loop = EventLoop()
     rngs = RngRegistry(config.seed)
-    metrics = MetricsRecorder()
+    metrics = ObsRegistry()
 
     reservations = ReservationSystem(
         loop.clock,

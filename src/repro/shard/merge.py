@@ -3,10 +3,9 @@
 Every piece of a cell payload already has merge machinery or a
 well-defined reduction:
 
-* ``recorder`` — :meth:`repro.sim.metrics.MetricsRecorder.merge`
-  (counters sum; series interleave order-independently);
-* ``obs`` — :func:`repro.obs.merge_snapshots` (worker-merge
-  semantics);
+* ``recorder`` and ``obs`` — :func:`repro.obs.merge_snapshots`, the
+  one registry fold (counters and timers sum; series interleave
+  order-independently);
 * ``graph`` — :meth:`repro.graph.builder.EntityGraph.merge_snapshot`
   (union nodes, max-weight edges, min/max spans);
 * ``metrics`` — scalar reduction per metric: *extensive* metrics
@@ -26,7 +25,6 @@ from typing import Dict, List, Sequence
 
 from ..graph.builder import EntityGraph
 from ..obs.core import merge_snapshots
-from ..sim.metrics import MetricsRecorder
 
 SUM = "sum"
 MEAN = "mean"
@@ -148,19 +146,15 @@ def merge_payloads(
     if postmerge is not None:
         metrics = postmerge(metrics)
 
-    recorder = MetricsRecorder()
-    for payload in payloads:
-        recorder.merge(
-            MetricsRecorder.from_snapshot(dict(payload.get("recorder", {})))
-        )
-
     merged: Dict[str, object] = {
         "metrics": metrics,
         "info": {
             "shard_count": len(payloads),
             "shards": [dict(payload.get("info", {})) for payload in payloads],
         },
-        "recorder": recorder.snapshot(),
+        "recorder": merge_snapshots(
+            payload.get("recorder", {}) for payload in payloads
+        ).snapshot(),
     }
 
     obs_snapshots = [

@@ -5,13 +5,14 @@ Provides the deterministic foundations every other subpackage builds on:
 * :class:`~repro.sim.clock.Clock` and duration constants,
 * :class:`~repro.sim.events.EventLoop` (the discrete-event scheduler),
 * :class:`~repro.sim.rng.RngRegistry` (named reproducible random streams),
-* :class:`~repro.sim.metrics.MetricsRecorder`,
 * :class:`~repro.sim.process.Process` (actor base class).
+
+What the world records (counters, gauges, simulated-clock series) goes
+into a :class:`repro.obs.ObsRegistry`, the repo's one metrics registry.
 """
 
 from .clock import Clock, DAY, HOUR, MINUTE, SECOND, WEEK, format_duration
 from .events import EventHandle, EventLoop
-from .metrics import MetricsRecorder, TimePoint, summarise
 from .process import Process
 from .rng import RngRegistry, derive_seed
 
@@ -25,9 +26,6 @@ __all__ = [
     "format_duration",
     "EventHandle",
     "EventLoop",
-    "MetricsRecorder",
-    "TimePoint",
-    "summarise",
     "Process",
     "RngRegistry",
     "derive_seed",

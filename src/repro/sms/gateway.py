@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Set
 
 from ..common import ClientRef
+from ..obs.core import ObsRegistry
 from ..sim.clock import Clock, WEEK
-from ..sim.metrics import MetricsRecorder
 from .numbers import PhoneNumber
 from .telco import Settlement, TelcoNetwork
 
@@ -64,14 +64,14 @@ class SmsGateway:
         self,
         clock: Clock,
         telco: Optional[TelcoNetwork] = None,
-        metrics: Optional[MetricsRecorder] = None,
+        metrics: Optional[ObsRegistry] = None,
         weekly_quota: Optional[int] = None,
     ) -> None:
         if weekly_quota is not None and weekly_quota < 0:
             raise ValueError(f"weekly_quota must be >= 0: {weekly_quota}")
         self.clock = clock
         self.telco = telco if telco is not None else TelcoNetwork()
-        self.metrics = metrics if metrics is not None else MetricsRecorder()
+        self.metrics = metrics if metrics is not None else ObsRegistry()
         self.weekly_quota = weekly_quota
         self.records: List[SmsRecord] = []
         self._record_times: List[float] = []

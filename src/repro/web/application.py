@@ -24,8 +24,8 @@ from typing import Callable, Dict, List, Optional
 from ..booking.reservation import ReservationSystem
 from ..identity.captcha import CaptchaGateModel
 from ..identity.fingerprint import Fingerprint
+from ..obs.core import ObsRegistry
 from ..sim.clock import Clock
-from ..sim.metrics import MetricsRecorder
 from ..sms.gateway import BOARDING_PASS, NOTIFICATION, OTP, SmsGateway
 from .logs import WebLog
 from .ratelimit import RateLimitEngine
@@ -84,12 +84,12 @@ class WebApplication:
         reservations: ReservationSystem,
         sms: SmsGateway,
         rng: random.Random,
-        metrics: Optional[MetricsRecorder] = None,
+        metrics: Optional[ObsRegistry] = None,
     ) -> None:
         self.clock = clock
         self.reservations = reservations
         self.sms = sms
-        self.metrics = metrics if metrics is not None else MetricsRecorder()
+        self.metrics = metrics if metrics is not None else ObsRegistry()
         self.log = WebLog()
         self.ratelimits = RateLimitEngine()
         self._rng = rng

@@ -71,8 +71,10 @@ class SlidingWindowLimiter:
 
     def allow(self, now: float) -> bool:
         """Record the event if under the limit; True = allowed."""
-        cutoff = now - self.window
-        while self._events and self._events[0] < cutoff:
+        # An event expires once ``when + window < now``.  Testing
+        # ``when < now - window`` instead rounds differently and can
+        # expire an event that ``when + window`` still covers.
+        while self._events and self._events[0] + self.window < now:
             self._events.popleft()
         if len(self._events) >= self.limit:
             return False
@@ -82,8 +84,7 @@ class SlidingWindowLimiter:
     def count(self, now: float) -> int:
         """Events still occupying the window at ``now`` (read-only:
         unlike :meth:`allow`, this never mutates limiter state)."""
-        cutoff = now - self.window
-        return sum(1 for when in self._events if when >= cutoff)
+        return sum(1 for when in self._events if when + self.window >= now)
 
 
 #: A key function maps a request to the string the rule buckets on, or

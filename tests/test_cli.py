@@ -195,3 +195,71 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "2 replications" in out
         assert "automated_coverage" in out
+
+
+class _Stop(Exception):
+    """Raised by a monkeypatched entry point once it saw its arguments."""
+
+
+class TestRunnerRouting:
+    """Which entry point a command reaches, checked by monkeypatching it."""
+
+    @pytest.fixture
+    def sweep_calls(self, monkeypatch):
+        import repro.runner
+
+        calls = []
+
+        def fake_run_sweep(spec, **kwargs):
+            calls.append((spec, kwargs))
+            raise _Stop
+
+        monkeypatch.setattr(repro.runner, "run_sweep", fake_run_sweep)
+        return calls
+
+    def test_case_b_shards_go_through_the_runner(
+        self, sweep_calls, monkeypatch
+    ):
+        import repro.scenarios.case_b
+
+        def unsharded(config):
+            raise AssertionError("--shards 4 ran case B unsharded")
+
+        monkeypatch.setattr(repro.scenarios.case_b, "run_case_b", unsharded)
+        with pytest.raises(_Stop):
+            main(["case-b", "--shards", "4"])
+        spec, kwargs = sweep_calls[0]
+        assert spec.scenario == "case-b"
+        assert spec.master_seed == 11
+        assert kwargs["shards"] == 4
+
+    def test_profile_passes_shards_to_the_runner(self, sweep_calls):
+        with pytest.raises(_Stop):
+            main(["profile", "case-a", "--reps", "2", "--shards", "4"])
+        spec, kwargs = sweep_calls[0]
+        assert spec.scenario == "profile-case-a"
+        assert spec.replications == 2
+        assert kwargs["shards"] == 4
+
+    def test_profile_case_c_default_seed_is_the_config_default(
+        self, monkeypatch
+    ):
+        import repro.scenarios.case_c
+        from repro.scenarios.case_c import CaseCConfig
+
+        seeds = []
+
+        def fake_run_case_c(config, on_world=None):
+            seeds.append(config.seed)
+            raise _Stop
+
+        monkeypatch.setattr(
+            repro.scenarios.case_c, "run_case_c", fake_run_case_c
+        )
+        with pytest.raises(_Stop):
+            main(["profile", "case-c", "--ticks-short"])
+        assert seeds == [CaseCConfig().seed]
+
+    def test_profile_rejects_unknown_case_at_parse_time(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["profile", "case-z"])

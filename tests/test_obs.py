@@ -156,7 +156,8 @@ class TestObsRegistry:
 
     def test_merge_follows_recorder_contract(self):
         """Counters and distributions sum; gauges last-write-wins —
-        the same contract as MetricsRecorder.merge."""
+        the contract the world registry's shard and replication
+        folds rely on."""
         left, right = ObsRegistry(), ObsRegistry()
         left.increment("n", 1.0)
         right.increment("n", 2.0)

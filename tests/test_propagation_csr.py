@@ -1,8 +1,8 @@
 """CSR propagation kernel vs the dict reference, plus compile caching.
 
 The vectorized Jacobi sweep in :func:`repro.graph.propagation.propagate`
-must be *bit-identical* to the retained dict implementation
-(:func:`propagate_dict`) — same sorted-neighbour summation order, same
+must be *bit-identical* to the dict implementation it replaced
+(:func:`tests.propagation_oracle.propagate_dict`) — same sorted-neighbour summation order, same
 damping factor associativity — so these tests pin exact equality on
 random multipartite graphs (including isolated nodes and zero-seed
 worlds), identical round counts and convergence flags, and identical
@@ -25,8 +25,8 @@ from repro.graph.propagation import (
     PropagationResult,
     compile_graph,
     propagate,
-    propagate_dict,
 )
+from tests.propagation_oracle import propagate_dict
 
 _KINDS = ("s", "fp", "ip", "ref")
 

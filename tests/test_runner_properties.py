@@ -5,17 +5,22 @@ Two invariants the parallel runner's correctness rests on:
 * **seed disjointness** — distinct ``(config_hash, replication)`` pairs
   (under any master seed) never collide on derived seeds, so sweep
   cells draw from independent RNG streams;
-* **merge algebra** — ``MetricsRecorder.merge`` is associative and
-  commutative on counters, and order-stable on time series (points stay
-  time-sorted; equal-timestamp points keep fold order), so the merged
-  result is independent of which worker produced which piece as long as
-  replications are folded in a fixed order.
+* **merge algebra** — ``ObsRegistry.merge`` is associative and
+  commutative on every section (counters, gauges with disjoint names,
+  series, timers, histograms): series points stay time-sorted and
+  equal-timestamp ties break on value, not fold order, so the merged
+  result is independent of which worker or shard produced which piece.
+  ``from_snapshot(snapshot())`` round-trips exactly, also through the
+  JSON the result cache stores.
 """
+
+import json
+from functools import partial
 
 from hypothesis import given, settings, strategies as st
 
+from repro.obs import ObsRegistry, merge_snapshots
 from repro.runner import config_hash
-from repro.sim.metrics import MetricsRecorder, TimePoint
 from repro.sim.rng import derive_replication_seed
 
 # -- seeding ----------------------------------------------------------------
@@ -111,21 +116,54 @@ series_dicts = st.dictionaries(
 )
 
 
-def build_recorder(counters, series) -> MetricsRecorder:
-    recorder = MetricsRecorder()
+#: Dyadic durations, so float sums are exact and associativity is
+#: checked bit for bit.
+durations = st.lists(
+    st.integers(min_value=0, max_value=400).map(lambda n: n / 64), max_size=6
+)
+timer_dicts = st.dictionaries(
+    st.sampled_from(["sim.step", "web.edge"]), durations, max_size=2
+)
+gauge_dicts = st.dictionaries(
+    st.sampled_from(["nodes", "rounds"]),
+    st.integers(min_value=0, max_value=1000).map(float),
+    max_size=2,
+)
+#: Custom bounds: merging into a fresh registry must adopt them.
+SIZE_BOUNDS = (1.0, 2.0, 4.0, 8.0)
+
+
+def build_registry(tag, counters, series, gauges, timers, sizes) -> ObsRegistry:
+    registry = ObsRegistry()
     for name, value in counters.items():
-        recorder.increment(name, value)
+        registry.increment(name, value)
     for name, points in series.items():
         for time, value in sorted(points):
-            recorder.record(name, time, value)
-    return recorder
+            registry.record(name, time, value)
+    # Gauges are last-write-wins: each piece owns its own names.
+    for name, value in gauges.items():
+        registry.set_gauge(f"{tag}.{name}", value)
+    for name, values in timers.items():
+        for value in values:
+            registry.timer(name).observe(value)
+    for value in sizes:
+        registry.histogram("size", SIZE_BOUNDS).observe(value)
+    return registry
 
 
-recorders = st.builds(build_recorder, counter_dicts, series_dicts)
+def registries(tag):
+    return st.builds(
+        partial(build_registry, tag),
+        counter_dicts,
+        series_dicts,
+        gauge_dicts,
+        timer_dicts,
+        durations,
+    )
 
 
-def merged(*parts: MetricsRecorder) -> MetricsRecorder:
-    out = MetricsRecorder()
+def merged(*parts: ObsRegistry) -> ObsRegistry:
+    out = ObsRegistry()
     for part in parts:
         out.merge(part)
     return out
@@ -133,23 +171,36 @@ def merged(*parts: MetricsRecorder) -> MetricsRecorder:
 
 class TestMergeAlgebra:
     @settings(max_examples=100, deadline=None)
-    @given(a=recorders, b=recorders)
+    @given(a=registries("a"), b=registries("b"))
     def test_counters_commute(self, a, b):
-        assert (
-            merged(a, b).snapshot()["counters"]
-            == merged(b, a).snapshot()["counters"]
-        )
+        ab, ba = merged(a, b).snapshot(), merged(b, a).snapshot()
+        assert ab["counters"] == ba["counters"]
+        # ...and so does every other section.
+        assert ab == ba
 
     @settings(max_examples=100, deadline=None)
-    @given(a=recorders, b=recorders, c=recorders)
+    @given(a=registries("a"), b=registries("b"), c=registries("c"))
     def test_merge_is_associative(self, a, b, c):
         left = merged(merged(a, b), c).snapshot()
         right = merged(a, merged(b, c)).snapshot()
         assert left["counters"] == right["counters"]
         assert left["series"] == right["series"]
+        assert left == right
 
     @settings(max_examples=100, deadline=None)
-    @given(a=recorders, b=recorders)
+    @given(a=registries("a"), b=registries("b"))
+    def test_snapshot_fold_equals_merge(self, a, b):
+        # The runner and shard merge fold snapshots, not registries.
+        folded = merge_snapshots([a.snapshot(), b.snapshot()])
+        assert folded.snapshot() == merged(a, b).snapshot()
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=registries("a"))
+    def test_empty_merge_is_identity(self, a):
+        assert merged(a, ObsRegistry()).snapshot() == a.snapshot()
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=registries("a"), b=registries("b"))
     def test_series_stay_sorted_and_order_independent(self, a, b):
         combined = merged(a, b)
         for name in combined.series_names():
@@ -167,7 +218,15 @@ class TestMergeAlgebra:
             assert merged(b, a).series(name) == points
 
     @settings(max_examples=100, deadline=None)
-    @given(a=recorders)
+    @given(a=registries("a"))
     def test_snapshot_round_trips(self, a):
-        clone = MetricsRecorder.from_snapshot(a.snapshot())
+        clone = ObsRegistry.from_snapshot(a.snapshot())
         assert clone.snapshot() == a.snapshot()
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=registries("a"))
+    def test_snapshot_round_trips_through_json(self, a):
+        # The sweep result cache stores snapshots as JSON.
+        text = json.dumps(a.snapshot())
+        clone = ObsRegistry.from_snapshot(json.loads(text))
+        assert json.dumps(clone.snapshot()) == text

@@ -3,10 +3,10 @@
 The first three test classes pin bugs found while wiring the shard
 merge — each failed against the pre-fix implementation:
 
-* ``MetricsRecorder.merge`` created empty series entries when folding
-  a snapshot that carried them, so merging an "empty" recorder was not
-  an identity (snapshot equality broke);
-* ``MetricsRecorder.merge`` broke equal-timestamp ties by fold order,
+* the world registry's merge created empty series entries when
+  folding a snapshot that carried them, so merging an "empty" recorder
+  was not an identity (snapshot equality broke);
+* the world registry's merge broke equal-timestamp ties by fold order,
   so a shard fold's series depended on shard completion order;
 * ``ObsRegistry.merge`` materialised missing timers with *default*
   bounds, so folding a custom-bounds timer into a fresh registry (the
@@ -33,26 +33,25 @@ from repro.shard.merge import (
     reduce_metric,
     reduction_for,
 )
-from repro.sim.metrics import MetricsRecorder
 
 
 class TestEmptyMergeIsIdentity:
     def test_merging_fresh_recorder_preserves_snapshot(self):
-        recorder = MetricsRecorder()
+        recorder = ObsRegistry()
         recorder.increment("holds", 3.0)
         recorder.record("rate", 1.0, 2.0)
         before = recorder.snapshot()
-        recorder.merge(MetricsRecorder())
+        recorder.merge(ObsRegistry())
         assert recorder.snapshot() == before
 
     def test_snapshot_with_empty_series_list_is_identity(self):
         # A snapshot can legitimately carry a series name with zero
         # points (e.g. rebuilt from JSON); folding it in must not
         # create an empty series entry on the target.
-        recorder = MetricsRecorder()
+        recorder = ObsRegistry()
         recorder.increment("holds", 3.0)
         before = recorder.snapshot()
-        hollow = MetricsRecorder.from_snapshot(
+        hollow = ObsRegistry.from_snapshot(
             {"counters": {}, "gauges": {}, "series": {"ghost": []}}
         )
         recorder.merge(hollow)
@@ -60,25 +59,25 @@ class TestEmptyMergeIsIdentity:
         assert "ghost" not in recorder.series_names()
 
     def test_merge_into_empty_recorder_copies_exactly(self):
-        recorder = MetricsRecorder()
+        recorder = ObsRegistry()
         recorder.increment("holds", 3.0)
         recorder.set_gauge("open", 2.0)
         recorder.record("rate", 1.0, 2.0)
-        target = MetricsRecorder()
+        target = ObsRegistry()
         target.merge(recorder)
         assert target.snapshot() == recorder.snapshot()
 
 
 class TestSeriesMergeOrderIndependence:
     def test_equal_timestamp_ties_do_not_depend_on_fold_order(self):
-        a = MetricsRecorder()
-        b = MetricsRecorder()
+        a = ObsRegistry()
+        b = ObsRegistry()
         a.record("load", 5.0, 2.0)
         b.record("load", 5.0, 1.0)
-        ab = MetricsRecorder()
+        ab = ObsRegistry()
         ab.merge(a)
         ab.merge(b)
-        ba = MetricsRecorder()
+        ba = ObsRegistry()
         ba.merge(b)
         ba.merge(a)
         assert ab.snapshot()["series"] == ba.snapshot()["series"]
@@ -86,13 +85,13 @@ class TestSeriesMergeOrderIndependence:
     def test_three_way_shard_fold_is_schedule_independent(self):
         shards = []
         for value in (3.0, 1.0, 2.0):
-            shard = MetricsRecorder()
+            shard = ObsRegistry()
             shard.record("events", 10.0, value)
             shard.record("events", 20.0, value)
             shards.append(shard)
         folds = []
         for order in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
-            fold = MetricsRecorder()
+            fold = ObsRegistry()
             for index in order:
                 fold.merge(shards[index])
             folds.append(fold.snapshot())
@@ -233,7 +232,7 @@ class TestMetricReduction:
 
 
 def payload(counter, series_value, metric, gauge=None):
-    recorder = MetricsRecorder()
+    recorder = ObsRegistry()
     recorder.increment("events", counter)
     recorder.record("load", 1.0, series_value)
     if gauge is not None:
@@ -256,7 +255,7 @@ class TestMergePayloads:
         )
         assert merged["metrics"]["web_requests"] == 40.0
         assert merged["metrics"]["blocked_fraction"] == 0.5
-        recorder = MetricsRecorder.from_snapshot(merged["recorder"])
+        recorder = ObsRegistry.from_snapshot(merged["recorder"])
         assert recorder.counter("events") == 3.0
         assert merged["info"]["shard_count"] == 2
 

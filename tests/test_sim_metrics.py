@@ -1,22 +1,27 @@
-"""Tests for repro.sim.metrics."""
+"""The world's metrics: counters, gauges and simulated-clock series.
+
+The simulated world records into :class:`repro.obs.ObsRegistry`, the
+repo's one metrics registry; these cases pin the parts of its API the
+substrates use.
+"""
 
 import pytest
 
-from repro.sim.metrics import MetricsRecorder, summarise
+from repro.obs import ObsRegistry
 
 
 class TestCounters:
     def test_default_zero(self):
-        assert MetricsRecorder().counter("missing") == 0.0
+        assert ObsRegistry().counter("missing") == 0.0
 
     def test_increment_accumulates(self):
-        metrics = MetricsRecorder()
+        metrics = ObsRegistry()
         metrics.increment("hits")
         metrics.increment("hits", 2.5)
         assert metrics.counter("hits") == 3.5
 
     def test_prefix_filter(self):
-        metrics = MetricsRecorder()
+        metrics = ObsRegistry()
         metrics.increment("sms.sent")
         metrics.increment("sms.rejected")
         metrics.increment("web.requests")
@@ -25,75 +30,52 @@ class TestCounters:
 
 class TestGauges:
     def test_last_write_wins(self):
-        metrics = MetricsRecorder()
+        metrics = ObsRegistry()
         metrics.set_gauge("load", 0.4)
         metrics.set_gauge("load", 0.9)
         assert metrics.gauge("load") == 0.9
 
     def test_default(self):
-        assert MetricsRecorder().gauge("none", default=1.5) == 1.5
+        assert ObsRegistry().gauge("none", default=1.5) == 1.5
 
 
 class TestSeries:
     def test_record_and_read(self):
-        metrics = MetricsRecorder()
+        metrics = ObsRegistry()
         metrics.record("nip", 1.0, 2.0)
         metrics.record("nip", 3.0, 6.0)
-        assert metrics.series_values("nip") == [2.0, 6.0]
+        assert [point.value for point in metrics.series("nip")] == [2.0, 6.0]
 
     def test_time_must_be_nondecreasing(self):
-        metrics = MetricsRecorder()
+        metrics = ObsRegistry()
         metrics.record("nip", 5.0, 1.0)
         with pytest.raises(ValueError):
             metrics.record("nip", 4.0, 1.0)
 
     def test_equal_times_allowed(self):
-        metrics = MetricsRecorder()
+        metrics = ObsRegistry()
         metrics.record("nip", 5.0, 1.0)
         metrics.record("nip", 5.0, 2.0)
         assert len(metrics.series("nip")) == 2
 
     def test_series_names_prefix(self):
-        metrics = MetricsRecorder()
+        metrics = ObsRegistry()
         metrics.record("a.x", 0.0, 1.0)
         metrics.record("a.y", 0.0, 1.0)
         metrics.record("b.z", 0.0, 1.0)
         assert metrics.series_names("a.") == ["a.x", "a.y"]
 
-    def test_sum_between_half_open(self):
-        metrics = MetricsRecorder()
-        for t in (0.0, 1.0, 2.0, 3.0):
-            metrics.record("events", t, 1.0)
-        assert metrics.series_sum_between("events", 1.0, 3.0) == 2.0
-
     def test_empty_series(self):
-        assert MetricsRecorder().series("nothing") == []
-
-
-class TestBucketing:
-    def test_bucket_counts(self):
-        metrics = MetricsRecorder()
-        for t in (0.5, 1.5, 1.7, 2.9):
-            metrics.record("e", t, 1.0)
-        buckets = metrics.bucket_series("e", 1.0, 0.0, 3.0)
-        assert buckets == [(0.0, 1.0), (1.0, 2.0), (2.0, 1.0)]
-
-    def test_empty_buckets_present(self):
-        metrics = MetricsRecorder()
-        metrics.record("e", 2.5, 1.0)
-        buckets = metrics.bucket_series("e", 1.0, 0.0, 3.0)
-        assert buckets[0] == (0.0, 0.0)
-        assert buckets[1] == (1.0, 0.0)
-
-    def test_invalid_bucket_width(self):
-        with pytest.raises(ValueError):
-            MetricsRecorder().bucket_series("e", 0.0, 0.0, 1.0)
+        metrics = ObsRegistry()
+        assert metrics.series("nothing") == []
+        # Reading a series must not create it.
+        assert metrics.series_names() == []
 
 
 class TestMerge:
     def test_merge_counters_and_series(self):
-        a = MetricsRecorder()
-        b = MetricsRecorder()
+        a = ObsRegistry()
+        b = ObsRegistry()
         a.increment("hits", 2)
         b.increment("hits", 3)
         a.record("s", 1.0, 1.0)
@@ -101,20 +83,3 @@ class TestMerge:
         a.merge(b)
         assert a.counter("hits") == 5
         assert [p.time for p in a.series("s")] == [0.5, 1.0]
-
-
-class TestSummarise:
-    def test_empty(self):
-        assert summarise([]) == {
-            "count": 0,
-            "mean": 0.0,
-            "min": 0.0,
-            "max": 0.0,
-        }
-
-    def test_basic(self):
-        summary = summarise([1.0, 2.0, 3.0])
-        assert summary["count"] == 3
-        assert summary["mean"] == 2.0
-        assert summary["min"] == 1.0
-        assert summary["max"] == 3.0

@@ -142,6 +142,19 @@ class TestSlidingWindow:
             assert limiter.count(10.0) == 1
         assert not limiter.allow(10.0)
 
+    def test_window_edge_survives_float_rounding(self):
+        """Regression (found by the property below): 1.5551836379290953
+        + 5 + 5 lands exactly on ``first + window`` after rounding, but
+        ``now - window`` rounded above ``first``, so the first event
+        expired early and a second one was allowed."""
+        limiter = SlidingWindowLimiter(limit=1, window=10.0)
+        first = 1.5551836379290953
+        assert limiter.allow(first)
+        now = first + 5.0 + 5.0
+        assert now == first + 10.0
+        assert limiter.count(now) == 1
+        assert not limiter.allow(now)
+
     @settings(max_examples=200)
     @given(
         st.lists(
