@@ -33,7 +33,7 @@ from ..stream.pipeline import StreamPipeline, StreamReport
 from ..trace.replay import read_entries
 from ..web.logs import LogEntry
 from .codec import CodecError, entry_to_dict, parse_events
-from .state import StateStore
+from .state import StateStore, StateStoreError
 
 #: Default events between checkpoints (the CLI flag overrides).
 DEFAULT_CHECKPOINT_INTERVAL = 2000
@@ -171,6 +171,9 @@ class DetectionService:
         else:
             self._seq, self._core = snapshot
             self.restored = True
+            self._check_restored_settings(
+                refresh_every, graph_config, evict_every
+            )
         replayed = 0
         for journal_seq, entry in store.journal_tail(self._seq):
             self.pipeline.process(entry)
@@ -183,6 +186,33 @@ class DetectionService:
             obs.increment("serve.restores" if self.restored else
                           "serve.cold_starts")
             obs.set_gauge("serve.journal_replayed", float(replayed))
+
+    def _check_restored_settings(
+        self,
+        refresh_every: Optional[int],
+        graph_config: Optional[GraphDetectorConfig],
+        evict_every: int,
+    ) -> None:
+        """Refuse a restore whose requested settings differ from the
+        snapshot's: the pickled core carries its own, and running it
+        under other ones would diverge silently."""
+        requested = {
+            "refresh_every": refresh_every,
+            "evict_every": evict_every,
+            "graph_config": graph_config or GraphDetectorConfig(),
+        }
+        restored = {
+            "refresh_every": self.graph.refresh_every,
+            "evict_every": self.pipeline.evict_every,
+            "graph_config": self.graph.config,
+        }
+        for name, value in requested.items():
+            if value != restored[name]:
+                raise StateStoreError(
+                    f"{self.store.path}: snapshot was taken with "
+                    f"{name}={restored[name]!r}, restore requested "
+                    f"{name}={value!r}"
+                )
 
     # -- core accessors --------------------------------------------------------
 

@@ -3,6 +3,7 @@ checkpoint/restore equivalence, campaign conviction, digests."""
 
 import pytest
 
+from repro.graph.detector import GraphDetectorConfig
 from repro.scenarios.streaming import build_stream_pipeline
 from repro.serve.codec import CodecError
 from repro.serve.service import (
@@ -11,7 +12,7 @@ from repro.serve.service import (
     ServiceFinished,
     ingest_payload,
 )
-from repro.serve.state import StateStore
+from repro.serve.state import StateStore, StateStoreError
 
 from tests.serve_util import campaign_entries, make_entry, write_trace
 
@@ -156,10 +157,12 @@ class TestRecoveryEquivalence:
     def test_snapshot_omits_compile_cache_and_restores_exactly(
         self, tmp_path
     ):
-        """The graph adapter's CSR compile cache is derived state: the
-        snapshot leaves it out, and the restored service — cold
-        compiling once, then splicing forward through many refreshes —
-        convicts exactly what the uninterrupted service does."""
+        """The graph adapter's CSR compile cache and component cache
+        are derived state: the snapshot leaves them out, and the
+        restored service — cold compiling and recomputing every
+        component once, then splicing forward through many scoped
+        refreshes — convicts exactly what the uninterrupted service
+        does."""
         events = ingest_payload(
             campaign_entries(rotations=6, legit_visitors=10)
         )
@@ -171,9 +174,12 @@ class TestRecoveryEquivalence:
         first = make_service(tmp_path, "b.db", **options)
         first.ingest(events[:cut])
         assert first.graph._compiled is not None
+        assert first.graph._components is not None
         first.checkpoint()
         _, core = first.store.load_snapshot()
         assert core["graph"]._compiled is None
+        assert core["graph"]._components is None
+        assert core["graph"]._dirty == set()
         refreshes_at_cut = first.graph.refreshes
         first.store.close()
         del first
@@ -186,6 +192,35 @@ class TestRecoveryEquivalence:
         assert resumed.entities_view() == uninterrupted.entities_view()
         assert resumed.campaigns_view()
         assert resumed.analysis_digest() == uninterrupted.analysis_digest()
+
+    def test_restore_with_other_settings_is_refused(self, tmp_path):
+        """A snapshot's core carries its own refresh cadence, eviction
+        cadence and graph config; restoring it under different ones
+        must fail loudly, not run the old ones silently."""
+        events = ingest_payload(campaign_entries())
+        first = make_service(tmp_path, refresh_every=64)
+        first.ingest(events)
+        first.checkpoint()
+        first.store.close()
+        del first
+
+        with pytest.raises(StateStoreError) as exc_info:
+            make_service(tmp_path, refresh_every=None, evict_every=8)
+        message = str(exc_info.value)
+        assert "refresh_every=64" in message
+        assert "refresh_every=None" in message
+        with pytest.raises(StateStoreError, match="evict_every=256"):
+            make_service(tmp_path, evict_every=8)
+        with pytest.raises(StateStoreError, match="graph_config"):
+            make_service(
+                tmp_path,
+                graph_config=GraphDetectorConfig(verdict_threshold=0.6),
+            )
+        resumed = make_service(
+            tmp_path, refresh_every=64, graph_config=GraphDetectorConfig()
+        )
+        assert resumed.restored
+        assert resumed.events_ingested == len(events)
 
     def test_restore_replays_journal_tail(self, tmp_path):
         events = ingest_payload(campaign_entries())
