@@ -2,8 +2,8 @@
 
 * behaviour-based — :mod:`~repro.core.detection.features`,
   :mod:`~repro.core.detection.volume`,
-  :mod:`~repro.core.detection.classifier`,
-  :mod:`~repro.core.detection.clustering`;
+  :mod:`~repro.core.detection.clustering` (the supervised logistic
+  family is :class:`repro.ml.LogisticHead`);
 * knowledge-based — :mod:`~repro.core.detection.fingerprint_rules`;
 * identity linking — :mod:`~repro.core.detection.rotation`;
 * statistical anomaly — :mod:`~repro.core.detection.anomaly`;
@@ -21,7 +21,6 @@ from .anomaly import (
     jensen_shannon,
     regularized_gamma_q,
 )
-from .classifier import LogisticSessionClassifier, TrainingReport
 from .clustering import ClusteringConfig, ClusteringDetector, kmeans
 from .features import FEATURE_NAMES, SessionFeatures, extract_features
 from .fingerprint_rules import (
@@ -72,8 +71,6 @@ __all__ = [
     "chi_square_sf",
     "jensen_shannon",
     "regularized_gamma_q",
-    "LogisticSessionClassifier",
-    "TrainingReport",
     "ClusteringConfig",
     "ClusteringDetector",
     "kmeans",

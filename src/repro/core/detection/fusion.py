@@ -11,13 +11,16 @@ trusted, and the fused bot-probability is
 
 so any single confident detector can convict, several weak signals
 accumulate, and a detector that saw nothing contributes nothing.
+
+The product is folded one verdict at a time by :class:`FusionFold`,
+the single implementation behind both the batch :meth:`FusionDetector.
+fuse` and the stream's :class:`~repro.stream.fusion.IncrementalFusion`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .verdict import Verdict
 
@@ -60,6 +63,10 @@ class FusionDetector:
                 raise ValueError(
                     f"weight for {detector!r} must be in [0, 1]: {weight}"
                 )
+        if not 0.0 <= self.default_weight <= 1.0:
+            raise ValueError(
+                f"default_weight must be in [0, 1]: {self.default_weight}"
+            )
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(
                 f"threshold must be in (0, 1): {self.threshold}"
@@ -72,28 +79,62 @@ class FusionDetector:
         self, verdict_sets: Sequence[Sequence[Verdict]]
     ) -> List[Verdict]:
         """Combine verdicts (grouped however the caller likes) into one
-        fused verdict per subject id."""
-        survival: Dict[str, float] = defaultdict(lambda: 1.0)
-        reasons: Dict[str, List[str]] = defaultdict(list)
+        fused verdict per subject id, sorted by subject id."""
+        fold = FusionFold(self)
         for verdicts in verdict_sets:
             for verdict in verdicts:
-                weight = self.weight_for(verdict.detector)
-                survival[verdict.subject_id] *= (
-                    1.0 - weight * verdict.score
-                )
-                if verdict.is_bot:
-                    reasons[verdict.subject_id].append(verdict.detector)
+                fold.add(verdict)
+        return fold.fused()
 
-        fused = []
-        for subject_id in sorted(survival):
-            score = 1.0 - survival[subject_id]
-            fused.append(
-                Verdict(
-                    subject_id=subject_id,
-                    detector=self.name,
-                    score=min(max(score, 0.0), 1.0),
-                    is_bot=score >= self.threshold,
-                    reasons=tuple(dict.fromkeys(reasons[subject_id])),
-                )
-            )
-        return fused
+
+class FusionFold:
+    """Per-subject noisy-OR state folded one verdict at a time.
+
+    Keeps each subject's survival product and the detectors that
+    convicted it, in first-conviction order.  The product is
+    commutative, so folding a verdict set in any grouping gives the
+    verdicts :meth:`FusionDetector.fuse` returns for it.
+    """
+
+    def __init__(self, fusion: FusionDetector) -> None:
+        self.fusion = fusion
+        self._survival: Dict[str, float] = {}
+        self._reasons: Dict[str, List[str]] = {}
+
+    def add(self, verdict: Verdict) -> None:
+        """Fold one verdict into its subject's state."""
+        subject = verdict.subject_id
+        weight = self.fusion.weight_for(verdict.detector)
+        self._survival[subject] = self._survival.get(subject, 1.0) * (
+            1.0 - weight * verdict.score
+        )
+        if verdict.is_bot:
+            reasons = self._reasons.setdefault(subject, [])
+            if verdict.detector not in reasons:
+                reasons.append(verdict.detector)
+
+    def current(self, subject_id: str) -> Optional[Verdict]:
+        """The subject's fused verdict so far (None if never seen)."""
+        if subject_id not in self._survival:
+            return None
+        return self._fused_for(subject_id)
+
+    def fused(self) -> List[Verdict]:
+        """Every subject's fused verdict, sorted by subject id."""
+        return [
+            self._fused_for(subject) for subject in sorted(self._survival)
+        ]
+
+    def _fused_for(self, subject_id: str) -> Verdict:
+        score = 1.0 - self._survival[subject_id]
+        return Verdict(
+            subject_id=subject_id,
+            detector=self.fusion.name,
+            score=min(max(score, 0.0), 1.0),
+            is_bot=score >= self.fusion.threshold,
+            reasons=tuple(self._reasons.get(subject_id, ())),
+        )
+
+    @property
+    def subjects_tracked(self) -> int:
+        return len(self._survival)

@@ -15,7 +15,9 @@ sequence encoder in :mod:`repro.ml.encoder`:
 
 Training is class-weighted cross-entropy with L2: the worlds these
 models train on are overwhelmingly legitimate, and unweighted CE lets
-a model buy low loss by never convicting anyone.
+a model buy low loss by never convicting anyone.  The logistic rung
+can also train with uniform weights, as the E6 ``logistic-behaviour``
+family does.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ def weighted_cross_entropy(
 class TrainReport:
     """Convergence summary shared by every ladder rung."""
 
+    #: Epochs actually run (fewer than configured after an early stop).
     epochs: int
     final_loss: float
     training_accuracy: float
@@ -80,10 +83,17 @@ def _check_trainable(dataset: Dataset) -> np.ndarray:
 
 
 class LogisticHead:
-    """The ladder's baseline: logistic regression over the feature
-    vector — the same math as the batch ``logistic-behaviour`` family,
-    re-homed on :class:`~repro.ml.data.Dataset` so it trains, saves and
-    scores through the identical harness as the bigger rungs."""
+    """The ladder's baseline and the batch ``logistic-behaviour``
+    family (E6): L2-regularised logistic regression over the feature
+    vector, on :class:`~repro.ml.data.Dataset` so it trains, saves and
+    scores through the identical harness as the bigger rungs.
+
+    Two settings shape training only and are not saved with the model:
+    ``balanced`` picks class-balanced row weights (the ladder's
+    default) or uniform ones (the E6 family), and ``tolerance`` stops
+    gradient descent once the loss changes by less than it between
+    epochs, so ``TrainReport.epochs`` counts the epochs actually run.
+    """
 
     kind = "logistic"
 
@@ -93,11 +103,17 @@ class LogisticHead:
         l2: float = 1e-3,
         epochs: int = 800,
         threshold: float = 0.5,
+        balanced: bool = True,
+        tolerance: Optional[float] = None,
     ) -> None:
+        if not 0.0 < threshold < 1.0:
+            raise ValueError(f"threshold must be in (0, 1): {threshold}")
         self.learning_rate = learning_rate
         self.l2 = l2
         self.epochs = epochs
         self.threshold = threshold
+        self.balanced = balanced
+        self.tolerance = tolerance
         self.weights: Optional[np.ndarray] = None
         self.bias = 0.0
         self.standardiser: Optional[Standardiser] = None
@@ -112,15 +128,16 @@ class LogisticHead:
         labels = _check_trainable(dataset)
         self.standardiser = Standardiser.fit(dataset.features)
         x = self.standardiser.transform(dataset.features)
-        row_weights = class_weights(labels)
         n, d = x.shape
+        row_weights = class_weights(labels) if self.balanced else np.ones(n)
         # Symmetry is fine for a linear model; the rng argument keeps
         # the ladder interface uniform.
         del rng
         weights = np.zeros(d)
         bias = 0.0
-        loss = float("inf")
-        for _ in range(self.epochs):
+        previous = loss = float("inf")
+        epochs = 0
+        for epochs in range(1, self.epochs + 1):
             probabilities = sigmoid(x @ weights + bias)
             residual = row_weights * (probabilities - labels)
             weights -= self.learning_rate * (
@@ -130,6 +147,11 @@ class LogisticHead:
             loss = weighted_cross_entropy(
                 probabilities, labels, row_weights
             ) + 0.5 * self.l2 * float(weights @ weights)
+            if self.tolerance is not None and abs(previous - loss) < (
+                self.tolerance
+            ):
+                break
+            previous = loss
         self.weights = weights
         self.bias = bias
         accuracy = float(
@@ -139,7 +161,7 @@ class LogisticHead:
             )
         )
         return TrainReport(
-            epochs=self.epochs,
+            epochs=epochs,
             final_loss=loss,
             training_accuracy=accuracy,
         )

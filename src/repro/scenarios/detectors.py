@@ -34,12 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ..analysis.evaluation import (
     BinaryEvaluation,
     evaluate_verdicts,
     recall_by_class,
 )
-from ..core.detection.classifier import LogisticSessionClassifier
 from ..core.detection.clustering import ClusteringDetector
 from ..core.detection.fingerprint_rules import FingerprintDetector
 from ..core.detection.passenger_details import PassengerDetailAnalyzer
@@ -59,6 +60,7 @@ from ..identity.forge import (
 from ..identity.ip import ResidentialProxyPool
 from ..ml.data import build_dataset_columnar
 from ..ml.detector import LearnedSessionDetector
+from ..ml.models import LogisticHead
 from ..ml.train import TrainConfig, train_model
 from ..sim.clock import DAY, HOUR
 from ..traffic.legitimate import LegitimateConfig, LegitimatePopulation
@@ -274,14 +276,32 @@ def run_detector_comparison(
     # 1. Volume thresholds.
     score("volume", VolumeDetector().judge_index(index))
 
-    # 2. Supervised classifier, trained on a disjoint world.
+    # 2. Supervised logistic regression, trained on a disjoint world
+    #    with uniform row weights (class-balanced weights convict most
+    #    legitimate sessions here) and a loss-change stop.
     training_world, training_index = _build_mixed_world(
         config, config.seed + 1000
     )
     del training_world
-    classifier = LogisticSessionClassifier()
-    classifier.fit_matrix(training_index.matrix, training_index.is_attacker)
-    score("logistic", classifier.judge_index(index))
+    training = build_dataset_columnar(training_index, with_truth=True)
+    logistic = LogisticHead(epochs=2000, balanced=False, tolerance=1e-7)
+    logistic.fit(training, np.random.default_rng(config.seed))
+    probabilities = logistic.predict_proba(build_dataset_columnar(index))
+    score(
+        "logistic",
+        [
+            Verdict(
+                subject_id=session_id,
+                detector="logistic-behaviour",
+                score=float(probability),
+                is_bot=bool(probability >= logistic.threshold),
+                reasons=("model-probability",),
+            )
+            for session_id, probability in zip(
+                index.session_ids, probabilities
+            )
+        ],
+    )
 
     # 3. Unsupervised clustering.
     clustering = ClusteringDetector(
@@ -391,7 +411,7 @@ def run_detector_comparison(
     #    is what lets the six scraper rows carve out their island
     #    against that irreducible mass.
     learned_train = train_model(
-        build_dataset_columnar(training_index, with_truth=True),
+        training,
         TrainConfig(model="mlp", master_seed=config.seed, epochs=4000),
     )
     score(

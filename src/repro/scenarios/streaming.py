@@ -14,8 +14,8 @@ two the periodic controller cannot improve past its polling interval:
 * **inventory saved** — legitimate confirmed seats on the target
   flight, streaming on vs off.
 
-Any scenario can also be captured to a :mod:`repro.trace` file for
-offline replay (``capture_case_a`` / ``_b`` / ``_c``).
+Case A can also be captured to a :mod:`repro.trace` file for offline
+replay (``capture_case_a``).
 """
 
 from __future__ import annotations
@@ -319,34 +319,6 @@ def capture_case_a(
         path, meta={"scenario": "case-a", "seed": config.seed}
     ) as capture:
         result = run_case_a(
-            config, on_world=lambda world: capture.attach(world.app.log)
-        )
-    return result, capture.entries_written
-
-
-def capture_case_b(path: str, config=None):
-    """Run Case B while recording its log to ``path``."""
-    from .case_b import CaseBConfig, run_case_b
-
-    config = config or CaseBConfig()
-    with TraceCapture(
-        path, meta={"scenario": "case-b", "seed": config.seed}
-    ) as capture:
-        result = run_case_b(
-            config, on_world=lambda world: capture.attach(world.app.log)
-        )
-    return result, capture.entries_written
-
-
-def capture_case_c(path: str, config=None):
-    """Run Case C while recording its log to ``path``."""
-    from .case_c import CaseCConfig, run_case_c
-
-    config = config or CaseCConfig()
-    with TraceCapture(
-        path, meta={"scenario": "case-c", "seed": config.seed}
-    ) as capture:
-        result = run_case_c(
             config, on_world=lambda world: capture.attach(world.app.log)
         )
     return result, capture.entries_written

@@ -423,7 +423,7 @@ class DetectionService:
             "snapshot_seq": self.store.snapshot_seq(),
             "journal_rows": self.store.journal_rows(),
             "checkpoint_interval": self.checkpoint_interval,
-            "sessions_closed": len(self.pipeline._sessions),
+            "sessions_closed": self.pipeline.sessionizer.sessions_closed,
             "subjects_tracked": self.pipeline.fusion.subjects_tracked,
             "campaigns_convicted": len(self.campaigns_view()),
             "entities_convicted": len(self.entities_view()),

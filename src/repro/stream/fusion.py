@@ -2,67 +2,31 @@
 
 :class:`~repro.core.detection.fusion.FusionDetector` combines verdict
 *sets* after the fact; the stream needs the same combination updated
-one verdict at a time.  Because the noisy-OR survival product is
-commutative and associative, folding verdicts in arrival order yields
-exactly the verdicts :meth:`FusionDetector.fuse` computes over the
-accumulated set — the property the equivalence tests pin.
+one verdict at a time.  Both run the one fold in
+:class:`~repro.core.detection.fusion.FusionFold`, and the noisy-OR
+survival product is commutative, so folding verdicts in arrival order
+yields exactly the verdicts :meth:`FusionDetector.fuse` computes over
+the accumulated set — the property the equivalence tests pin.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
-from ..core.detection.fusion import FusionDetector
+from ..core.detection.fusion import FusionDetector, FusionFold
 from ..core.detection.verdict import Verdict
 
 
-class IncrementalFusion:
+class IncrementalFusion(FusionFold):
     """Per-subject noisy-OR state updated one verdict at a time."""
 
     def __init__(self, fusion: Optional[FusionDetector] = None) -> None:
-        self.fusion = fusion if fusion is not None else FusionDetector()
-        self._survival: Dict[str, float] = {}
-        self._reasons: Dict[str, List[str]] = {}
+        super().__init__(fusion if fusion is not None else FusionDetector())
         self.updates = 0
 
     def update(self, verdict: Verdict) -> Verdict:
         """Fold one verdict in; returns the subject's current fused
         verdict (same thresholding as the batch fusion)."""
         self.updates += 1
-        subject = verdict.subject_id
-        weight = self.fusion.weight_for(verdict.detector)
-        survival = self._survival.get(subject, 1.0)
-        survival *= 1.0 - weight * verdict.score
-        self._survival[subject] = survival
-        if verdict.is_bot:
-            reasons = self._reasons.setdefault(subject, [])
-            if verdict.detector not in reasons:
-                reasons.append(verdict.detector)
-        return self._fused_for(subject)
-
-    def current(self, subject_id: str) -> Optional[Verdict]:
-        """The subject's fused verdict so far (None if never seen)."""
-        if subject_id not in self._survival:
-            return None
-        return self._fused_for(subject_id)
-
-    def fused(self) -> List[Verdict]:
-        """All fused verdicts, sorted by subject id — identical to
-        ``FusionDetector.fuse`` over every update so far."""
-        return [
-            self._fused_for(subject) for subject in sorted(self._survival)
-        ]
-
-    def _fused_for(self, subject_id: str) -> Verdict:
-        score = 1.0 - self._survival[subject_id]
-        return Verdict(
-            subject_id=subject_id,
-            detector=self.fusion.name,
-            score=min(max(score, 0.0), 1.0),
-            is_bot=score >= self.fusion.threshold,
-            reasons=tuple(self._reasons.get(subject_id, ())),
-        )
-
-    @property
-    def subjects_tracked(self) -> int:
-        return len(self._survival)
+        self.add(verdict)
+        return self._fused_for(verdict.subject_id)

@@ -53,8 +53,6 @@ class StreamReport:
     entity_verdicts: List[Verdict] = field(default_factory=list)
     #: Final fused verdict per subject, sorted by subject id.
     fused: List[Verdict] = field(default_factory=list)
-    #: Closed sessions, sorted by start time (batch-equivalent).
-    sessions: List[Session] = field(default_factory=list)
     peak_open_sessions: int = 0
     sink_notifications: int = 0
 
@@ -94,7 +92,6 @@ class StreamPipeline:
         self.fusion = IncrementalFusion(fusion)
         self._session_verdicts: List[Verdict] = []
         self._entity_verdicts: List[Verdict] = []
-        self._sessions: List[Session] = []
         self._notified: set = set()
         self._finished = False
         self.events_processed = 0
@@ -166,14 +163,14 @@ class StreamPipeline:
             for verdict in adapter.end_of_stream():
                 self._entity_verdicts.append(verdict)
                 self._fuse(verdict, now)
-        self._sessions.sort(key=lambda s: s.start)
         obs = self.obs
         if obs is not None:
             obs.set_gauge(
                 "stream.events_processed", float(self.events_processed)
             )
             obs.set_gauge(
-                "stream.sessions_closed", float(len(self._sessions))
+                "stream.sessions_closed",
+                float(self.sessionizer.sessions_closed),
             )
             # Per-stage throughput: entries per second of ingest-path
             # busy time (sessionize + adapters + evict; fusion nests
@@ -189,11 +186,10 @@ class StreamPipeline:
                 )
         return StreamReport(
             events_processed=self.events_processed,
-            sessions_closed=len(self._sessions),
+            sessions_closed=self.sessionizer.sessions_closed,
             session_verdicts=list(self._session_verdicts),
             entity_verdicts=list(self._entity_verdicts),
             fused=self.fusion.fused(),
-            sessions=list(self._sessions),
             peak_open_sessions=self.sessionizer.peak_open_sessions,
             sink_notifications=self.sink_notifications,
         )
@@ -203,7 +199,6 @@ class StreamPipeline:
     def _on_session_closed(
         self, session: Session, now: Optional[float] = None
     ) -> None:
-        self._sessions.append(session)
         when = now if now is not None else session.end
         obs = self.obs
         started = perf_counter() if obs is not None else 0.0

@@ -90,6 +90,14 @@ class TestFusionDetector:
         with pytest.raises(ValueError):
             FusionDetector(threshold=0.0)
 
+    @pytest.mark.parametrize("default_weight", [1.5, -0.1])
+    def test_default_weight_validation(self, default_weight):
+        """Regression: an out-of-range ``default_weight`` used to be
+        accepted, and with 1.5 two confident verdicts from unlisted
+        detectors fused to 0.75 while one alone fused to 1.0."""
+        with pytest.raises(ValueError, match="default_weight"):
+            FusionDetector(default_weight=default_weight)
+
     def test_output_sorted_by_subject(self):
         fusion = FusionDetector()
         fused = fusion.fuse(

@@ -1,19 +1,22 @@
-"""Tests for the classifier and clustering detectors."""
+"""Tests for the logistic classifier and clustering detectors."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.common import ClientRef, LEGIT, SCRAPER
-from repro.core.detection.classifier import LogisticSessionClassifier
 from repro.core.detection.clustering import (
     ClusteringConfig,
     ClusteringDetector,
     kmeans,
 )
-from repro.core.detection.features import FEATURE_NAMES
+from repro.ml.data import build_dataset
+from repro.ml.detector import LearnedSessionDetector
+from repro.ml.models import LogisticHead
 from repro.web.logs import LogEntry, Session
 from repro.web.request import SEARCH
-from tests.feature_oracle import object_index, object_matrix
+from tests.feature_oracle import object_index
 
 
 def make_session(session_id, request_count, spacing=10.0, actor=LEGIT):
@@ -60,58 +63,102 @@ def separable_dataset(humans=20, scrapers=20):
     return sessions, labels
 
 
+def uniform_head(**overrides):
+    """The E6 ``logistic-behaviour`` family's training settings."""
+    settings = dict(
+        epochs=2000, balanced=False, tolerance=1e-7, threshold=0.5
+    )
+    settings.update(overrides)
+    return LogisticHead(**settings)
+
+
+def fit(model, sessions, labels):
+    dataset = build_dataset(sessions, labels=labels)
+    return model.fit(dataset, np.random.default_rng(0)), dataset
+
+
 class TestLogisticClassifier:
     def test_learns_separable_data(self):
         sessions, labels = separable_dataset()
-        matrix = object_matrix(sessions)
-        classifier = LogisticSessionClassifier()
-        report = classifier.fit_matrix(matrix, labels)
+        model = uniform_head()
+        report, dataset = fit(model, sessions, labels)
         assert report.training_accuracy == 1.0
-        probabilities = classifier.predict_proba_matrix(matrix)
+        probabilities = model.predict_proba(dataset)
         assert probabilities[:20].max() < 0.5
         assert probabilities[20:].min() > 0.5
 
     def test_judge_all_threshold(self):
         sessions, labels = separable_dataset()
-        classifier = LogisticSessionClassifier()
-        classifier.fit_matrix(object_matrix(sessions), labels)
-        verdicts = classifier.judge_index(object_index(sessions))
+        model = uniform_head()
+        fit(model, sessions, labels)
+        detector = LearnedSessionDetector(model)
+        verdicts = [detector.judge(session) for session in sessions]
         assert sum(v.is_bot for v in verdicts) == 20
 
     def test_unfitted_predict_raises(self):
+        sessions, labels = separable_dataset()
         with pytest.raises(RuntimeError):
-            LogisticSessionClassifier().predict_proba_matrix(
-                np.zeros((0, len(FEATURE_NAMES)))
-            )
+            uniform_head().predict_proba(build_dataset(sessions, labels))
 
     def test_label_mismatch_rejected(self):
         sessions, _ = separable_dataset()
         with pytest.raises(ValueError):
-            LogisticSessionClassifier().fit_matrix(
-                object_matrix(sessions), [True]
-            )
+            fit(uniform_head(), sessions, [True])
 
     def test_single_class_rejected(self):
         sessions, _ = separable_dataset()
         with pytest.raises(ValueError):
-            LogisticSessionClassifier().fit_matrix(
-                object_matrix(sessions), [True] * len(sessions)
-            )
+            fit(uniform_head(), sessions, [True] * len(sessions))
 
     def test_bad_threshold(self):
-        with pytest.raises(ValueError):
-            LogisticSessionClassifier(threshold=1.0)
+        for threshold in (0.0, 1.0, -0.5, 1.5):
+            with pytest.raises(ValueError):
+                LogisticHead(threshold=threshold)
 
     def test_deterministic_training(self):
         sessions, labels = separable_dataset()
-        matrix = object_matrix(sessions)
-        a = LogisticSessionClassifier()
-        b = LogisticSessionClassifier()
-        a.fit_matrix(matrix, labels)
-        b.fit_matrix(matrix, labels)
-        assert np.allclose(
-            a.predict_proba_matrix(matrix), b.predict_proba_matrix(matrix)
+        a, b = uniform_head(), uniform_head()
+        _, dataset = fit(a, sessions, labels)
+        fit(b, sessions, labels)
+        assert np.array_equal(
+            a.predict_proba(dataset), b.predict_proba(dataset)
         )
+
+    def test_reproduces_retired_session_classifier(self):
+        """Unit weights and the loss-change stop reproduce, bit for
+        bit, the weights, bias and probabilities of the standalone
+        session classifier this head replaced (digest recorded from
+        that classifier on this fixture)."""
+        sessions, labels = separable_dataset()
+        model = uniform_head()
+        report, dataset = fit(model, sessions, labels)
+        digest = hashlib.sha256()
+        digest.update(model.weights.tobytes())
+        digest.update(np.array([model.bias]).tobytes())
+        digest.update(model.predict_proba(dataset).tobytes())
+        assert digest.hexdigest() == (
+            "0c0525f9898c5bcf28f65aab166899c4064c43b490c4938394d248af1228252e"
+        )
+        assert report.epochs == 2000
+
+    def test_tolerance_stops_early_and_reports_epochs_run(self):
+        sessions, labels = separable_dataset()
+        loose = uniform_head(tolerance=1e-3)
+        report, _ = fit(loose, sessions, labels)
+        assert 1 < report.epochs < loose.epochs
+        unbounded = uniform_head(tolerance=None, epochs=report.epochs)
+        fit(unbounded, sessions, labels)
+        assert np.array_equal(loose.weights, unbounded.weights)
+        assert loose.bias == unbounded.bias
+
+    def test_balanced_weights_differ_from_uniform(self):
+        sessions, labels = separable_dataset(humans=30, scrapers=5)
+        balanced, uniform = LogisticHead(epochs=50), LogisticHead(
+            epochs=50, balanced=False
+        )
+        fit(balanced, sessions, labels)
+        fit(uniform, sessions, labels)
+        assert not np.array_equal(balanced.weights, uniform.weights)
 
 
 class TestKmeans:

@@ -19,12 +19,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common import ClientRef
-from repro.core.detection.classifier import LogisticSessionClassifier
 from repro.core.detection.clustering import ClusteringDetector
 from repro.core.detection.features import FEATURE_NAMES
 from repro.core.detection.session_index import SessionIndex
 from repro.core.detection.volume import VolumeDetector
 from repro.ml.data import build_dataset, build_dataset_columnar
+from repro.ml.models import LogisticHead
 from repro.obs.core import ObsRegistry
 from repro.web.logs import WebLog, sessionize
 from tests.feature_oracle import object_index, object_matrix
@@ -209,14 +209,15 @@ class TestDetectorEquivalence:
         labels = [s.is_attacker for s in sessions]
         if len(set(labels)) < 2:
             pytest.skip("fixture produced single-class labels")
-        object_clf = LogisticSessionClassifier(max_iterations=200)
-        report_obj = object_clf.fit_matrix(object_matrix(sessions), labels)
-        matrix_clf = LogisticSessionClassifier(max_iterations=200)
-        report_mat = matrix_clf.fit_matrix(index.matrix, index.is_attacker)
-        assert report_obj == report_mat
-        assert object_clf.judge_index(object_index(sessions)) == (
-            matrix_clf.judge_index(index)
-        )
+        object_path = build_dataset(sessions, labels=labels)
+        columnar = build_dataset_columnar(index, labels=index.is_attacker)
+        reports, probabilities = [], []
+        for dataset in (object_path, columnar):
+            model = LogisticHead(epochs=200, balanced=False, tolerance=1e-7)
+            reports.append(model.fit(dataset, np.random.default_rng(0)))
+            probabilities.append(model.predict_proba(dataset))
+        assert reports[0] == reports[1]
+        assert np.array_equal(probabilities[0], probabilities[1])
 
     def test_ml_dataset_identical(self):
         sessions, index = self._fixture()

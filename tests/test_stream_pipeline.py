@@ -1,8 +1,7 @@
 """Tests for repro.stream: pipeline, fusion, adapters, online sink."""
 
-import random
-
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common import ClientRef, LEGIT
 from repro.core.detection.fusion import FusionDetector
@@ -19,12 +18,26 @@ from repro.stream import (
     HoldVelocityAdapter,
     IncrementalFusion,
     SessionDetectorAdapter,
+    StreamAdapter,
     StreamPipeline,
     batch_session_verdicts,
     entity_subject,
 )
 from repro.web.logs import LogEntry, sessionize
 from repro.web.request import HOLD
+
+
+class SessionRecorder(StreamAdapter):
+    """Keeps every session the pipeline closes, in close order."""
+
+    name = "session-recorder"
+
+    def __init__(self):
+        self.sessions = []
+
+    def on_session_closed(self, session):
+        self.sessions.append(session)
+        return ()
 
 
 def make_entry(time, ip="1.1.1.1", fingerprint="fp1", path="/search"):
@@ -62,34 +75,50 @@ def case_a_log():
     return result.world.app.log
 
 
-class TestIncrementalFusion:
-    def _random_verdicts(self, seed, subjects=6, count=60):
-        rng = random.Random(seed)
-        detectors = [
-            "volume-threshold", "navigation-graph", "unweighted-novel",
-        ]
-        verdicts = []
-        for _ in range(count):
-            score = rng.random()
-            verdicts.append(
-                Verdict(
-                    subject_id=f"s{rng.randrange(subjects)}",
-                    detector=rng.choice(detectors),
-                    score=score,
-                    is_bot=score > 0.6,
-                    reasons=("synthetic",),
-                )
-            )
-        return verdicts
+#: Listed at different weights, listed at 1.0 and 0.0, and unlisted
+#: (falls back to ``default_weight``).
+FUSION_DETECTORS = ["volume-threshold", "navigation-graph", "x", "y", "new"]
+FUSION_WEIGHTS = {"volume-threshold": 0.9, "navigation-graph": 0.6,
+                  "x": 1.0, "y": 0.0}
 
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_matches_batch_fuse(self, seed):
-        verdicts = self._random_verdicts(seed)
-        incremental = IncrementalFusion()
-        for verdict in verdicts:
-            incremental.update(verdict)
-        batch = FusionDetector().fuse([verdicts])
+fusion_verdicts = st.builds(
+    Verdict,
+    subject_id=st.sampled_from(["s0", "s1", "s2", "s3"]),
+    detector=st.sampled_from(FUSION_DETECTORS),
+    score=st.one_of(
+        st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)
+    ),
+    is_bot=st.booleans(),
+    reasons=st.just(("synthetic",)),
+)
+
+
+class TestIncrementalFusion:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        verdict_sets=st.lists(
+            st.lists(fusion_verdicts, max_size=12), max_size=5
+        ),
+        default_weight=st.sampled_from([0.0, 0.5, 1.0]),
+        threshold=st.sampled_from([0.3, 0.5, 0.9]),
+    )
+    def test_matches_batch_fuse(self, verdict_sets, default_weight, threshold):
+        """Batch fusion of any grouping equals an arrival-order fold of
+        the same verdicts through the stream's ``update``."""
+        fusion = FusionDetector(
+            weights=dict(FUSION_WEIGHTS),
+            default_weight=default_weight,
+            threshold=threshold,
+        )
+        incremental = IncrementalFusion(fusion)
+        running = {}
+        for verdicts in verdict_sets:
+            for verdict in verdicts:
+                running[verdict.subject_id] = incremental.update(verdict)
+        batch = fusion.fuse(verdict_sets)
         assert incremental.fused() == batch
+        assert batch == [running[subject] for subject in sorted(running)]
+        assert incremental.updates == sum(map(len, verdict_sets))
 
     def test_update_returns_running_fused_verdict(self):
         fusion = IncrementalFusion(FusionDetector(threshold=0.5))
@@ -127,15 +156,18 @@ class TestBatchEquivalence:
         assert len(report.session_verdicts) == len(batch)
 
     def test_sessions_identical_to_batch(self, case_a_log):
-        pipeline = StreamPipeline(adapters=[])
+        recorder = SessionRecorder()
+        pipeline = StreamPipeline(adapters=[recorder])
         for entry in case_a_log.iter_entries():
             pipeline.process(entry)
         report = pipeline.finish()
+        sessions = sorted(recorder.sessions, key=lambda s: s.start)
         batch = sessionize(case_a_log)
-        assert [s.session_id for s in report.sessions] == [
+        assert report.sessions_closed == len(sessions)
+        assert [s.session_id for s in sessions] == [
             s.session_id for s in batch
         ]
-        assert [tuple(e.time for e in s.entries) for s in report.sessions] == [
+        assert [tuple(e.time for e in s.entries) for s in sessions] == [
             tuple(e.time for e in s.entries) for s in batch
         ]
 
