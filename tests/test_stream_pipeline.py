@@ -1,5 +1,7 @@
 """Tests for repro.stream: pipeline, fusion, adapters, online sink."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -94,6 +96,34 @@ fusion_verdicts = st.builds(
 
 
 class TestIncrementalFusion:
+    def _random_verdicts(self, seed, subjects=6, count=60):
+        rng = random.Random(seed)
+        detectors = [
+            "volume-threshold", "navigation-graph", "unweighted-novel",
+        ]
+        verdicts = []
+        for _ in range(count):
+            score = rng.random()
+            verdicts.append(
+                Verdict(
+                    subject_id=f"s{rng.randrange(subjects)}",
+                    detector=rng.choice(detectors),
+                    score=score,
+                    is_bot=score > 0.6,
+                    reasons=("synthetic",),
+                )
+            )
+        return verdicts
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_batch_fuse(self, seed):
+        verdicts = self._random_verdicts(seed)
+        incremental = IncrementalFusion()
+        for verdict in verdicts:
+            incremental.update(verdict)
+        batch = FusionDetector().fuse([verdicts])
+        assert incremental.fused() == batch
+
     @settings(max_examples=200, deadline=None)
     @given(
         verdict_sets=st.lists(
@@ -102,7 +132,9 @@ class TestIncrementalFusion:
         default_weight=st.sampled_from([0.0, 0.5, 1.0]),
         threshold=st.sampled_from([0.3, 0.5, 0.9]),
     )
-    def test_matches_batch_fuse(self, verdict_sets, default_weight, threshold):
+    def test_fold_matches_batch_fuse(
+        self, verdict_sets, default_weight, threshold
+    ):
         """Batch fusion of any grouping equals an arrival-order fold of
         the same verdicts through the stream's ``update``."""
         fusion = FusionDetector(
