@@ -20,10 +20,15 @@ Usage::
     python -m repro sweep --scenario case-a \
         --param hold_ttl=1800,7200 --reps 8 --workers 4
 
-Every command accepts ``--seed`` for a different (still deterministic)
-run.  Scaled-down variants are available where full-size runs take more
-than a few seconds (``table1 --scale``).  The case-study commands also
-accept ``--reps N --workers W --shards K`` to run N independent
+The scenario commands (``fig1`` through ``stream``) are the rows of one
+table, :data:`SCENARIO_COMMANDS`: each row names its config class, run
+function and renderer, and each of its options names the config field
+it sets.  One handler serves them all.  Every command that runs a
+scenario accepts ``--seed`` for a different (still deterministic) run;
+omitted, it is the config class's own default.  Scaled-down variants
+are available where full-size runs take more than a few seconds
+(``table1 --scale``).  A row that names a registered runner scenario
+also accepts ``--reps N --workers W --shards K`` to run N independent
 replications through :mod:`repro.runner` (in W worker processes, each
 cell split into K population shards) and report each metric as mean
 +/- 95% CI instead of a single draw.
@@ -32,15 +37,29 @@ cell split into K population shards) and report each metric as mean
 from __future__ import annotations
 
 import argparse
+import operator
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .analysis.reports import (
-    format_percent,
-    render_table,
-    render_weekly_nip,
-)
+from . import runner
+from .analysis.reports import format_percent, render_table, render_weekly_nip
+from .ml.train import MODEL_CHOICES
 from .obs.profile import PROFILED_CASES
+from .scenarios import (
+    behavioural,
+    case_a,
+    case_b,
+    case_c,
+    case_d,
+    case_e,
+    detectors,
+    graph_case,
+    portfolio,
+    streaming,
+)
+from .scenarios.learned import LEARNED_VARIANTS
 from .sim.clock import format_duration
 
 
@@ -68,6 +87,23 @@ def _parse_param(text: str) -> Tuple[str, List[object]]:
     name, _, values = text.partition("=")
     parsed = [_parse_param_value(value) for value in values.split(",")]
     return name.strip(), parsed
+
+
+def _positive(cast: Callable[[str], float]) -> Callable[[str], float]:
+    """An argparse ``type``: ``cast`` the text and require a value > 0."""
+
+    def parse(text: str) -> float:
+        value = cast(text)
+        if value <= 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse's "invalid int value: ..."
+    return parse
+
+
+_positive_int = _positive(int)
+_positive_float = _positive(float)
 
 
 def _print_aggregate_table(
@@ -108,29 +144,49 @@ def _use_runner(args: argparse.Namespace) -> bool:
     return args.reps > 1 or args.workers > 1 or args.shards > 1
 
 
-def _run_replicated(
-    scenario: str, base: Dict[str, object], args: argparse.Namespace
-) -> int:
-    """Shared --reps/--workers/--shards path for the case commands."""
-    from .runner import SweepSpec, run_sweep
+def _sweep(
+    args: argparse.Namespace,
+    scenario: str,
+    base: Mapping[str, object],
+    grid: Optional[Mapping[str, Sequence[object]]] = None,
+) -> Optional[runner.SweepResult]:
+    """The CLI's one :func:`repro.runner.run_sweep` call.
 
+    An unknown scenario name is a usage error: the registry's own
+    message (the one place the valid names are listed) goes to stderr
+    and ``None`` comes back, for the caller to exit 2.  A config or
+    spec the runner rejects (``TypeError``/``ValueError``) exits with
+    ``error: ...``.  Anything else raised inside a cell propagates.
+    """
     try:
-        result = run_sweep(
-            SweepSpec(
+        runner.get_scenario(scenario)
+    except KeyError as error:
+        print(f"error: {error.args[0]}", file=sys.stderr)
+        return None
+    try:
+        return runner.run_sweep(
+            runner.SweepSpec(
                 scenario=scenario,
                 base=base,
+                grid=grid or {},
                 replications=args.reps,
-                master_seed=args.seed,
+                **({} if args.seed is None else {"master_seed": args.seed}),
             ),
             workers=args.workers,
             cache_dir=args.cache_dir,
             shards=getattr(args, "shards", 1),
         )
-    except KeyError as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
     except (TypeError, ValueError) as error:
         raise SystemExit(f"error: {error}")
+
+
+def _run_replicated(
+    scenario: str, base: Dict[str, object], args: argparse.Namespace
+) -> int:
+    """The --reps/--workers/--shards path of the scenario commands."""
+    result = _sweep(args, scenario, base)
+    if result is None:
+        return 2
     _print_aggregate_table(
         result,
         None,
@@ -142,32 +198,21 @@ def _run_replicated(
     return 0
 
 
-def _cmd_fig1(args: argparse.Namespace) -> int:
-    from .scenarios.case_a import CaseAConfig, run_case_a
+# -- renderers: one scenario result -> the text the command prints --------
 
-    _default_seed(args, CaseAConfig)
-    result = run_case_a(CaseAConfig(seed=args.seed))
-    print(render_weekly_nip(
+
+def _render_fig1(result, args: argparse.Namespace) -> str:
+    return render_weekly_nip(
         [
             {n: week.get(n, 0.0) for n in range(1, 10)}
             for week in result.week_shares
         ],
         ["average week", "attack week", "after NiP<=4 cap"],
-    ))
-    return 0
-
-
-def _cmd_table1(args: argparse.Namespace) -> int:
-    from .scenarios.case_c import CaseCConfig, TABLE1_SURGES, run_case_c
-
-    _default_seed(args, CaseCConfig)
-    result = run_case_c(
-        CaseCConfig(
-            seed=args.seed,
-            baseline_weekly_total=int(48_000 / args.scale),
-        )
     )
-    print(render_table(
+
+
+def _render_table1(result, args: argparse.Namespace) -> str:
+    text = render_table(
         ["Country", "Baseline/wk", "Attack wk", "Increase", "Paper"],
         [
             [
@@ -175,7 +220,9 @@ def _cmd_table1(args: argparse.Namespace) -> int:
                 surge.baseline_count,
                 surge.window_count,
                 format_percent(surge.surge_percent),
-                format_percent(TABLE1_SURGES.get(surge.country_code, 0.0)),
+                format_percent(
+                    case_c.TABLE1_SURGES.get(surge.country_code, 0.0)
+                ),
             ]
             for surge in result.table1_rows()
         ],
@@ -184,26 +231,20 @@ def _cmd_table1(args: argparse.Namespace) -> int:
             f"(global +{result.global_increase_percent:.1f}%, "
             f"{result.countries_targeted} countries targeted)"
         ),
-    ))
+    )
     if args.scale > 1.0:
-        print(
-            f"\nnote: --scale {args.scale:g} shrinks the legitimate "
+        text += (
+            f"\n\nnote: --scale {args.scale:g} shrinks the legitimate "
             "baseline but keeps the Table I country pins, so per-country "
             "surges stay faithful while the global increase is inflated; "
             "run at --scale 1 for the paper's ~25% figure."
         )
-    return 0
+    return text
 
 
-def _cmd_case_a(args: argparse.Namespace) -> int:
-    from .scenarios.case_a import CaseAConfig, run_case_a
-
-    _default_seed(args, CaseAConfig)
-    if _use_runner(args):
-        return _run_replicated("case-a", {}, args)
-    result = run_case_a(CaseAConfig(seed=args.seed))
+def _render_case_a(result, args: argparse.Namespace) -> str:
     interval = result.measured_rotation_interval
-    print(render_table(
+    return render_table(
         ["Metric", "Value"],
         [
             ["attacker holds created", result.attacker_holds_created],
@@ -221,18 +262,11 @@ def _cmd_case_a(args: argparse.Namespace) -> int:
              )],
         ],
         title="Case A: Seat Spinning arms race",
-    ))
-    return 0
+    )
 
 
-def _cmd_case_b(args: argparse.Namespace) -> int:
-    from .scenarios.case_b import CaseBConfig, run_case_b
-
-    _default_seed(args, CaseBConfig)
-    if _use_runner(args):
-        return _run_replicated("case-b", {}, args)
-    result = run_case_b(CaseBConfig(seed=args.seed))
-    print(render_table(
+def _render_case_b(result, args: argparse.Namespace) -> str:
+    return render_table(
         ["Metric", "Value"],
         [
             ["automated coverage",
@@ -247,32 +281,12 @@ def _cmd_case_b(args: argparse.Namespace) -> int:
              f"{result.volume_recall.get('manual-spinner', 0.0):.2f}"],
         ],
         title="Case B: automated vs manual seat spinning",
-    ))
-    return 0
-
-
-def _cmd_case_c(args: argparse.Namespace) -> int:
-    from .scenarios.case_c import CaseCConfig, run_case_c
-
-    _default_seed(args, CaseCConfig)
-    if _use_runner(args):
-        return _run_replicated(
-            "case-c",
-            {
-                "variant": args.variant,
-                "baseline_weekly_total": int(48_000 / args.scale),
-            },
-            args,
-        )
-    result = run_case_c(
-        CaseCConfig(
-            seed=args.seed,
-            variant=args.variant,
-            baseline_weekly_total=int(48_000 / args.scale),
-        )
     )
+
+
+def _render_case_c(result, args: argparse.Namespace) -> str:
     latency = result.detection_latency
-    print(render_table(
+    return render_table(
         ["Metric", "Value"],
         [
             ["variant", result.config.variant],
@@ -289,19 +303,12 @@ def _cmd_case_c(args: argparse.Namespace) -> int:
             ["defender SMS spend", f"${result.defender_sms_cost:.2f}"],
         ],
         title="Case C: SMS pumping",
-    ))
-    return 0
+    )
 
 
-def _cmd_case_d(args: argparse.Namespace) -> int:
-    from .scenarios.case_d import CaseDConfig, run_case_d
-
-    _default_seed(args, CaseDConfig)
-    if _use_runner(args):
-        return _run_replicated("case-d", {"variant": args.variant}, args)
-    result = run_case_d(CaseDConfig(seed=args.seed, variant=args.variant))
+def _render_case_d(result, args: argparse.Namespace) -> str:
     ttfb = result.time_to_first_block
-    print(render_table(
+    return render_table(
         ["Metric", "Value"],
         [
             ["variant", result.config.variant],
@@ -320,20 +327,13 @@ def _cmd_case_d(args: argparse.Namespace) -> int:
              f"{result.legit_fp_conviction_rate * 100:.2f}%"],
         ],
         title="Case D: OTP abuse via disposable-number cycling",
-    ))
-    return 0
+    )
 
 
-def _cmd_case_e(args: argparse.Namespace) -> int:
-    from .scenarios.case_e import CaseEConfig, run_case_e
-
-    _default_seed(args, CaseEConfig)
-    if _use_runner(args):
-        return _run_replicated("case-e", {"variant": args.variant}, args)
-    result = run_case_e(CaseEConfig(seed=args.seed, variant=args.variant))
+def _render_case_e(result, args: argparse.Namespace) -> str:
     ttfb = result.time_to_first_block
     cap_at = result.cap_installed_at
-    print(render_table(
+    return render_table(
         ["Metric", "Value"],
         [
             ["variant", result.config.variant],
@@ -356,22 +356,11 @@ def _cmd_case_e(args: argparse.Namespace) -> int:
              f"{result.legit_fp_conviction_rate * 100:.2f}%"],
         ],
         title="Case E: agent-based notification amplification",
-    ))
-    return 0
-
-
-def _cmd_portfolio(args: argparse.Namespace) -> int:
-    from .scenarios.portfolio import PortfolioConfig, run_portfolio
-
-    _default_seed(args, PortfolioConfig)
-    if _use_runner(args):
-        return _run_replicated(
-            "portfolio-adaptive", {"defense": args.defense}, args
-        )
-    result = run_portfolio(
-        PortfolioConfig(seed=args.seed, defense=args.defense)
     )
-    print(render_table(
+
+
+def _render_portfolio(result, args: argparse.Namespace) -> str:
+    text = render_table(
         ["Channel", "activations", "spent", "earned", "net"],
         [
             [
@@ -391,9 +380,8 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
             + ("retired" if result.retired else "still operating")
             + ")"
         ),
-    ))
-    print()
-    print(render_table(
+    )
+    text += "\n\n" + render_table(
         ["t", "action", "channel", "window ROI"],
         [
             [
@@ -409,43 +397,22 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
             for d in result.decisions
         ],
         title="attacker decision journal",
-    ))
+    )
     if result.legit_requests_blocked or result.legit_fp_conviction_rate:
-        print(
-            f"\ncollateral: {result.legit_requests_blocked} legit "
+        text += (
+            f"\n\ncollateral: {result.legit_requests_blocked} legit "
             "requests blocked, "
             f"{result.legit_fp_conviction_rate * 100:.3f}% legit "
             "fingerprints convicted"
         )
-    return 0
+    return text
 
 
-def _cmd_scenarios(args: argparse.Namespace) -> int:
-    from .runner import get_scenario, scenario_names
-
-    print(render_table(
-        ["Scenario", "Config class"],
-        [
-            [name, get_scenario(name).config_cls.__name__]
-            for name in scenario_names()
-        ],
-        title="registered sweepable scenarios (repro sweep --scenario ...)",
-    ))
-    return 0
-
-
-def _cmd_detectors(args: argparse.Namespace) -> int:
-    from .scenarios.detectors import (
-        DetectorComparisonConfig,
-        run_detector_comparison,
-    )
-
-    _default_seed(args, DetectorComparisonConfig)
-    result = run_detector_comparison(
-        DetectorComparisonConfig(seed=args.seed)
-    )
-    classes = ("scraper", "seat-spinner", "manual-spinner", "sms-pumper")
-    print(render_table(
+def _recall_matrix(
+    result, classes: Sequence[str], names: Sequence[str], title: str
+) -> str:
+    """Per-class recall and FPR of each named detector run."""
+    return render_table(
         ["Detector"] + [f"recall:{c}" for c in classes] + ["FPR"],
         [
             [name]
@@ -456,32 +423,35 @@ def _cmd_detectors(args: argparse.Namespace) -> int:
             + [
                 f"{result.run_for(name).evaluation.false_positive_rate * 100:.2f}%"
             ]
-            for name in (
-                "volume", "logistic", "kmeans", "fingerprint",
-                "abuse-pipeline", "campaign-graph", "learned",
-            )
+            for name in names
         ],
-        title="Detector families vs attack classes",
-    ))
-    return 0
-
-
-def _cmd_graph(args: argparse.Namespace) -> int:
-    from .scenarios.graph_case import GraphCaseConfig, run_graph_case
-
-    _default_seed(args, GraphCaseConfig)
-    if _use_runner(args):
-        return _run_replicated(
-            f"graph-{args.case}",
-            {"ticks_short": args.ticks_short},
-            args,
-        )
-    result = run_graph_case(
-        GraphCaseConfig(
-            seed=args.seed, case=args.case, ticks_short=args.ticks_short
-        )
+        title=title,
     )
-    print(render_table(
+
+
+def _render_detectors(result, args: argparse.Namespace) -> str:
+    return _recall_matrix(
+        result,
+        ("scraper", "seat-spinner", "manual-spinner", "sms-pumper"),
+        (
+            "volume", "logistic", "kmeans", "fingerprint",
+            "abuse-pipeline", "campaign-graph", "learned",
+        ),
+        "Detector families vs attack classes",
+    )
+
+
+def _render_behavioural(result, args: argparse.Namespace) -> str:
+    return _recall_matrix(
+        result,
+        ("scraper", "seat-spinner", "manual-spinner"),
+        ("volume", "navigation", "biometrics", "fusion"),
+        "Advanced behavioural stack (Section V)",
+    )
+
+
+def _render_graph(result, args: argparse.Namespace) -> str:
+    arms = render_table(
         ["Arm", "campaign recall", "session recall", "FPR"],
         [
             [
@@ -493,11 +463,10 @@ def _cmd_graph(args: argparse.Namespace) -> int:
             for arm in (result.session_arm, result.graph_arm)
         ],
         title=f"{args.case}: session-only vs graph-augmented fusion",
-    ))
-    print()
+    )
     evaluation = result.campaign_evaluation
     detection_times = list(evaluation.time_to_detection.values())
-    print(render_table(
+    return arms + "\n\n" + render_table(
         ["Campaign", "risk", "sessions", "fingerprints", "rotation"],
         [
             [
@@ -527,60 +496,12 @@ def _cmd_graph(args: argparse.Namespace) -> int:
             )
             + ")"
         ),
-    ))
-    return 0
-
-
-def _cmd_behavioural(args: argparse.Namespace) -> int:
-    from .scenarios.behavioural import (
-        BehaviouralConfig,
-        run_behavioural_stack,
     )
 
-    _default_seed(args, BehaviouralConfig)
-    result = run_behavioural_stack(BehaviouralConfig(seed=args.seed))
-    classes = ("scraper", "seat-spinner", "manual-spinner")
-    print(render_table(
-        ["Detector"] + [f"recall:{c}" for c in classes] + ["FPR"],
-        [
-            [name]
-            + [
-                f"{result.run_for(name).recall_by_class.get(c, 0.0):.2f}"
-                for c in classes
-            ]
-            + [
-                f"{result.run_for(name).evaluation.false_positive_rate * 100:.2f}%"
-            ]
-            for name in ("volume", "navigation", "biometrics", "fusion")
-        ],
-        title="Advanced behavioural stack (Section V)",
-    ))
-    return 0
 
-
-def _cmd_stream(args: argparse.Namespace) -> int:
-    from .scenarios.streaming import StreamCaseAConfig, run_stream_case_a
-
-    _default_seed(args, StreamCaseAConfig)
-    if _use_runner(args):
-        return _run_replicated(
-            "stream-case-a",
-            {
-                "streaming": not args.no_streaming,
-                "honeypot_mode": args.honeypot,
-            },
-            args,
-        )
-    result = run_stream_case_a(
-        StreamCaseAConfig(
-            seed=args.seed,
-            streaming=not args.no_streaming,
-            honeypot_mode=args.honeypot,
-            trace_path=args.capture,
-        )
-    )
+def _render_stream(result, args: argparse.Namespace) -> str:
     ttfb = result.time_to_first_block
-    print(render_table(
+    text = render_table(
         ["Metric", "Value"],
         [
             ["streaming", "on" if result.config.streaming else "off"],
@@ -598,10 +519,185 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             ["peak tracked clients", result.peak_tracked_clients],
         ],
         title="Case A (streaming variant): online detection + mitigation",
-    ))
+    )
     if args.capture:
-        print(f"\ntrace captured: {args.capture} "
-              f"({result.trace_entries} entries)")
+        text += (
+            f"\n\ntrace captured: {args.capture} "
+            f"({result.trace_entries} entries)"
+        )
+    return text
+
+
+# -- the scenario-command table --------------------------------------------
+
+#: How an option reaches the ``--reps/--workers/--shards`` path.
+_BASE = "base"  # a field of the runner's sweep base (the default)
+_NAME = "name"  # fills ``{field}`` in the registry scenario name instead
+_SINGLE_RUN = "single-run"  # one run only: a usage error with the runner
+
+
+class Option:
+    """One option of a scenario command and the config field it sets.
+
+    ``flag`` is ``--flag``, or a bare name for a positional argument;
+    ``to_field`` maps the parsed value onto the field (default: as
+    parsed); ``role`` is ``_BASE``, ``_NAME`` or ``_SINGLE_RUN`` (only
+    ``_BASE`` fields enter the runner base, whose config hash seeds the
+    replications); the other keywords go to ``add_argument``.
+    """
+
+    def __init__(
+        self,
+        flag: str,
+        field: str,
+        to_field: Callable[[object], object] = lambda value: value,
+        role: str = _BASE,
+        **kwargs: object,
+    ) -> None:
+        self.flag, self.field, self.to_field = flag, field, to_field
+        self.dest = flag.lstrip("-").replace("-", "_")
+        self.role, self.kwargs = role, kwargs
+
+
+@dataclass(frozen=True)
+class ScenarioCommand:
+    """One scenario subcommand: a row of :data:`SCENARIO_COMMANDS`."""
+
+    name: str
+    help: str
+    config_cls: type
+    run: Callable[[object], object]
+    #: ``(result, args)`` -> the text to print for one run.
+    render: Callable[[object, argparse.Namespace], str]
+    #: Registry scenario that ``--reps/--workers/--shards`` runs,
+    #: formatted with the option fields (``"graph-{case}"``); ``None``
+    #: for a command that only runs once.
+    scenario: Optional[str] = None
+    options: Tuple[Option, ...] = ()
+
+
+def _scale(**kwargs: object) -> Option:
+    """``--scale``: downscale Case C's legitimate weekly SMS baseline."""
+    return Option("--scale", "baseline_weekly_total",
+                  lambda scale: int(48_000 / scale),
+                  type=_positive_float, default=1.0, **kwargs)
+
+
+def _variant(module) -> Option:
+    return Option("--variant", "variant",
+                  choices=module.VARIANTS, default=module.UNPROTECTED)
+
+
+SCENARIO_COMMANDS: Tuple[ScenarioCommand, ...] = (
+    ScenarioCommand("fig1", "Fig. 1: weekly NiP distributions (Case A)",
+                    case_a.CaseAConfig, case_a.run_case_a, _render_fig1),
+    ScenarioCommand("table1", "Table I: SMS country surges",
+                    case_c.CaseCConfig, case_c.run_case_c, _render_table1,
+                    options=(_scale(help="downscale traffic volume by this "
+                                    "factor (default 1 = full)"),)),
+    ScenarioCommand("case-a", "Case A arms-race metrics",
+                    case_a.CaseAConfig, case_a.run_case_a, _render_case_a,
+                    "case-a"),
+    ScenarioCommand("case-b", "Case B passenger-detail heuristics",
+                    case_b.CaseBConfig, case_b.run_case_b, _render_case_b,
+                    "case-b"),
+    ScenarioCommand("case-c", "Case C SMS pumping",
+                    case_c.CaseCConfig, case_c.run_case_c, _render_case_c,
+                    "case-c", (_variant(case_c), _scale())),
+    ScenarioCommand("case-d", "Case D OTP abuse (number cycling)",
+                    case_d.CaseDConfig, case_d.run_case_d, _render_case_d,
+                    "case-d", (_variant(case_d),)),
+    ScenarioCommand("case-e", "Case E notification amplification",
+                    case_e.CaseEConfig, case_e.run_case_e, _render_case_e,
+                    "case-e", (_variant(case_e),)),
+    ScenarioCommand(
+        "portfolio",
+        "adaptive attacker moving budget across all abuse channels "
+        "vs the chosen defense posture",
+        portfolio.PortfolioConfig, portfolio.run_portfolio,
+        _render_portfolio, "portfolio-adaptive",
+        (Option("--defense", "defense", choices=portfolio.DEFENSES,
+                default=portfolio.DEFENSE_NONE,
+                help="platform defense posture (default: none)"),),
+    ),
+    ScenarioCommand("detectors", "Section III detector matrix",
+                    detectors.DetectorComparisonConfig,
+                    detectors.run_detector_comparison, _render_detectors),
+    ScenarioCommand(
+        "graph",
+        "campaign graph vs session-only fusion on a rotated case study",
+        graph_case.GraphCaseConfig, graph_case.run_graph_case,
+        _render_graph, "graph-{case}",
+        (
+            Option("case", "case", role=_NAME,
+                   choices=graph_case.GRAPH_CASES, help="case to run"),
+            Option("--ticks-short", "ticks_short", action="store_true",
+                   help="compressed timeline (seconds, not minutes) "
+                   "for smoke runs"),
+        ),
+    ),
+    ScenarioCommand("behavioural", "Section V behavioural stack (extension)",
+                    behavioural.BehaviouralConfig,
+                    behavioural.run_behavioural_stack, _render_behavioural),
+    ScenarioCommand(
+        "stream",
+        "Case A with the online streaming detection/mitigation pipeline",
+        streaming.StreamCaseAConfig, streaming.run_stream_case_a,
+        _render_stream, "stream-case-a",
+        (
+            Option("--no-streaming", "streaming", operator.not_,
+                   action="store_true", help="ablation: run the same "
+                   "world without the online pipeline"),
+            Option("--honeypot", "honeypot_mode", action="store_true",
+                   help="route convicted fingerprints to decoy "
+                   "inventory instead of blocking"),
+            Option("--capture", "trace_path", role=_SINGLE_RUN,
+                   metavar="TRACE", default=None,
+                   help="also record the run's web log to this trace file"),
+        ),
+    ),
+)
+
+
+def _run_case(
+    command: ScenarioCommand,
+    parser: argparse.ArgumentParser,
+    args: argparse.Namespace,
+) -> int:
+    """The one handler of the scenario commands: a single run, or the
+    runner when the row names a scenario and a runner flag exceeds 1."""
+    _default_seed(args, command.config_cls)
+    fields = {
+        option.field: option.to_field(getattr(args, option.dest))
+        for option in command.options
+    }
+    if command.scenario is None or not _use_runner(args):
+        result = command.run(command.config_cls(seed=args.seed, **fields))
+        print(command.render(result, args))
+        return 0
+    for option in command.options:
+        if option.role == _SINGLE_RUN and fields[option.field] is not None:
+            parser.error(
+                f"{option.flag} records a single run; it cannot be "
+                "combined with --reps, --workers or --shards above 1"
+            )
+    base = {
+        option.field: fields[option.field]
+        for option in command.options
+        if option.role == _BASE
+    }
+    return _run_replicated(command.scenario.format(**fields), base, args)
+
+
+def _cmd_scenarios(args: argparse.Namespace) -> int:
+    print(render_table(
+        ["Scenario", "Config class"],
+        [
+            [name, runner.get_scenario(name).config_cls.__name__]
+            for name in runner.scenario_names()
+        ],
+        title="registered sweepable scenarios (repro sweep --scenario ...)",
+    ))
     return 0
 
 
@@ -652,26 +748,31 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
+def _timer_table(label: str, timers, title: str, prefix: str = "") -> str:
+    """Calls, total and mean time per ``(name, timer)``, each name with
+    ``prefix`` cut off."""
+    return render_table(
+        [label, "calls", "total s", "mean us"],
+        [
+            [name[len(prefix):], timer.count, f"{timer.total:.3f}",
+             f"{timer.mean * 1e6:.1f}"]
+            for name, timer in timers
+        ],
+        title=title,
+    )
+
+
 def _cmd_profile(args: argparse.Namespace) -> int:
     from .obs.profile import profile_case, short_overrides
     from .obs.report import write_report
 
     if _use_runner(args):
-        from .runner import SweepSpec, get_scenario, run_sweep
-
         scenario = f"profile-{args.case}"
-        _default_seed(args, get_scenario(scenario).config_cls)
-        base = short_overrides(args.case) if args.ticks_short else {}
-        result = run_sweep(
-            SweepSpec(
-                scenario=scenario,
-                base=base,
-                replications=args.reps,
-                master_seed=args.seed,
-            ),
-            workers=args.workers,
-            cache_dir=args.cache_dir,
-            shards=args.shards,
+        _default_seed(args, runner.get_scenario(scenario).config_cls)
+        result = _sweep(
+            args,
+            scenario,
+            short_overrides(args.case) if args.ticks_short else {},
         )
         registry = result.merged_obs()
         run_meta = {
@@ -696,18 +797,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         key=lambda item: item[1].total,
         reverse=True,
     )[:10]
-    print(render_table(
-        ["Sim-kernel phase", "calls", "total s", "mean us"],
-        [
-            [
-                name[len("sim.event."):],
-                timer.count,
-                f"{timer.total:.3f}",
-                f"{timer.mean * 1e6:.1f}",
-            ]
-            for name, timer in top_events
-        ],
-        title=f"profile {args.case}: event-loop dispatch by label",
+    print(_timer_table(
+        "Sim-kernel phase", top_events,
+        f"profile {args.case}: event-loop dispatch by label", "sim.event.",
     ))
     endpoints = sorted(registry.timers("web.request.").items())
     if endpoints:
@@ -728,44 +820,23 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     stages = sorted(registry.timers("stream.stage.").items())
     if stages:
         print()
-        print(render_table(
-            ["Stream stage", "calls", "total s", "mean us"],
-            [
-                [
-                    name[len("stream.stage."):],
-                    timer.count,
-                    f"{timer.total:.3f}",
-                    f"{timer.mean * 1e6:.1f}",
-                ]
-                for name, timer in stages
-            ],
-            title=(
-                "stream pipeline: per-stage latency "
-                f"({registry.gauge('stream.events_per_second'):,.0f} "
-                "events/sec busy throughput)"
-            ),
+        print(_timer_table(
+            "Stream stage", stages,
+            "stream pipeline: per-stage latency "
+            f"({registry.gauge('stream.events_per_second'):,.0f} "
+            "events/sec busy throughput)",
+            "stream.stage.",
         ))
     analysis = sorted(registry.timers("detect.").items()) + sorted(
         registry.timers("graph.").items()
     )
     if analysis:
         print()
-        print(render_table(
-            ["Analysis stage", "calls", "total s", "mean us"],
-            [
-                [
-                    name,
-                    timer.count,
-                    f"{timer.total:.3f}",
-                    f"{timer.mean * 1e6:.1f}",
-                ]
-                for name, timer in analysis
-            ],
-            title=(
-                "batch analysis: columnar fast path "
-                f"({registry.counter('detect.sessions'):,.0f} sessions / "
-                f"{registry.counter('detect.entries'):,.0f} entries)"
-            ),
+        print(_timer_table(
+            "Analysis stage", analysis,
+            "batch analysis: columnar fast path "
+            f"({registry.counter('detect.sessions'):,.0f} sessions / "
+            f"{registry.counter('detect.entries'):,.0f} entries)",
         ))
     wall = registry.gauge("run.wall_seconds")
     if wall:
@@ -939,15 +1010,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .runner import SweepSpec, get_scenario, run_sweep
-
-    try:
-        get_scenario(args.scenario)
-    except KeyError as error:
-        # Exit 2 (usage error), with the registry's own message — the
-        # one place the list of valid names is maintained.
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
     grid: Dict[str, List[object]] = {}
     base: Dict[str, object] = {}
     for name, values in args.param or []:
@@ -955,21 +1017,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             base[name] = values[0]
         else:
             grid[name] = values
-    try:
-        result = run_sweep(
-            SweepSpec(
-                scenario=args.scenario,
-                base=base,
-                grid=grid,
-                replications=args.reps,
-                **({} if args.seed is None else {"master_seed": args.seed}),
-            ),
-            workers=args.workers,
-            cache_dir=args.cache_dir,
-            shards=args.shards,
-        )
-    except (TypeError, ValueError) as error:
-        raise SystemExit(f"error: {error}")
+    result = _sweep(args, args.scenario, base, grid)
+    if result is None:
+        return 2
     _print_aggregate_table(
         result,
         args.metric or None,
@@ -995,6 +1045,8 @@ def _package_version() -> str:
         return __version__
 
 
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1011,24 +1063,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str):
+    def add(name: str, handler, help_text: str, seed: bool = True):
         sub = subparsers.add_parser(name, help=help_text)
-        sub.add_argument("--seed", type=int, default=None,
-                         help="override the scenario's default seed")
+        if seed:
+            sub.add_argument("--seed", type=int, default=None,
+                             help="override the scenario's default seed")
         sub.set_defaults(handler=handler)
         return sub
 
     def add_runner_args(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
-            "--reps", type=int, default=1,
+            "--reps", type=_positive_int, default=1,
             help="independent replications to run through repro.runner",
         )
         sub.add_argument(
-            "--workers", type=int, default=1,
+            "--workers", type=_positive_int, default=1,
             help="worker processes (1 = serial in-process)",
         )
         sub.add_argument(
-            "--shards", type=int, default=1,
+            "--shards", type=_positive_int, default=1,
             help="partition each cell's population into this many "
             "independently simulated shards and merge the results "
             "(1 = unsharded; see repro.shard)",
@@ -1038,93 +1091,19 @@ def build_parser() -> argparse.ArgumentParser:
             help="directory for the on-disk result cache (off by default)",
         )
 
-    add("fig1", _cmd_fig1, "Fig. 1: weekly NiP distributions (Case A)")
-    table1 = add("table1", _cmd_table1, "Table I: SMS country surges")
-    table1.add_argument(
-        "--scale", type=float, default=1.0,
-        help="downscale traffic volume by this factor (default 1 = full)",
-    )
-    case_a = add("case-a", _cmd_case_a, "Case A arms-race metrics")
-    add_runner_args(case_a)
-    case_b = add("case-b", _cmd_case_b, "Case B passenger-detail heuristics")
-    add_runner_args(case_b)
-    case_c = add("case-c", _cmd_case_c, "Case C SMS pumping")
-    case_c.add_argument(
-        "--variant",
-        choices=("unprotected", "path-limit", "per-ref"),
-        default="unprotected",
-    )
-    case_c.add_argument("--scale", type=float, default=1.0)
-    add_runner_args(case_c)
-    case_d = add(
-        "case-d", _cmd_case_d, "Case D OTP abuse (number cycling)"
-    )
-    case_d.add_argument(
-        "--variant",
-        choices=("unprotected", "number-reputation"),
-        default="unprotected",
-    )
-    add_runner_args(case_d)
-    case_e = add(
-        "case-e", _cmd_case_e, "Case E notification amplification"
-    )
-    case_e.add_argument(
-        "--variant",
-        choices=("unprotected", "destination-surge"),
-        default="unprotected",
-    )
-    add_runner_args(case_e)
-    portfolio = add(
-        "portfolio", _cmd_portfolio,
-        "adaptive attacker moving budget across all abuse channels "
-        "vs the chosen defense posture",
-    )
-    portfolio.add_argument(
-        "--defense",
-        choices=("none", "case-a", "case-c", "case-d", "case-e", "all"),
-        default="none",
-        help="platform defense posture (default: none)",
-    )
-    add_runner_args(portfolio)
+    for command in SCENARIO_COMMANDS:
+        sub = add(command.name, None, command.help)
+        sub.set_defaults(handler=partial(_run_case, command, sub))
+        for option in command.options:
+            sub.add_argument(option.flag, **option.kwargs)
+        if command.scenario is not None:
+            add_runner_args(sub)
     add("scenarios", _cmd_scenarios,
-        "list the scenarios registered with the sweep runner")
-    add("detectors", _cmd_detectors, "Section III detector matrix")
-    graph = add(
-        "graph", _cmd_graph,
-        "campaign graph vs session-only fusion on a rotated case study",
-    )
-    graph.add_argument(
-        "case", choices=["case-a", "case-c"],
-        help="case to run",
-    )
-    graph.add_argument(
-        "--ticks-short", action="store_true",
-        help="compressed timeline (seconds, not minutes) for smoke runs",
-    )
-    add_runner_args(graph)
-    add("behavioural", _cmd_behavioural,
-        "Section V behavioural stack (extension)")
-    stream = add(
-        "stream", _cmd_stream,
-        "Case A with the online streaming detection/mitigation pipeline",
-    )
-    stream.add_argument(
-        "--no-streaming", action="store_true",
-        help="ablation: run the same world without the online pipeline",
-    )
-    stream.add_argument(
-        "--honeypot", action="store_true",
-        help="route convicted fingerprints to decoy inventory "
-        "instead of blocking",
-    )
-    stream.add_argument(
-        "--capture", metavar="TRACE", default=None,
-        help="also record the run's web log to this trace file",
-    )
-    add_runner_args(stream)
+        "list the scenarios registered with the sweep runner", seed=False)
     replay = add(
         "replay", _cmd_replay,
         "replay a captured trace through the streaming pipeline",
+        seed=False,
     )
     replay.add_argument("trace", help="trace file written by --capture")
     replay.add_argument(
@@ -1158,12 +1137,12 @@ def build_parser() -> argparse.ArgumentParser:
         "disjoint-seed worlds (bit-reproducible for a fixed seed)",
     )
     train.add_argument(
-        "--model", choices=("logistic", "mlp", "encoder"),
+        "--model", choices=MODEL_CHOICES,
         default="encoder",
         help="ladder rung to train (default: encoder)",
     )
     train.add_argument(
-        "--variant", choices=("rotated", "stealth"), default="rotated",
+        "--variant", choices=LEARNED_VARIANTS, default="rotated",
         help="evasive Case A variant to train against",
     )
     train.add_argument(
@@ -1200,7 +1179,7 @@ def build_parser() -> argparse.ArgumentParser:
         "model_file", help="RPML model written by `repro train`",
     )
     predict.add_argument(
-        "--variant", choices=("rotated", "stealth"), default="rotated",
+        "--variant", choices=LEARNED_VARIANTS, default="rotated",
         help="eval-world variant when simulating (default: rotated)",
     )
     predict.add_argument(
@@ -1215,6 +1194,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", _cmd_serve,
         "long-running detection service: HTTP ingest/replay + queries, "
         "SQLite snapshot/journal persistence, /metrics",
+        seed=False,
     )
     serve.add_argument(
         "--db", required=True, metavar="FILE",
@@ -1256,7 +1236,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--scenario", required=True,
-        help="registered scenario name (case-a, case-b, case-c)",
+        help="registered scenario name "
+        f"({', '.join(runner.scenario_names())})",
     )
     sweep.add_argument(
         "--param", action="append", type=_parse_param, metavar="NAME=V1[,V2...]",

@@ -66,7 +66,7 @@ UNPROTECTED = "unprotected"
 PATH_LIMIT = "path-limit"
 PER_REF = "per-ref"
 
-_VARIANTS = (UNPROTECTED, PATH_LIMIT, PER_REF)
+VARIANTS = (UNPROTECTED, PATH_LIMIT, PER_REF)
 
 #: Baseline weekly SMS volumes pinned for the ten Table I countries.
 #: Large markets get thousands of messages a week, the high-cost
@@ -161,9 +161,9 @@ class CaseCConfig:
     attack_enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.variant not in _VARIANTS:
+        if self.variant not in VARIANTS:
             raise ValueError(
-                f"unknown variant {self.variant!r}; expected {_VARIANTS}"
+                f"unknown variant {self.variant!r}; expected {VARIANTS}"
             )
 
 

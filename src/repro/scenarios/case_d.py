@@ -57,7 +57,7 @@ from .world import World, WorldConfig, build_world
 UNPROTECTED = "unprotected"
 NUMBER_REPUTATION_DEFENSE = "number-reputation"
 
-_VARIANTS = (UNPROTECTED, NUMBER_REPUTATION_DEFENSE)
+VARIANTS = (UNPROTECTED, NUMBER_REPUTATION_DEFENSE)
 
 
 @dataclass
@@ -87,9 +87,9 @@ class CaseDConfig:
     reuse_window: float = 1 * HOUR
 
     def __post_init__(self) -> None:
-        if self.variant not in _VARIANTS:
+        if self.variant not in VARIANTS:
             raise ValueError(
-                f"unknown variant {self.variant!r}; expected {_VARIANTS}"
+                f"unknown variant {self.variant!r}; expected {VARIANTS}"
             )
         if self.attack_start >= self.duration:
             raise ValueError(

@@ -54,7 +54,7 @@ from .world import World, WorldConfig, build_world
 UNPROTECTED = "unprotected"
 DESTINATION_SURGE_DEFENSE = "destination-surge"
 
-_VARIANTS = (UNPROTECTED, DESTINATION_SURGE_DEFENSE)
+VARIANTS = (UNPROTECTED, DESTINATION_SURGE_DEFENSE)
 
 DESTINATION_CAP_RULE = "notify-per-destination"
 
@@ -90,9 +90,9 @@ class CaseEConfig:
     response_poll: float = 5 * MINUTE
 
     def __post_init__(self) -> None:
-        if self.variant not in _VARIANTS:
+        if self.variant not in VARIANTS:
             raise ValueError(
-                f"unknown variant {self.variant!r}; expected {_VARIANTS}"
+                f"unknown variant {self.variant!r}; expected {VARIANTS}"
             )
         if self.attack_start >= self.duration:
             raise ValueError(

@@ -85,6 +85,10 @@ class LearnedCaseConfig:
                 f"unknown variant {self.variant!r}; "
                 f"expected {LEARNED_VARIANTS}"
             )
+        if self.training_worlds < 1:
+            raise ValueError(
+                f"training_worlds must be >= 1: {self.training_worlds}"
+            )
 
 
 def variant_case_config(

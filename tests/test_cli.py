@@ -1,8 +1,27 @@
 """Tests for the command-line interface."""
 
+import argparse
+import itertools
+
 import pytest
 
-from repro.cli import _parse_param, build_parser, main
+from repro.cli import SCENARIO_COMMANDS, _parse_param, build_parser, main
+
+
+def _subparser(command):
+    parser = build_parser()
+    action = next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return action.choices[command]
+
+
+def _action(command, dest):
+    return next(
+        action for action in _subparser(command)._actions
+        if action.dest == dest
+    )
 
 
 class TestParser:
@@ -263,3 +282,186 @@ class TestRunnerRouting:
     def test_profile_rejects_unknown_case_at_parse_time(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["profile", "case-z"])
+
+    # Every runner-capable command, with the spec it handed the runner
+    # before the scenario commands became one table.  The base's config
+    # hash and the master seed derive every replication's seed, so a
+    # change here changes the numbers a replicated run prints.
+    @pytest.mark.parametrize("argv, scenario, base, reps, seed, kwargs", [
+        (["case-a", "--reps", "3"], "case-a", {}, 3, 7,
+         {"workers": 1, "cache_dir": None, "shards": 1}),
+        (["case-b", "--shards", "4"], "case-b", {}, 1, 11,
+         {"workers": 1, "cache_dir": None, "shards": 4}),
+        (["case-c", "--workers", "2", "--scale", "10", "--variant",
+          "per-ref"], "case-c",
+         {"variant": "per-ref", "baseline_weekly_total": 4800}, 1, 1,
+         {"workers": 2, "cache_dir": None, "shards": 1}),
+        (["case-c", "--reps", "2"], "case-c",
+         {"variant": "unprotected", "baseline_weekly_total": 48000}, 2, 1,
+         {"workers": 1, "cache_dir": None, "shards": 1}),
+        (["case-d", "--reps", "2", "--variant", "number-reputation"],
+         "case-d", {"variant": "number-reputation"}, 2, 11,
+         {"workers": 1, "cache_dir": None, "shards": 1}),
+        (["case-e", "--reps", "2", "--seed", "5"], "case-e",
+         {"variant": "unprotected"}, 2, 5,
+         {"workers": 1, "cache_dir": None, "shards": 1}),
+        (["portfolio", "--reps", "2", "--defense", "case-d"],
+         "portfolio-adaptive", {"defense": "case-d"}, 2, 17,
+         {"workers": 1, "cache_dir": None, "shards": 1}),
+        (["graph", "case-a", "--reps", "2", "--ticks-short"],
+         "graph-case-a", {"ticks_short": True}, 2, 7,
+         {"workers": 1, "cache_dir": None, "shards": 1}),
+        (["graph", "case-c", "--shards", "2", "--cache-dir", "cells"],
+         "graph-case-c", {"ticks_short": False}, 1, 7,
+         {"workers": 1, "cache_dir": "cells", "shards": 2}),
+        (["stream", "--reps", "2", "--honeypot"], "stream-case-a",
+         {"streaming": True, "honeypot_mode": True}, 2, 7,
+         {"workers": 1, "cache_dir": None, "shards": 1}),
+        (["stream", "--workers", "2", "--no-streaming"], "stream-case-a",
+         {"streaming": False, "honeypot_mode": False}, 1, 7,
+         {"workers": 2, "cache_dir": None, "shards": 1}),
+        (["profile", "case-b", "--reps", "2", "--ticks-short"],
+         "profile-case-b",
+         {"duration": 259200.0, "visitor_rate_per_hour": 5.0,
+          "automated_attack_start": 86400.0,
+          "manual_attack_start": 86400.0, "automated_target_seats": 30},
+         2, 11, {"workers": 1, "cache_dir": None, "shards": 1}),
+        (["profile", "case-a", "--reps", "2", "--shards", "4"],
+         "profile-case-a", {}, 2, 7,
+         {"workers": 1, "cache_dir": None, "shards": 4}),
+    ])
+    def test_routes_to_the_runner(
+        self, sweep_calls, argv, scenario, base, reps, seed, kwargs
+    ):
+        with pytest.raises(_Stop):
+            main(argv)
+        (spec, passed), = sweep_calls
+        assert spec.scenario == scenario
+        assert dict(spec.base) == base
+        assert dict(spec.grid) == {}
+        assert spec.replications == reps
+        assert spec.master_seed == seed
+        assert passed == kwargs
+
+    def test_key_error_inside_a_cell_propagates(self, monkeypatch):
+        # Only an unknown scenario name is a usage error; a KeyError
+        # raised by the scenario itself is a bug and must surface.
+        from repro.runner import ScenarioEntry, get_scenario, registry
+
+        def broken_cell(config):
+            raise KeyError("boom")
+
+        entry = get_scenario("case-b")
+        monkeypatch.setitem(
+            registry._REGISTRY, "case-b",
+            ScenarioEntry("case-b", entry.config_cls, broken_cell),
+        )
+        with pytest.raises(KeyError, match="boom"):
+            main(["case-b", "--reps", "2"])
+
+
+class TestScenarioTable:
+    """The scenario commands are rows of one table; pin what it reads."""
+
+    def test_each_row_scenario_is_registered_for_every_choice(self):
+        from repro.cli import _NAME
+        from repro.runner import get_scenario
+
+        routed = [row for row in SCENARIO_COMMANDS if row.scenario]
+        assert {row.name for row in routed} == {
+            "case-a", "case-b", "case-c", "case-d", "case-e",
+            "portfolio", "graph", "stream",
+        }
+        for row in routed:
+            named = [o for o in row.options if o.role == _NAME]
+            for values in itertools.product(
+                *(o.kwargs["choices"] for o in named)
+            ):
+                name = row.scenario.format(
+                    **{o.field: v for o, v in zip(named, values)}
+                )
+                assert get_scenario(name).config_cls is row.config_cls
+
+    def test_choices_are_the_scenario_constants(self):
+        from repro.ml.train import MODEL_CHOICES
+        from repro.obs.profile import PROFILED_CASES
+        from repro.scenarios import case_c, case_d, case_e
+        from repro.scenarios.graph_case import GRAPH_CASES
+        from repro.scenarios.learned import LEARNED_VARIANTS
+        from repro.scenarios.portfolio import DEFENSES
+
+        expected = {
+            ("case-c", "variant"): case_c.VARIANTS,
+            ("case-d", "variant"): case_d.VARIANTS,
+            ("case-e", "variant"): case_e.VARIANTS,
+            ("portfolio", "defense"): DEFENSES,
+            ("graph", "case"): GRAPH_CASES,
+            ("profile", "case"): PROFILED_CASES,
+            ("train", "variant"): LEARNED_VARIANTS,
+            ("train", "model"): MODEL_CHOICES,
+            ("predict", "variant"): LEARNED_VARIANTS,
+        }
+        for (command, dest), constant in expected.items():
+            assert tuple(_action(command, dest).choices) == tuple(constant)
+
+    @pytest.mark.parametrize("command", ["scenarios", "replay", "serve"])
+    def test_no_seed_where_nothing_reads_it(self, command):
+        assert "seed" not in {a.dest for a in _subparser(command)._actions}
+
+    def test_sweep_help_lists_the_registry(self):
+        from repro.runner import scenario_names
+
+        help_text = _action("sweep", "scenario").help
+        for name in scenario_names():
+            assert name in help_text
+
+
+class TestInputValidation:
+    """Inputs that used to be dropped or reach a traceback now exit 2."""
+
+    RUNNER_COMMANDS = [
+        ["case-a"], ["case-b"], ["case-c"], ["case-d"], ["case-e"],
+        ["portfolio"], ["graph", "case-a"], ["stream"],
+        ["profile", "case-b", "--ticks-short"],
+        ["sweep", "--scenario", "case-b"],
+    ]
+
+    @pytest.mark.parametrize("flag", ["--reps", "--workers", "--shards"])
+    @pytest.mark.parametrize(
+        "command", RUNNER_COMMANDS, ids=lambda argv: argv[0]
+    )
+    def test_runner_flags_must_be_positive(self, command, flag, capsys):
+        for value in ("0", "-1"):
+            with pytest.raises(SystemExit) as exit_:
+                main(command + [flag, value])
+            assert exit_.value.code == 2
+            assert "must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--reps", "--workers", "--shards"])
+    def test_capture_rejected_with_the_runner(self, flag, tmp_path, capsys):
+        trace = tmp_path / "run.rptr"
+        with pytest.raises(SystemExit) as exit_:
+            main(["stream", "--capture", str(trace), flag, "2"])
+        assert exit_.value.code == 2
+        assert "--capture" in capsys.readouterr().err
+        assert not trace.exists()
+
+    @pytest.mark.parametrize("command", ["table1", "case-c"])
+    @pytest.mark.parametrize("scale", ["0", "-1"])
+    def test_scale_must_be_positive(self, command, scale, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--scale", scale])
+        assert exit_.value.code == 2
+        assert "must be > 0" in capsys.readouterr().err
+
+    def test_train_needs_a_training_world(self, tmp_path):
+        from repro.scenarios.learned import LearnedCaseConfig
+
+        with pytest.raises(ValueError, match="training_worlds"):
+            LearnedCaseConfig(training_worlds=0)
+        out = tmp_path / "model.rpml"
+        with pytest.raises(SystemExit) as exit_:
+            main(["train", "--worlds", "0", "--ticks-short",
+                  "--out", str(out)])
+        assert "training_worlds must be >= 1" in str(exit_.value.code)
+        assert not out.exists()
