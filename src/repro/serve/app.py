@@ -26,6 +26,13 @@ Error mapping: malformed JSON / bad events / out-of-order times / trace
 corruption → 400; ingest seq mismatch and ingest-after-finish → 409
 (with the authoritative ``events_ingested`` so clients resync); unknown
 path → 404; wrong method → 405.
+
+A failed state-store write (any route that journals or checkpoints) →
+503 with ``events_ingested``, the durable count to resume from: the
+store rolled the write back, so memory and disk agree on it.  After a
+failed journal commit the count is unchanged and the client resends
+the same batch with the same ``seq``; after a checkpoint that failed
+behind an applied batch, the count already includes that batch.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from ..trace.format import TraceCorruption
 from .codec import CodecError
 from .http import BadRequest, HttpRequest, HttpResponse
 from .service import DetectionService, SeqConflict, ServiceFinished
+from .state import StateStoreError
 
 Handler = Callable[[HttpRequest], HttpResponse]
 
@@ -103,6 +111,11 @@ class ServeApp:
                 str(error),
                 events_ingested=self.service.events_ingested,
                 finished=True,
+            )
+        except StateStoreError as error:
+            return HttpResponse.error(
+                503, str(error),
+                events_ingested=self.service.events_ingested,
             )
 
     # -- handlers --------------------------------------------------------------

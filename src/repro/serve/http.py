@@ -29,6 +29,7 @@ _STATUS_TEXT = {
     409: "Conflict",
     413: "Payload Too Large",
     500: "Internal Server Error",
+    503: "Service Unavailable",
 }
 
 

@@ -141,7 +141,10 @@ class DetectionService:
     Write protocol per batch: validate everything up front
     (:func:`~repro.serve.codec.parse_events`), journal + commit, then
     apply to the pipeline — so no acknowledged event can be lost and no
-    half-applied batch can diverge memory from disk.
+    half-applied batch can diverge memory from disk.  A failed journal
+    commit is rolled back and raises
+    :class:`~repro.serve.state.StateStoreError` before anything is
+    applied, so the same batch can be resent with the same ``seq``.
     """
 
     def __init__(

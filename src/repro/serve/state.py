@@ -4,7 +4,7 @@ Durability model (classic checkpoint/WAL):
 
 * every acknowledged event is first appended to the ``journal`` table
   and **committed** — an ack therefore promises the event survives a
-  ``SIGKILL``;
+  ``SIGKILL``, and (``synchronous=FULL``) a power loss;
 * every ``checkpoint_interval`` events the service pickles its full
   in-memory detection core (pipeline, adapters, graph, fusion — all
   pure deterministic Python state) into the ``snapshots`` table and
@@ -16,24 +16,60 @@ Durability model (classic checkpoint/WAL):
   process is *bit-identical* to an uninterrupted run over the same
   acknowledged prefix — the recovery-equivalence test pins this.
 
+On disk the database runs in SQLite's WAL mode at ``synchronous=FULL``,
+so the store is three files: ``<db>``, ``<db>-wal`` and ``<db>-shm``.
+A commit appends the transaction's pages to ``-wal`` and syncs that
+one file: one fsync per acknowledged ingest batch, where the rollback
+journal synced a ``-journal`` file and the database on every commit.
+At the end of every snapshot the store folds the WAL back into the
+database and truncates it (``wal_checkpoint(TRUNCATE)``), so ``-wal``
+holds at most one checkpoint interval of journal batches plus one
+snapshot.  The fold never waits: while an operator's reader pins an
+older snapshot it copies what it can and the next snapshot finishes
+the job.  Readers and the writer do not block each other — an open
+read transaction keeps seeing its snapshot while ingest commits.
+
+Every write transaction is all-or-nothing: on any error it is rolled
+back, and a failed ``sqlite3`` call surfaces as
+:class:`StateStoreError`, so a failed commit leaves neither a wedged
+transaction nor rows the live pipeline never applied.
+
+A snapshot blob is an envelope: magic, format version and the SHA-256
+of the pickle, then the pickle.  A truncated or corrupt blob fails the
+digest check and raises :class:`StateStoreError` instead of
+unpickling into a silently different core.
+
 Alongside the authoritative blob+journal, checkpoints also write the
 queryable derived tables (``verdicts``, ``campaigns``, ``entities``)
 so an operator can inspect the last checkpointed detection state with
-plain SQL while the server is down.
+plain SQL, while the server runs or after it stops.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import pickle
 import sqlite3
-from typing import Dict, List, Optional, Tuple
+import struct
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..web.logs import LogEntry
 from .codec import ENTRY_FIELDS, entry_from_row, entry_to_row
 
-#: Bumped when the on-disk schema changes.
-SCHEMA_VERSION = 1
+#: Bumped when the on-disk schema changes (2: enveloped snapshots).
+SCHEMA_VERSION = 2
+
+#: How long a write waits on another connection's lock (SQLite's
+#: ``busy_timeout``; Python's default ``timeout=5.0``).
+BUSY_TIMEOUT_MS = 5000
+
+#: Snapshot envelope: magic, format version, SHA-256 of the pickle.
+SNAPSHOT_MAGIC = b"RPSN"
+SNAPSHOT_FORMAT = 1
+_ENVELOPE = struct.Struct(">4sH32s")
 
 _SCHEMA = f"""
 CREATE TABLE IF NOT EXISTS meta (
@@ -75,18 +111,27 @@ CREATE TABLE IF NOT EXISTS entities (
 
 
 class StateStoreError(Exception):
-    """The database is unusable (wrong schema version, corrupt blob)."""
+    """The database is unusable (wrong schema version or journal mode,
+    corrupt snapshot) or a write failed and was rolled back."""
 
 
 class StateStore:
     """One SQLite database holding a detection service's durable state.
 
+    Opened in WAL mode at ``synchronous=FULL`` (see the module
+    docstring): one fsync per commit, acks durable against power loss,
+    and operators' SQL readers never block the writer.  A database
+    that will not switch to WAL raises :class:`StateStoreError`.
+
     All writes happen on the event-loop thread; SQLite's default
     serialized mode plus one connection per store keeps this simple.
-    ``commit`` batching is the caller's choice: :meth:`append_events`
-    commits by default (ingest-path durability), but bulk replay may
-    pass ``commit=False`` and :meth:`commit` every N events — the
-    throughput/durability dial the benchmark exercises.
+    Every write method is one transaction that either commits whole or
+    rolls back and raises :class:`StateStoreError`.  ``commit``
+    batching is the caller's choice: :meth:`append_events` commits by
+    default (ingest-path durability), but bulk replay may pass
+    ``commit=False`` and :meth:`commit` every N events — the
+    throughput/durability dial the benchmark exercises.  A failure in
+    such an open batch rolls back every uncommitted append.
     """
 
     def __init__(self, path: str) -> None:
@@ -95,17 +140,33 @@ class StateStore:
         # caller funnels through the single service/event-loop thread),
         # but the *constructing* thread may differ from the serving one
         # (test harnesses build the server, then run it on a thread).
-        self._conn = sqlite3.connect(path, check_same_thread=False)
+        self._conn = sqlite3.connect(
+            path, timeout=BUSY_TIMEOUT_MS / 1000, check_same_thread=False
+        )
+        try:
+            self._open()
+        except BaseException:
+            self._conn.close()
+            raise
+
+    def _open(self) -> None:
+        mode = self._conn.execute("PRAGMA journal_mode=WAL").fetchone()[0]
+        if mode != "wal":
+            raise StateStoreError(
+                f"{self.path}: SQLite refused WAL mode "
+                f"(journal_mode is {mode!r})"
+            )
+        self._conn.execute("PRAGMA synchronous=FULL")
         self._conn.executescript(_SCHEMA)
         existing = self.get_meta("schema_version")
         if existing is None:
-            self.set_meta("schema_version", str(SCHEMA_VERSION))
+            with self._transaction("schema version write"):
+                self.set_meta("schema_version", str(SCHEMA_VERSION))
         elif int(existing) != SCHEMA_VERSION:
             raise StateStoreError(
-                f"{path}: schema version {existing} "
+                f"{self.path}: schema version {existing} "
                 f"(this build speaks {SCHEMA_VERSION})"
             )
-        self._conn.commit()
 
     def close(self) -> None:
         self._conn.close()
@@ -115,6 +176,25 @@ class StateStore:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
+
+    @contextmanager
+    def _transaction(self, what: str, commit: bool = True) -> Iterator[None]:
+        """Run the body as (part of) one transaction: commit it when
+        ``commit``, roll it back on any error.  ``sqlite3`` errors
+        surface as :class:`StateStoreError`; others propagate as they
+        are, after the rollback."""
+        try:
+            yield
+            if commit:
+                self._conn.commit()
+        except sqlite3.Error as error:
+            self._conn.rollback()
+            raise StateStoreError(
+                f"{self.path}: {what} failed and was rolled back: {error}"
+            ) from error
+        except BaseException:
+            self._conn.rollback()
+            raise
 
     # -- meta -----------------------------------------------------------------
 
@@ -140,19 +220,19 @@ class StateStore:
         commit: bool = True,
     ) -> None:
         """Append ``entries`` as seq ``first_seq..first_seq+n-1``."""
-        self._conn.executemany(
-            f"INSERT INTO journal (seq, {', '.join(ENTRY_FIELDS)}) "
-            f"VALUES ({', '.join('?' * (len(ENTRY_FIELDS) + 1))})",
-            [
-                (first_seq + offset,) + entry_to_row(entry)
-                for offset, entry in enumerate(entries)
-            ],
-        )
-        if commit:
-            self._conn.commit()
+        with self._transaction("journal append", commit):
+            self._conn.executemany(
+                f"INSERT INTO journal (seq, {', '.join(ENTRY_FIELDS)}) "
+                f"VALUES ({', '.join('?' * (len(ENTRY_FIELDS) + 1))})",
+                [
+                    (first_seq + offset,) + entry_to_row(entry)
+                    for offset, entry in enumerate(entries)
+                ],
+            )
 
     def commit(self) -> None:
-        self._conn.commit()
+        with self._transaction("commit"):
+            pass
 
     def journal_tail(self, after_seq: int) -> List[Tuple[int, LogEntry]]:
         """Every journaled ``(seq, entry)`` with ``seq > after_seq``."""
@@ -191,40 +271,89 @@ class StateStore:
         created_at: float,
         derived: Optional[Dict[str, object]] = None,
     ) -> int:
-        """Checkpoint: persist the pickled core at ``seq``, drop the
-        journal prefix it covers and any older snapshot, and rewrite
-        the derived query tables — one atomic transaction, so a kill
-        mid-checkpoint leaves the previous checkpoint intact."""
-        blob = pickle.dumps(core, protocol=pickle.HIGHEST_PROTOCOL)
-        self._conn.execute(
-            "INSERT INTO snapshots (seq, created_at, pipeline) "
-            "VALUES (?, ?, ?)",
-            (seq, created_at, sqlite3.Binary(blob)),
-        )
-        self._conn.execute(
-            "DELETE FROM snapshots WHERE id NOT IN "
-            "(SELECT id FROM snapshots ORDER BY id DESC LIMIT 1)"
-        )
-        self._conn.execute("DELETE FROM journal WHERE seq <= ?", (seq,))
-        if derived is not None:
-            self._write_derived(derived)
-        self._conn.commit()
-        return len(blob)
+        """Checkpoint: persist the enveloped pickle of ``core`` at
+        ``seq``, drop the journal prefix it covers and any older
+        snapshot, and rewrite the derived query tables — one atomic
+        transaction, so a kill or a failed write mid-checkpoint leaves
+        the previous checkpoint intact.  Then fold the WAL into the
+        database.  Returns the blob's size in bytes."""
+        # The pickle goes straight into the envelope's buffer behind a
+        # placeholder header, then the header is filled in: no second
+        # copy of a blob that can run to megabytes.
+        buffer = io.BytesIO()
+        buffer.write(bytes(_ENVELOPE.size))
+        pickle.dump(core, buffer, protocol=pickle.HIGHEST_PROTOCOL)
+        with buffer.getbuffer() as blob:
+            digest = hashlib.sha256(blob[_ENVELOPE.size:]).digest()
+            _ENVELOPE.pack_into(
+                blob, 0, SNAPSHOT_MAGIC, SNAPSHOT_FORMAT, digest
+            )
+            with self._transaction("snapshot write"):
+                self._conn.execute(
+                    "INSERT INTO snapshots (seq, created_at, pipeline) "
+                    "VALUES (?, ?, ?)",
+                    (seq, created_at, blob),
+                )
+                self._conn.execute(
+                    "DELETE FROM snapshots WHERE id NOT IN "
+                    "(SELECT id FROM snapshots ORDER BY id DESC LIMIT 1)"
+                )
+                self._conn.execute(
+                    "DELETE FROM journal WHERE seq <= ?", (seq,)
+                )
+                if derived is not None:
+                    self._write_derived(derived)
+            size = len(blob)
+        self._fold_wal()
+        return size
+
+    def _fold_wal(self) -> None:
+        """Copy the WAL into the database and truncate it to 0 bytes,
+        without waiting: a reader pinning an older snapshot leaves the
+        rest of the WAL to the next fold."""
+        self._conn.execute("PRAGMA busy_timeout = 0")
+        try:
+            self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)").fetchone()
+        except sqlite3.Error as error:
+            raise StateStoreError(
+                f"{self.path}: WAL fold failed: {error}"
+            ) from error
+        finally:
+            self._conn.execute(f"PRAGMA busy_timeout = {BUSY_TIMEOUT_MS}")
 
     def load_snapshot(self) -> Optional[Tuple[int, object]]:
         """Latest ``(seq, unpickled core)``; ``None`` if never
-        checkpointed."""
+        checkpointed.  A blob whose envelope or digest does not check
+        out raises :class:`StateStoreError`."""
         row = self._conn.execute(
             "SELECT seq, pipeline FROM snapshots ORDER BY id DESC LIMIT 1"
         ).fetchone()
         if row is None:
             return None
+        seq, blob = int(row[0]), row[1]
+        if len(blob) < _ENVELOPE.size:
+            raise StateStoreError(
+                f"{self.path}: snapshot blob truncated to "
+                f"{len(blob)} bytes"
+            )
+        magic, version, digest = _ENVELOPE.unpack_from(blob)
+        if magic != SNAPSHOT_MAGIC or version != SNAPSHOT_FORMAT:
+            raise StateStoreError(
+                f"{self.path}: snapshot envelope {magic!r} v{version} "
+                f"(this build reads {SNAPSHOT_MAGIC!r} v{SNAPSHOT_FORMAT})"
+            )
+        body = memoryview(blob)[_ENVELOPE.size:]
+        if hashlib.sha256(body).digest() != digest:
+            raise StateStoreError(
+                f"{self.path}: snapshot digest mismatch "
+                f"(blob truncated or corrupt)"
+            )
         try:
-            return int(row[0]), pickle.loads(row[1])
-        except Exception as error:  # corrupt blob: fail loudly
+            return seq, pickle.loads(body)
+        except Exception as error:  # digest ok, code moved on: fail loudly
             raise StateStoreError(
                 f"{self.path}: cannot unpickle snapshot: {error}"
-            )
+            ) from error
 
     # -- derived query tables --------------------------------------------------
 

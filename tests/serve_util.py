@@ -15,6 +15,7 @@ kill/restart recovery test needs a real PID for.
 from __future__ import annotations
 
 import os
+import sqlite3
 import subprocess
 import sys
 import time
@@ -98,6 +99,26 @@ def campaign_entries(
             clock += 45.0
         clock += 2_400.0
     return entries
+
+
+class FailingCommits:
+    """Stands in for a :class:`StateStore`'s connection and fails its
+    next ``failures`` commits the way a lock timeout does; every other
+    call goes to the real connection.  Install with
+    ``store._conn = FailingCommits(store._conn)``."""
+
+    def __init__(self, conn: sqlite3.Connection, failures: int = 1) -> None:
+        self._conn = conn
+        self.failures = failures
+
+    def commit(self) -> None:
+        if self.failures > 0:
+            self.failures -= 1
+            raise sqlite3.OperationalError("database is locked")
+        self._conn.commit()
+
+    def __getattr__(self, name: str):
+        return getattr(self._conn, name)
 
 
 def write_trace(path, entries: Sequence[LogEntry], meta=None) -> str:

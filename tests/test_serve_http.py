@@ -17,7 +17,9 @@ from repro.serve.http import HttpRequest, HttpResponse
 from repro.serve.server import DetectionServer
 from repro.serve.service import ingest_payload
 
-from tests.serve_util import campaign_entries, make_entry, write_trace
+from tests.serve_util import (
+    FailingCommits, campaign_entries, make_entry, write_trace,
+)
 
 
 @pytest.fixture()
@@ -158,6 +160,23 @@ class TestErrorMapping:
             client.ingest(events, seq=0)
         assert exc_info.value.status == 409
         assert exc_info.value.payload["events_ingested"] == 2
+
+    def test_failed_store_write_503_carries_count(self, served):
+        """A failed commit answers 503 with the durable count; the
+        store rolled it back, so the same batch and seq go through
+        once the store recovers."""
+        server, client = served
+        events = ingest_payload([make_entry(1.0), make_entry(2.0)])
+        client.ingest(events[:1], seq=0)
+        server.store._conn = FailingCommits(server.store._conn, failures=2)
+        for send in (lambda: client.ingest(events[1:], seq=1),
+                     client.snapshot):
+            with pytest.raises(ServeClientError) as exc_info:
+                send()
+            assert exc_info.value.status == 503
+            assert exc_info.value.payload["events_ingested"] == 1
+        assert client.ingest(events[1:], seq=1)["events_ingested"] == 2
+        assert client.snapshot()["snapshot_seq"] == 2
 
     def test_corrupt_trace_400_state_unharmed(self, served, tmp_path):
         server, client = served
