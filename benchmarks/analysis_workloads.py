@@ -54,7 +54,7 @@ from repro.graph.propagation import compile_graph, propagate
 from repro.obs.profile import PROFILED_CASES, short_overrides
 from repro.runner import SweepSpec, run_sweep
 from repro.scenarios.graph_case import GraphCaseConfig, run_graph_case
-from repro.web.logs import WebLog, sessionize
+from repro.web.logs import WebLog
 from repro.web.request import (
     BOARDING_PASS_SMS,
     FLIGHT_DETAILS,
@@ -65,6 +65,7 @@ from repro.web.request import (
     TRAP,
 )
 from tests.propagation_oracle import propagate_dict
+from tests.session_oracle import sessionize
 
 
 def _scaled(full: int, quick: int) -> int:

@@ -10,8 +10,8 @@ proves it on Case A, end to end:
    cannot tell a replayed stream from a live one) and report the
    replay throughput with the simulation cost stripped away;
 3. rebuild the full log from the trace, run the *batch* pipeline
-   (sessionize + judge) on it, and check the streaming session
-   verdicts are identical — same sessions, same scores, same
+   (`SessionIndex` + `judge_index`) on it, and check the streaming
+   session verdicts are identical — same sessions, same scores, same
    convictions;
 4. peek at the memory story: the streaming run held only the open
    sessions, never the whole log.

@@ -856,7 +856,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     from .ml.train import TrainConfig, train_model
     from .scenarios.learned import (
         LearnedCaseConfig,
-        build_training_store,
+        build_training_dataset,
     )
 
     _default_seed(args, LearnedCaseConfig)
@@ -878,10 +878,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
         )
     except ValueError as error:
         raise SystemExit(f"error: {error}")
-    store = build_training_store(case_config)
+    dataset = build_training_dataset(case_config)
     if args.store:
-        store.save(args.store)
-    dataset = store.to_dataset()
+        dataset.save(args.store)
     result = train_model(dataset, train_config)
     save_model(args.out, result.model, meta=result.meta)
     print(render_table(
@@ -914,9 +913,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .analysis.evaluation import evaluate_verdicts
+    from .ml.data import Dataset
     from .ml.detector import LearnedSessionDetector
     from .ml.io import ModelFormatError, load_model
-    from .ml.store import FeatureStore
 
     try:
         model, meta = load_model(args.model_file)
@@ -925,7 +924,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     detector = LearnedSessionDetector(model)
 
     if args.store:
-        dataset = FeatureStore.load(args.store).to_dataset()
+        dataset = Dataset.load(args.store)
         probabilities = model.predict_proba(dataset)
         flagged = probabilities >= model.threshold
         rows = [

@@ -55,7 +55,6 @@ from .passenger_details import (
 )
 from .rotation import (
     LinkedEntity,
-    UnionFind,
     link_booking_records,
     link_sms_records,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "PassengerFinding",
     "REPEATED_NAME",
     "LinkedEntity",
-    "UnionFind",
     "link_booking_records",
     "link_sms_records",
     "Verdict",

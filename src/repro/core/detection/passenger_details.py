@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from ...booking.passengers import edit_distance, gibberish_score
 from ...booking.reservation import BookingRecord
-from .rotation import UnionFind
+from ...graph.unionfind import UnionFind
 
 # Finding kinds.
 GIBBERISH_NAMES = "gibberish-names"

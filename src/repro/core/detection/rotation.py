@@ -21,7 +21,6 @@ from ...sms.gateway import SmsRecord
 
 __all__ = [
     "LinkedEntity",
-    "UnionFind",  # re-exported for compatibility; lives in repro.graph
     "link_booking_records",
     "link_sms_records",
 ]

@@ -6,8 +6,9 @@ the *ingest* side columnar; this module makes the *read* side match:
 (:meth:`repro.web.logs.WebLog.columns`) and computes, without ever
 materialising a ``LogEntry`` or ``Session``,
 
-* the exact session partition :func:`repro.web.logs.sessionize`
-  produces — same session ids, same member entries, same output
+* the exact session partition of the per-entry reference sessionizer
+  (``sessionize`` in ``tests/session_oracle.py``) — same session ids,
+  same member entries, same output
   order — via a stable sort on the interned ``(ip, fingerprint)``
   key instead of a per-entry Python loop;
 * the full 16-column :data:`~repro.core.detection.features.

@@ -50,7 +50,7 @@ from .entities import (
     EntityId,
 )
 from .propagation import PropagationConfig, PropagationResult, propagate
-from .stream import GraphStreamAdapter, RecordFeed
+from .stream import GraphStreamAdapter
 from .unionfind import KeyedUnionFind, UnionFind
 
 __all__ = [
@@ -75,7 +75,6 @@ __all__ = [
     "PHONE",
     "PropagationConfig",
     "PropagationResult",
-    "RecordFeed",
     "SESSION",
     "SUBNET",
     "UnionFind",

@@ -1,20 +1,21 @@
-"""Learned detection arm: feature store, model ladder, training.
+"""Learned detection arm: datasets, model ladder, training.
 
 ``repro.ml`` holds everything trainable: the shared constant-column-safe
-:class:`~repro.ml.standardize.Standardiser`, sequence/feature dataset
-encoding, the model ladder (logistic baseline, MLP head, attention
-encoder over per-session event sequences), the versioned on-disk model
-format, and the deterministic training loop behind ``repro train`` /
+:class:`~repro.ml.standardize.Standardiser`, the
+:class:`~repro.ml.data.Dataset` of feature vectors and event sequences
+(built from a ``SessionIndex``, persisted as one ``.npz``), the model
+ladder (logistic baseline, MLP head, attention encoder over
+per-session event sequences), the versioned on-disk model format, and
+the deterministic training loop behind ``repro train`` /
 ``repro predict``.
 """
 
-from .data import Dataset, build_dataset, encode_sequence
+from .data import Dataset, build_dataset_columnar, encode_sequence
 from .detector import LEARNED_DETECTOR, LearnedSessionDetector
 from .encoder import SequenceEncoder
 from .io import load_model, save_model
 from .models import LogisticHead, MLPHead, TrainReport
 from .standardize import Standardiser
-from .store import FeatureStore, FeatureStoreAdapter
 from .train import (
     TrainConfig,
     TrainResult,
@@ -26,8 +27,6 @@ from .train import (
 
 __all__ = [
     "Dataset",
-    "FeatureStore",
-    "FeatureStoreAdapter",
     "LEARNED_DETECTOR",
     "LearnedSessionDetector",
     "LogisticHead",
@@ -37,7 +36,7 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "TrainResult",
-    "build_dataset",
+    "build_dataset_columnar",
     "config_hash",
     "dataset_digest",
     "encode_sequence",

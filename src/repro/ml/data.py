@@ -3,7 +3,7 @@
 The payoff of owning the traffic generator is labeled data: every
 simulated session carries ground truth, so the learned arm can train on
 synthetic traces instead of hand-labelled production samples.  This
-module turns reconstructed sessions into the two model inputs:
+module holds the two model inputs:
 
 * the :data:`~repro.core.detection.features.FEATURE_NAMES` vector the
   whole behaviour-detection stack already shares, and
@@ -15,20 +15,20 @@ module turns reconstructed sessions into the two model inputs:
   endpoint counts but obvious as a sequence.
 
 Token ids, paddings and sequence length are frozen constants so a
-model trained today can score sequences encoded tomorrow.
+model trained today can score sequences encoded tomorrow.  Batches are
+built from a :class:`~repro.core.detection.session_index.SessionIndex`
+by :func:`build_dataset_columnar`; :func:`encode_sequence` encodes one
+session at a time for the stream's per-session judge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.detection.features import (
-    FEATURE_NAMES,
-    extract_features,
-)
 from ..web.logs import Session
 from ..web.request import (
     BOARDING_PASS_SMS,
@@ -150,49 +150,29 @@ class Dataset:
             ),
         )
 
-
-def build_dataset(
-    sessions: Sequence[Session],
-    labels: Optional[Sequence[bool]] = None,
-    with_truth: bool = False,
-) -> Dataset:
-    """Encode sessions into a :class:`Dataset`.
-
-    ``labels`` supplies explicit ground truth; ``with_truth=True``
-    reads it from the simulation labels instead (training on our own
-    generator).  With neither, the dataset is unlabelled.
-    """
-    sessions = list(sessions)
-    if labels is not None and len(labels) != len(sessions):
-        raise ValueError(
-            f"{len(sessions)} sessions but {len(labels)} labels"
+    def save(self, path: Union[str, Path]) -> None:
+        """Persist as one compressed ``.npz`` (the ``--store`` file)."""
+        np.savez_compressed(
+            path,
+            session_ids=np.array(self.session_ids, dtype=np.str_),
+            actor_classes=np.array(self.actor_classes, dtype=np.str_),
+            features=self.features,
+            tokens=self.tokens,
+            gaps=self.gaps,
+            labels=self.labels,
         )
-    n = len(sessions)
-    features = np.zeros((n, len(FEATURE_NAMES)))
-    tokens = np.full(
-        (n, MAX_SEQUENCE_LENGTH), PAD_TOKEN, dtype=np.int16
-    )
-    gaps = np.zeros((n, MAX_SEQUENCE_LENGTH))
-    target = np.full(n, np.nan)
-    actor_classes: List[str] = []
-    for row, session in enumerate(sessions):
-        features[row] = extract_features(session).vector()
-        tokens[row], gaps[row] = encode_sequence(session)
-        if labels is not None:
-            target[row] = float(labels[row])
-        elif with_truth:
-            target[row] = float(session.is_attacker)
-        actor_classes.append(
-            session.actor_class if (with_truth or labels is None) else ""
-        )
-    return Dataset(
-        session_ids=[s.session_id for s in sessions],
-        features=features,
-        tokens=tokens,
-        gaps=gaps,
-        labels=target,
-        actor_classes=actor_classes,
-    )
+
+    @classmethod
+    def load(cls, path: Union[str, Path]) -> "Dataset":
+        with np.load(path, allow_pickle=False) as archive:
+            return cls(
+                session_ids=[str(s) for s in archive["session_ids"]],
+                features=archive["features"],
+                tokens=archive["tokens"],
+                gaps=archive["gaps"],
+                labels=archive["labels"],
+                actor_classes=[str(s) for s in archive["actor_classes"]],
+            )
 
 
 def build_dataset_columnar(
@@ -200,9 +180,13 @@ def build_dataset_columnar(
     labels: Optional[Sequence[bool]] = None,
     with_truth: bool = False,
 ) -> Dataset:
-    """:func:`build_dataset` from a :class:`~repro.core.detection.
-    session_index.SessionIndex` — bit-identical features, tokens, gaps
-    and labels, with no per-session encoding loop.
+    """Encode every session of a :class:`~repro.core.detection.
+    session_index.SessionIndex` into a :class:`Dataset`, in index
+    order, with no per-session encoding loop.
+
+    ``labels`` supplies explicit ground truth; ``with_truth=True``
+    reads it from the simulation labels instead (training on our own
+    generator).  With neither, the dataset is unlabelled.
 
     Arrays are copied out of the index so a caller mutating the
     dataset cannot corrupt the index's caches.

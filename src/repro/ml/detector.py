@@ -14,9 +14,12 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List, Tuple, Union
 
+import numpy as np
+
+from ..core.detection.features import extract_features
 from ..core.detection.verdict import Verdict
 from ..web.logs import Session
-from .data import build_dataset
+from .data import Dataset, build_dataset_columnar, encode_sequence
 from .io import ModelType, load_model
 
 #: Fusion-family name for learned-model verdicts.
@@ -57,7 +60,16 @@ class LearnedSessionDetector:
         )
 
     def judge(self, session: Session) -> Verdict:
-        dataset = build_dataset([session])
+        """Judge one closed session (the stream's per-session path);
+        reads the session's entries only, never its ground truth."""
+        tokens, gaps = encode_sequence(session)
+        dataset = Dataset(
+            session_ids=[session.session_id],
+            features=extract_features(session).vector()[np.newaxis],
+            tokens=tokens[np.newaxis],
+            gaps=gaps[np.newaxis],
+            labels=np.full(1, np.nan),
+        )
         probability = float(self.model.predict_proba(dataset)[0])
         return self._verdict(session.session_id, probability)
 
@@ -65,8 +77,6 @@ class LearnedSessionDetector:
         """Judge every session in a :class:`~repro.core.detection.
         session_index.SessionIndex` — verdict-identical to :meth:`judge`
         per session, via the columnar dataset builder."""
-        from .data import build_dataset_columnar
-
         if not len(index):
             return []
         dataset = build_dataset_columnar(index)

@@ -230,21 +230,12 @@ def _timed(obs: Optional[object], family: str, run: Callable[[], List[Verdict]])
         return run()
 
 
-def run_graph_case(
-    config: Optional[GraphCaseConfig] = None,
-    obs: Optional[object] = None,
-) -> GraphCaseResult:
-    """Run one case study and score both fusion arms on its sessions."""
-    config = config or GraphCaseConfig()
-    case_config, world = _run_case(config)
-    # One columnar pass sessionizes the log and extracts every feature
-    # vector; the matrix families judge straight off it and Session
-    # objects are materialised once, only for the consumers that need
-    # per-entry data (graph builder, evaluation).
-    index = SessionIndex.from_log(world.app.log, obs=obs)
-    sessions = index.sessions()
-
-    # Shared session-level families — identical inputs to both arms.
+def hand_tuned_families(
+    world: World, index: SessionIndex, obs: Optional[object] = None
+) -> List[List[Verdict]]:
+    """The hand-tuned session arm's family verdicts over one index:
+    volume thresholds, k-means clustering and fingerprint rules, each
+    under its ``detect.family.<name>`` timer when ``obs`` is given."""
     volume = _timed(
         obs, "volume-threshold",
         lambda: VolumeDetector().judge_index(index),
@@ -260,7 +251,25 @@ def run_graph_case(
         obs, "fingerprint-rules",
         lambda: _fingerprint_session_verdicts(world, index),
     )
-    base_families = [volume, kmeans, fingerprint]
+    return [volume, kmeans, fingerprint]
+
+
+def run_graph_case(
+    config: Optional[GraphCaseConfig] = None,
+    obs: Optional[object] = None,
+) -> GraphCaseResult:
+    """Run one case study and score both fusion arms on its sessions."""
+    config = config or GraphCaseConfig()
+    case_config, world = _run_case(config)
+    # One columnar pass sessionizes the log and extracts every feature
+    # vector; the matrix families judge straight off it and Session
+    # objects are materialised once, only for the consumers that need
+    # per-entry data (graph builder, evaluation).
+    index = SessionIndex.from_log(world.app.log, obs=obs)
+    sessions = index.sessions()
+
+    # Shared session-level families — identical inputs to both arms.
+    base_families = hand_tuned_families(world, index, obs)
 
     session_fused = FusionDetector().fuse(base_families)
     session_arm = ArmResult(

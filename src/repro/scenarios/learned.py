@@ -14,10 +14,12 @@ hand-tuned session stack exactly where hand tuning struggles —
 
 Training data never comes from the evaluation world: each training
 world's seed is derived from the master seed via the same
-:func:`~repro.sim.rng.derive_seed` scheme the simulator uses, and its
-sessions are captured by a :class:`~repro.ml.store.FeatureStoreAdapter`
-riding the *streaming* pipeline — the learned detector trains behind
-the identical sessionizer it is later judged behind.
+:func:`~repro.sim.rng.derive_seed` scheme the simulator uses.  Each
+world's rows are encoded in one columnar pass over its
+:class:`~repro.core.detection.session_index.SessionIndex` (the same
+partition the streaming sessionizer closes) and ordered by stream
+close order, read off a :class:`~repro.stream.pipeline.StreamPipeline`
+riding the world live.
 
 The comparison is deliberately strict: the hand-tuned arm is the same
 volume + k-means + fingerprint fusion the graph experiment uses as its
@@ -27,30 +29,30 @@ an equal-or-lower false-positive rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..analysis.evaluation import (
     BinaryEvaluation,
     evaluate_verdicts,
     recall_by_class,
 )
-from ..core.detection.clustering import ClusteringDetector
 from ..core.detection.fusion import DEFAULT_WEIGHTS, FusionDetector
 from ..core.detection.session_index import SessionIndex
 from ..core.detection.verdict import Verdict
-from ..core.detection.volume import VolumeDetector
-from ..ml.data import Dataset
+from ..ml.data import Dataset, build_dataset_columnar
 from ..ml.detector import LearnedSessionDetector
-from ..ml.store import FeatureStore, FeatureStoreAdapter
 from ..ml.train import TrainConfig, TrainResult, train_model
 from ..sim.clock import DAY, HOUR
 from ..sim.rng import derive_seed
+from ..stream.adapters import StreamAdapter
 from ..stream.pipeline import StreamPipeline
 from ..traffic.seat_spinner import FIXED_NAME_ROTATING_DOB
 from ..web.logs import Session
 from .case_a import CaseAConfig, run_case_a
-from .graph_case import _fingerprint_session_verdicts
+from .graph_case import hand_tuned_families
 from .world import World
 
 ROTATED = "rotated"
@@ -135,39 +137,63 @@ def variant_case_config(
     return CaseAConfig(**params)
 
 
-def capture_training_store(
-    case_config: CaseAConfig, store: Optional[FeatureStore] = None
-) -> FeatureStore:
-    """Run one world with a feature-store adapter on the live stream."""
-    adapter = FeatureStoreAdapter(store=store, with_truth=True)
-    pipeline = StreamPipeline(adapters=[adapter])
+class _CloseOrder(StreamAdapter):
+    """Records the id of every session the stream closes, in order."""
 
-    run_case_a(
+    name = "close-order"
+
+    def __init__(self) -> None:
+        self.session_ids: List[str] = []
+
+    def on_session_closed(self, session: Session) -> Tuple[Verdict, ...]:
+        self.session_ids.append(session.session_id)
+        return ()
+
+
+def _world_dataset(case_config: CaseAConfig) -> Dataset:
+    """Run one world and encode its labelled sessions, in the order
+    the live stream pipeline closes them."""
+    closed = _CloseOrder()
+    pipeline = StreamPipeline(adapters=[closed])
+    world = run_case_a(
         case_config,
         on_world=lambda world: pipeline.attach(world.app.log),
-    )
+    ).world
     pipeline.finish()
-    return adapter.store
-
-
-def build_training_store(config: LearnedCaseConfig) -> FeatureStore:
-    """Pool streamed sessions from ``training_worlds`` disjoint worlds."""
-    store = FeatureStore()
-    for index in range(config.training_worlds):
-        world_seed = derive_seed(
-            config.seed, f"ml.train-world.{config.variant}.{index}"
-        )
-        capture_training_store(
-            variant_case_config(
-                config.variant, world_seed, config.ticks_short
-            ),
-            store=store,
-        )
-    return store
+    dataset = build_dataset_columnar(
+        SessionIndex.from_log(world.app.log), with_truth=True
+    )
+    row = {
+        session_id: position
+        for position, session_id in enumerate(dataset.session_ids)
+    }
+    return dataset.subset([row[sid] for sid in closed.session_ids])
 
 
 def build_training_dataset(config: LearnedCaseConfig) -> Dataset:
-    return build_training_store(config).to_dataset()
+    """Pool the rows of ``training_worlds`` disjoint-seed worlds."""
+    parts = [
+        _world_dataset(
+            variant_case_config(
+                config.variant,
+                derive_seed(
+                    config.seed, f"ml.train-world.{config.variant}.{index}"
+                ),
+                config.ticks_short,
+            )
+        )
+        for index in range(config.training_worlds)
+    ]
+    return Dataset(
+        session_ids=[sid for part in parts for sid in part.session_ids],
+        features=np.vstack([part.features for part in parts]),
+        tokens=np.vstack([part.tokens for part in parts]),
+        gaps=np.vstack([part.gaps for part in parts]),
+        labels=np.concatenate([part.labels for part in parts]),
+        actor_classes=[
+            actor for part in parts for actor in part.actor_classes
+        ],
+    )
 
 
 @dataclass
@@ -240,12 +266,7 @@ def run_learned_case(
     sessions = index.sessions()
 
     # Hand-tuned arm: identical to the graph experiment's session arm.
-    volume = VolumeDetector().judge_index(index)
-    kmeans = ClusteringDetector(
-        world.rngs.numpy_stream("detector.kmeans")
-    ).judge_index(index)
-    fingerprint = _fingerprint_session_verdicts(world, index)
-    hand_families = [volume, kmeans, fingerprint]
+    hand_families = hand_tuned_families(world, index)
     hand_fused = FusionDetector().fuse(hand_families)
 
     learned_verdicts = LearnedSessionDetector(train.model).judge_index(

@@ -27,8 +27,9 @@ from typing import Dict, List, Optional, Tuple
 from ..core.detection.verdict import Verdict
 from ..graph.campaigns import Campaign
 from ..graph.detector import GraphDetectorConfig
-from ..graph.stream import GraphStreamAdapter, RecordFeed
+from ..graph.stream import GraphStreamAdapter
 from ..scenarios.streaming import build_stream_pipeline
+from ..stream.feed import RecordFeed
 from ..stream.pipeline import StreamPipeline, StreamReport
 from ..trace.replay import read_entries
 from ..web.logs import LogEntry

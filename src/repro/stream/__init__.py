@@ -1,6 +1,6 @@
 """repro.stream — online streaming detection over live request logs.
 
-The batch pipeline (``sessionize`` + detector families) only runs once
+The batch pipeline (``SessionIndex`` + detector families) only runs once
 a scenario has finished writing its :class:`~repro.web.logs.WebLog`.
 This package processes :class:`~repro.web.logs.LogEntry` events *as
 they are emitted*, in bounded memory:
@@ -9,7 +9,7 @@ they are emitted*, in bounded memory:
   with idle eviction and peak-size accounting;
 * :class:`~repro.stream.sessionizer.StreamSessionizer` — incremental
   session reconstruction, exactly equivalent to the batch
-  ``sessionize`` on the same entry stream;
+  ``SessionIndex`` partition of the same entry stream;
 * :mod:`~repro.stream.adapters` — incremental adapters feeding the
   existing detector families, plus fast-path entity detectors that can
   fire while the offending session is still open;

@@ -4,9 +4,9 @@ Two kinds of adapter ride the stream:
 
 * **session adapters** (:class:`SessionDetectorAdapter`) judge each
   session *the moment it closes*, with the unmodified batch detector —
-  so end-of-stream verdicts are identical to running the detector over
-  the batch ``sessionize`` output, which is the equivalence the replay
-  harness asserts;
+  so end-of-stream verdicts are identical to the detector's columnar
+  ``judge_index`` over the batch ``SessionIndex``, which is the
+  equivalence the replay harness asserts;
 * **entity fast paths** (:class:`HoldVelocityAdapter`,
   :class:`SmsVelocityAdapter`) keep sliding per-client tallies and can
   convict *while the session is still open* — the only verdicts that

@@ -7,9 +7,8 @@ families — poll through a :class:`RecordFeed`: a cursor that remembers
 how far it has read and returns only the new tail, O(new) per call, so
 polling from the stream entry hot path stays cheap.
 
-Historically this lived in :mod:`repro.graph.stream`; it moved here so
-:mod:`repro.stream` adapters can use it without a stream→graph import
-cycle (the graph package re-exports it for compatibility).
+It lives here, not in :mod:`repro.graph`, so :mod:`repro.stream`
+adapters can use it without a stream→graph import cycle.
 """
 
 from __future__ import annotations

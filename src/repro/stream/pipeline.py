@@ -29,9 +29,15 @@ from typing import Callable, List, Optional, Protocol, Sequence
 from ..core.detection.fusion import FusionDetector
 from ..core.detection.verdict import Verdict
 from ..web.logs import DEFAULT_IDLE_GAP, LogEntry, Session, WebLog
-from .adapters import SessionJudge, StreamAdapter
+from .adapters import StreamAdapter
 from .fusion import IncrementalFusion
 from .sessionizer import StreamSessionizer
+
+
+class IndexJudge(Protocol):
+    """A batch detector's columnar path over a ``SessionIndex``."""
+
+    def judge_index(self, index) -> List[Verdict]: ...
 
 
 class VerdictSink(Protocol):
@@ -238,16 +244,16 @@ class StreamPipeline:
 
 def batch_session_verdicts(
     log: WebLog,
-    detectors: Sequence[SessionJudge],
+    detectors: Sequence[IndexJudge],
     idle_gap: float = DEFAULT_IDLE_GAP,
 ) -> List[Verdict]:
-    """The batch pipeline the stream is measured against: sessionize
-    the finished log, judge every session with every detector."""
+    """The batch pipeline the stream is measured against: index the
+    finished log once, judge it with every detector's columnar
+    ``judge_index``."""
     from ..core.detection.session_index import SessionIndex
 
-    sessions = SessionIndex.from_log(log, idle_gap=idle_gap).sessions()
+    index = SessionIndex.from_log(log, idle_gap=idle_gap)
     verdicts: List[Verdict] = []
     for detector in detectors:
-        for session in sessions:
-            verdicts.append(detector.judge(session))
+        verdicts.extend(detector.judge_index(index))
     return verdicts

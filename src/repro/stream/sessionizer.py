@@ -1,11 +1,12 @@
 """Incremental session reconstruction.
 
-:class:`StreamSessionizer` is the online mirror of
-:func:`repro.web.logs.sessionize`: feed it the same time-ordered entry
-stream and the set of sessions it emits (closed incrementally plus the
-final :meth:`flush`) is *identical* — same grouping, same idle-gap
-splits, same session ids — while holding only the currently-open
-sessions in memory.
+:class:`StreamSessionizer` is the online mirror of the batch session
+partition (:class:`~repro.core.detection.session_index.SessionIndex`,
+specified by ``sessionize`` in ``tests/session_oracle.py``): feed it
+the same time-ordered entry stream and the set of sessions it emits
+(closed incrementally plus the final :meth:`flush`) is *identical* —
+same grouping, same idle-gap splits, same session ids — while holding
+only the currently-open sessions in memory.
 
 The equivalence argument: both run the same single pass.  The batch
 version closes a session lazily, when the next same-key entry arrives

@@ -1,15 +1,15 @@
 """Web application layer: requests, logs, sessions, rate limits, edge.
 
 The surface every actor interacts with: HTTP-like requests and
-responses (:mod:`repro.web.request`), the append-only web log and
-sessionization (:mod:`repro.web.logs`), rate-limiting primitives and the
+responses (:mod:`repro.web.request`), the append-only web log and its
+session record (:mod:`repro.web.logs`), rate-limiting primitives and the
 keyed rule engine (:mod:`repro.web.ratelimit`), and the application edge
 pipeline with block rules, access policies and CAPTCHA gates
 (:mod:`repro.web.application`).
 """
 
 from .application import BlockRule, WebApplication
-from .logs import DEFAULT_IDLE_GAP, LogEntry, Session, WebLog, sessionize
+from .logs import DEFAULT_IDLE_GAP, LogEntry, Session, WebLog
 from .logstore import ColumnarLogStore
 from .ratelimit import (
     RateLimitEngine,
@@ -52,7 +52,6 @@ __all__ = [
     "LogEntry",
     "Session",
     "WebLog",
-    "sessionize",
     "RateLimitEngine",
     "RateLimitRule",
     "SlidingWindowLimiter",

@@ -2,18 +2,17 @@
 
 Behaviour-based bot detection (Section III-A) starts from web logs
 grouped into user sessions.  :class:`WebLog` records one row per
-request in a columnar store; batch analysis sessionizes it with
-:class:`~repro.core.detection.session_index.SessionIndex`.
-:func:`sessionize` is the per-entry reference reconstruction —
-entries grouped by client identity (IP + fingerprint), split on idle
-gaps, the standard log-analysis pipeline the paper describes — that
-the columnar index and the streaming sessionizer are tested against.
+request in a columnar store.  Sessions are entries grouped by client
+identity (IP + fingerprint) and split on idle gaps, the standard
+log-analysis pipeline the paper describes: batch analysis partitions
+the log with :class:`~repro.core.detection.session_index.SessionIndex`,
+the stream with :class:`~repro.stream.sessionizer.StreamSessionizer`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional
 
 from ..common import ClientRef
 
@@ -239,41 +238,3 @@ class Session:
     def is_attacker(self) -> bool:
         """Ground truth — scoring only."""
         return self.actor_class != "legit"
-
-
-def sessionize(
-    log: WebLog,
-    idle_gap: float = DEFAULT_IDLE_GAP,
-) -> List[Session]:
-    """Group log entries into sessions.
-
-    A session is a maximal run of requests sharing ``(ip, fingerprint)``
-    with no gap larger than ``idle_gap`` — the same reconstruction a
-    defender would run on production logs.  Note the defender-side
-    blind spot this encodes: a bot that rotates IP or fingerprint
-    *starts a new session*, which is exactly why rotation defeats
-    session-level profiling.
-    """
-    if idle_gap <= 0:
-        raise ValueError(f"idle_gap must be positive: {idle_gap}")
-    open_sessions: Dict[Tuple[str, str], Session] = {}
-    finished: List[Session] = []
-    counter = 0
-    for entry in log.iter_entries():
-        key = (entry.client.ip_address, entry.client.fingerprint_id)
-        session = open_sessions.get(key)
-        if session is not None and entry.time - session.end > idle_gap:
-            finished.append(session)
-            session = None
-        if session is None:
-            counter += 1
-            session = Session(
-                session_id=f"S{counter:07d}",
-                ip_address=entry.client.ip_address,
-                fingerprint_id=entry.client.fingerprint_id,
-            )
-            open_sessions[key] = session
-        session.entries.append(entry)
-    finished.extend(open_sessions.values())
-    finished.sort(key=lambda s: s.start)
-    return finished

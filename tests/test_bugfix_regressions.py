@@ -30,9 +30,10 @@ from repro.analysis.evaluation import (
 from repro.common import ClientRef, LEGIT, SCRAPER
 from repro.core.detection.features import FEATURE_NAMES, extract_features
 from repro.core.detection.verdict import Verdict
-from repro.ml import LogisticHead, MLPHead, Standardiser, build_dataset
+from repro.ml import LogisticHead, MLPHead, Standardiser
 from repro.web.logs import LogEntry, Session
 from repro.web.request import SEARCH
+from tests.feature_oracle import build_dataset
 
 
 def make_session(session_id, actor=SCRAPER, entry_count=3):

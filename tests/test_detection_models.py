@@ -11,12 +11,11 @@ from repro.core.detection.clustering import (
     ClusteringDetector,
     kmeans,
 )
-from repro.ml.data import build_dataset
 from repro.ml.detector import LearnedSessionDetector
 from repro.ml.models import LogisticHead
 from repro.web.logs import LogEntry, Session
 from repro.web.request import SEARCH
-from tests.feature_oracle import object_index
+from tests.feature_oracle import build_dataset, object_index
 
 
 def make_session(session_id, request_count, spacing=10.0, actor=LEGIT):

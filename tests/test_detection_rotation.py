@@ -9,10 +9,10 @@ from repro.booking.passengers import Passenger
 from repro.booking.reservation import BookingRecord
 from repro.common import ClientRef
 from repro.core.detection.rotation import (
-    UnionFind,
     link_booking_records,
     link_sms_records,
 )
+from repro.graph.unionfind import UnionFind
 from repro.sms.gateway import SmsRecord
 from repro.sms.numbers import PhoneNumber
 

@@ -44,8 +44,9 @@ from repro.graph.propagation import (
     compile_graph,
     propagate,
 )
-from repro.graph.stream import GraphStreamAdapter, RecordFeed
+from repro.graph.stream import GraphStreamAdapter
 from repro.obs import ObsRegistry
+from repro.stream import RecordFeed
 from repro.stream.adapters import FP_SUBJECT_PREFIX
 from repro.web.logs import Session
 from repro.web.request import HOLD

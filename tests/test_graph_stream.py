@@ -13,7 +13,8 @@ from repro.core.detection.verdict import Verdict
 from repro.core.mitigation.online import OnlineVerdictSink
 from repro.graph.campaigns import CAMPAIGN_DETECTOR
 from repro.graph.detector import GraphDetector, GraphDetectorConfig
-from repro.graph.stream import GraphStreamAdapter, RecordFeed
+from repro.graph.stream import GraphStreamAdapter
+from repro.stream import RecordFeed
 from repro.stream.adapters import FP_SUBJECT_PREFIX
 
 from tests.test_graph_builder import (

@@ -17,9 +17,10 @@ from repro.identity.fingerprint import FingerprintPopulation
 from repro.sim.clock import Clock, HOUR
 from repro.sms.gateway import SmsGateway
 from repro.web.application import WebApplication
-from repro.web.logs import LogEntry, WebLog, sessionize
+from repro.web.logs import LogEntry, WebLog
 from repro.web.ratelimit import key_by_ip
 from repro.web.request import Request, SEARCH
+from tests.session_oracle import sessionize
 
 
 def make_client(ip="1.1.1.1", fingerprint_id="fp"):

@@ -8,15 +8,13 @@ from repro.core.detection.features import FEATURE_NAMES
 from repro.core.detection.session_index import SessionIndex
 from repro.ml import (
     Dataset,
-    FeatureStore,
-    FeatureStoreAdapter,
     LearnedSessionDetector,
     LogisticHead,
     MLPHead,
     SequenceEncoder,
     Standardiser,
     TrainConfig,
-    build_dataset,
+    build_dataset_columnar,
     encode_sequence,
     load_model,
     save_model,
@@ -27,9 +25,10 @@ from repro.ml.data import MAX_SEQUENCE_LENGTH, PAD_TOKEN, VOCAB_SIZE, entry_toke
 from repro.ml.io import ModelFormatError
 from repro.ml.train import calibrate_threshold
 from repro.stream import SessionDetectorAdapter, StreamPipeline
-from repro.web.logs import LogEntry, Session, sessionize
+from repro.web.logs import LogEntry, Session
 from repro.web.logs import WebLog
 from repro.web.request import FLIGHT_DETAILS, HOLD, SEARCH
+from tests.feature_oracle import build_dataset
 
 
 def make_client(ip="1.1.1.1", fingerprint="fp", actor=LEGIT):
@@ -308,15 +307,14 @@ class TestCalibration:
 
 
 class TestFeatureStore:
+    """The ``--store`` file: a :class:`Dataset` saved as one ``.npz``."""
+
     def test_round_trips_through_npz(self, tmp_path):
         sessions, _ = separable_sessions(5, 3)
-        store = FeatureStore()
-        store.extend(sessions)
+        original = build_dataset(sessions, with_truth=True)
         path = tmp_path / "store.npz"
-        store.save(path)
-        loaded = FeatureStore.load(path)
-        original = store.to_dataset()
-        restored = loaded.to_dataset()
+        original.save(path)
+        restored = Dataset.load(path)
         assert restored.session_ids == original.session_ids
         assert restored.actor_classes == original.actor_classes
         assert np.array_equal(restored.features, original.features)
@@ -324,54 +322,45 @@ class TestFeatureStore:
         assert np.array_equal(restored.gaps, original.gaps)
         assert np.array_equal(restored.labels, original.labels)
 
+    def test_loads_feature_store_layout(self, tmp_path):
+        """A file in the retired ``FeatureStore.save`` layout (six
+        arrays, string ids and classes) loads as the same dataset."""
+        sessions, _ = separable_sessions(3, 2)
+        expected = build_dataset(sessions, with_truth=True)
+        path = tmp_path / "store.npz"
+        np.savez_compressed(
+            path,
+            session_ids=np.array(expected.session_ids, dtype=np.str_),
+            actor_classes=np.array(expected.actor_classes, dtype=np.str_),
+            features=expected.features,
+            tokens=expected.tokens,
+            gaps=expected.gaps,
+            labels=expected.labels,
+        )
+        loaded = Dataset.load(path)
+        assert loaded.session_ids == expected.session_ids
+        assert loaded.actor_classes == expected.actor_classes
+        for name in ("features", "tokens", "gaps", "labels"):
+            got, want = getattr(loaded, name), getattr(expected, name)
+            assert np.array_equal(got, want), name
+            assert got.dtype == want.dtype, name
+
     def test_without_truth_is_unlabelled(self):
-        sessions, _ = separable_sessions(2, 2)
-        store = FeatureStore()
-        store.extend(sessions, with_truth=False)
-        dataset = store.to_dataset()
+        dataset = build_dataset_columnar(SessionIndex.from_log(mixed_log()))
+        assert len(dataset) == 8
         assert np.isnan(dataset.labels).all()
         assert not dataset.labelled
 
-    def test_empty_store_dataset(self):
-        dataset = FeatureStore().to_dataset()
+    def test_empty_store_dataset(self, tmp_path):
+        dataset = build_dataset_columnar(SessionIndex.from_log(WebLog()))
         assert len(dataset) == 0
         assert dataset.features.shape == (0, len(FEATURE_NAMES))
-
-    def test_adapter_matches_batch_sessionization(self):
-        """Sessions captured by the stream adapter are exactly the
-        batch ``sessionize`` output, feature for feature."""
-        log = WebLog()
-        client_a = make_client(ip="1.1.1.1", fingerprint="fpA")
-        client_b = make_client(
-            ip="2.2.2.2", fingerprint="fpB", actor=SCRAPER
-        )
-        time = 0.0
-        for burst in range(3):
-            for step in range(4):
-                log.append(LogEntry(
-                    time=time,
-                    method="GET",
-                    path=SEARCH,
-                    status=200,
-                    client=client_a if burst % 2 == 0 else client_b,
-                ))
-                time += 60.0
-            time += 3 * 3600.0  # idle gap closes the session
-        adapter = FeatureStoreAdapter()
-        pipeline = StreamPipeline(adapters=[adapter])
-        for entry in log.entries():
-            pipeline.process(entry)
-        pipeline.finish()
-        batch = build_dataset(sessionize(log), with_truth=True)
-        streamed = adapter.store.to_dataset()
-        assert sorted(streamed.session_ids) == sorted(batch.session_ids)
-        order = [
-            streamed.session_ids.index(sid)
-            for sid in batch.session_ids
-        ]
-        assert np.array_equal(streamed.features[order], batch.features)
-        assert np.array_equal(streamed.tokens[order], batch.tokens)
-        assert np.array_equal(streamed.labels[order], batch.labels)
+        path = tmp_path / "empty.npz"
+        dataset.save(path)
+        loaded = Dataset.load(path)
+        assert len(loaded) == 0
+        assert loaded.features.shape == (0, len(FEATURE_NAMES))
+        assert loaded.tokens.shape == (0, MAX_SEQUENCE_LENGTH)
 
 
 # -- learned detector --------------------------------------------------------

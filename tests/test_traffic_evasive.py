@@ -19,8 +19,8 @@ from repro.traffic.evasive_scraper import (
     EvasiveScraperConfig,
 )
 from repro.traffic.scraper import ScraperBot, ScraperConfig
-from repro.web.logs import sessionize
 from repro.web.request import TRAP
+from tests.session_oracle import sessionize
 
 
 def make_world(seed=1):

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.common import ClientRef, LEGIT, SEAT_SPINNER
-from repro.web.logs import LogEntry, WebLog, sessionize
+from repro.web.logs import LogEntry, WebLog
+from tests.session_oracle import sessionize
 
 
 def make_entry(time, ip="1.1.1.1", fingerprint="fp1", actor_class=LEGIT,

@@ -21,8 +21,9 @@ import pytest
 from repro.common import ClientRef
 from repro.core.detection.session_index import SessionIndex
 from repro.sim.clock import DAY
-from repro.web.logs import LogEntry, WebLog, sessionize
+from repro.web.logs import LogEntry, WebLog
 from repro.web.logstore import ColumnarLogStore
+from tests.session_oracle import sessionize
 
 
 def client(tag: str = "a") -> ClientRef:
