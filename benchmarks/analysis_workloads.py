@@ -15,8 +15,9 @@ committed speedups are same-machine, same-data, same-run comparisons:
   versus one ``SessionIndex.from_log()`` pass over the columnar
   blocks.  Throughput is log rows per second.
 * ``graph_propagation`` — ``propagate_dict()`` (per-edge Python
-  Jacobi sweeps) versus ``compile_graph()`` + ``propagate()`` (CSR
-  NumPy sweeps), on a synthetic rotated-campaign multipartite graph.
+  Jacobi sweeps over the dict-of-dicts oracle graph) versus
+  ``compile_graph()`` + ``propagate()`` (CSR NumPy sweeps over the
+  columnar graph), on a synthetic rotated-campaign multipartite graph.
   Throughput is directed-edge visits per second (edges x rounds).
 
 Every timed round asserts bit-identical outputs between the two paths
@@ -64,6 +65,7 @@ from repro.web.request import (
     SEARCH,
     TRAP,
 )
+from tests.graph_oracle import DictEntityGraph
 from tests.propagation_oracle import propagate_dict
 from tests.session_oracle import sessionize
 
@@ -215,12 +217,13 @@ def propagation_workload() -> Dict[str, float]:
     """Dict reference vs CSR kernel on the same graph, interleaved."""
     graph, seeds = build_propagation_graph()
     compiled = compile_graph(graph)
+    oracle = DictEntityGraph.copy_of(graph)
     dict_seconds: List[float] = []
     csr_seconds: List[float] = []
     reference = None
     for _ in range(default_rounds()):
         started = time.perf_counter()
-        ref = propagate_dict(graph, seeds)
+        ref = propagate_dict(oracle, seeds)
         dict_seconds.append(time.perf_counter() - started)
 
         started = time.perf_counter()
@@ -313,7 +316,9 @@ def _graph_case_campaigns_identical(case: str) -> bool:
         return False
     config = result.detector.config
     reference = propagate_dict(
-        analysis.graph, analysis.seeds, config=config.propagation
+        DictEntityGraph.copy_of(analysis.graph),
+        analysis.seeds,
+        config=config.propagation,
     )
     if reference.scores != analysis.propagation.scores:
         return False

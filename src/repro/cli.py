@@ -879,8 +879,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     except ValueError as error:
         raise SystemExit(f"error: {error}")
     dataset = build_training_dataset(case_config)
-    if args.store:
-        dataset.save(args.store)
+    store = dataset.save(args.store) if args.store else None
     result = train_model(dataset, train_config)
     save_model(args.out, result.model, meta=result.meta)
     print(render_table(
@@ -902,8 +901,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         title=f"repro train (master seed {args.seed})",
     ))
     print(f"\nmodel written: {args.out}")
-    if args.store:
-        print(f"feature store written: {args.store}")
+    if store:
+        print(f"feature store written: {store}")
     return 0
 
 
@@ -924,7 +923,12 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     detector = LearnedSessionDetector(model)
 
     if args.store:
-        dataset = Dataset.load(args.store)
+        try:
+            dataset = Dataset.load(args.store)
+        except (OSError, KeyError, ValueError) as error:
+            raise SystemExit(
+                f"error: cannot read feature store {args.store}: {error}"
+            )
         probabilities = model.predict_proba(dataset)
         flagged = probabilities >= model.threshold
         rows = [

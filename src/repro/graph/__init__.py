@@ -10,13 +10,15 @@ graph and amplifies weak per-entity risk over it:
 
 * :mod:`~repro.graph.entities` — typed node ids (session, fingerprint,
   IP, subnet, phone, booking reference, passenger-name key, flight);
-* :mod:`~repro.graph.unionfind` — the generalized disjoint-set shared
-  with :mod:`repro.core.detection.rotation`;
-* :mod:`~repro.graph.builder` — :class:`EntityGraph` plus the
-  incremental :class:`GraphBuilder` (bounded transient state via
-  :class:`~repro.stream.store.KeyedStore`);
-* :mod:`~repro.graph.propagation` — damped, degree-normalized risk
-  diffusion to a deterministic fixed point;
+* :mod:`~repro.graph.unionfind` — the dense disjoint-set shared with
+  :mod:`repro.core.detection.rotation`, and the array component
+  labelling the graph uses;
+* :mod:`~repro.graph.builder` — :class:`EntityGraph` (interned nodes
+  and columnar edges) plus the incremental :class:`GraphBuilder`
+  (bounded transient state via :class:`~repro.stream.store.KeyedStore`);
+* :mod:`~repro.graph.propagation` — the CSR view derived from the
+  graph's columns, and damped, degree-normalized risk diffusion over
+  it to a deterministic fixed point;
 * :mod:`~repro.graph.campaigns` — campaign extraction over the
   risk-thresholded subgraph with churn/temporal statistics;
 * :mod:`~repro.graph.detector` — the batch :class:`GraphDetector`;
@@ -51,7 +53,7 @@ from .entities import (
 )
 from .propagation import PropagationConfig, PropagationResult, propagate
 from .stream import GraphStreamAdapter
-from .unionfind import KeyedUnionFind, UnionFind
+from .unionfind import UnionFind
 
 __all__ = [
     "BOOKING_REF",
@@ -70,7 +72,6 @@ __all__ = [
     "GraphDetectorConfig",
     "GraphStreamAdapter",
     "IP",
-    "KeyedUnionFind",
     "NAME_KEY",
     "PHONE",
     "PropagationConfig",

@@ -1,10 +1,13 @@
 """The multipartite entity graph and its incremental builder.
 
-:class:`EntityGraph` is a weighted undirected adjacency structure over
-:class:`~repro.graph.entities.EntityId` nodes with first/last-seen
-times per node.  Edge insertion is idempotent (same pair, max weight),
-so the graph a feed produces is independent of observation order — the
-property the streaming-equals-batch equivalence test pins.
+:class:`EntityGraph` is a weighted undirected graph over
+:class:`~repro.graph.entities.EntityId` nodes, stored as columns: each
+node interned once to an int, first/last-seen times per node, and one
+``(a, b, weight)`` slot per edge.  Edge insertion is idempotent (same
+pair, max weight), so the graph a feed produces is independent of
+observation order — the property the streaming-equals-batch
+equivalence test pins.  The CSR view propagation sweeps is derived
+from these columns (:func:`repro.graph.propagation.compile_graph`).
 
 :class:`GraphBuilder` turns raw records into graph structure one
 observation at a time:
@@ -26,17 +29,20 @@ itself grows like the log it summarises.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
 from typing import (
     Dict,
     Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
     Tuple,
 )
+
+import numpy as np
 
 from ..booking.reservation import BookingRecord
 from ..sms.gateway import SmsRecord
@@ -53,7 +59,7 @@ from .entities import (
     session_node,
     subnet_node,
 )
-from .unionfind import KeyedUnionFind
+from .unionfind import merge_labels
 
 #: Edge trust weights by link type.  Strong links are identities the
 #: attacker must actively share (booking reference, recurring passenger
@@ -71,48 +77,79 @@ EDGE_IP_SUBNET = 0.5
 
 
 class EntityGraph:
-    """Weighted undirected multipartite graph with node timestamps."""
+    """Weighted undirected multipartite graph with node timestamps,
+    stored as columns.
+
+    ``index`` interns each :class:`EntityId` to its position in the
+    node list, in first-insertion order, for the graph's lifetime.
+    First/last-seen times are two float columns (``+inf``/``-inf``
+    until touched).  Each undirected edge is one slot of the lower
+    endpoint, higher endpoint and weight columns, found again through
+    a pair->slot map for the max-weight merge.  ``version`` counts
+    structural changes (new node, new edge, raised weight; never
+    :meth:`touch`).  :func:`repro.graph.propagation.compile_graph`
+    caches the derived CSR view in ``_view``; ``_raised`` lists the
+    slots raised since.  The view and both maps are left out of
+    pickles; unpickling rebuilds the maps from the columns.
+    """
 
     def __init__(self) -> None:
-        self._adjacency: Dict[EntityId, Dict[EntityId, float]] = {}
-        self._first_seen: Dict[EntityId, float] = {}
-        self._last_seen: Dict[EntityId, float] = {}
-        self.edge_count = 0
-        #: Structural version stamp: bumped on every node insertion,
-        #: edge insertion and edge weight raise (never by :meth:`touch`
-        #: — timestamps are not structure).  Consumers that compile the
-        #: graph (:func:`repro.graph.propagation.compile_graph`) cache
-        #: the compiled form keyed on this and recompile only when the
-        #: structure changed — and then incrementally, from the nodes
-        #: recorded below.
+        self._nodes: List[EntityId] = []
+        self.index: Dict[EntityId, int] = {}
+        self._first = array("d")
+        self._last = array("d")
+        self._lo = array("i")
+        self._hi = array("i")
+        self._weight = array("d")
+        self._slots: Dict[int, int] = {}
         self.version = 0
-        #: Nodes whose adjacency changed (new edge or raised weight)
-        #: since the compile stamped ``_compile_stamp``.  ``None`` until
-        #: the first compile: with nothing to diff against, nothing is
-        #: recorded.  Nodes are never removed, so a compile appends the
-        #: new nodes and re-sorts only these nodes' neighbour groups.
-        self._changed: Optional[Set[EntityId]] = None
-        self._compile_stamp: Optional[object] = None
+        #: The last derived CSR view (a ``CompiledGraph``) and the
+        #: slots whose weight was raised since it was derived.
+        self._view: Optional[object] = None
+        self._raised: List[int] = []
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = self.__dict__.copy()
+        del state["index"], state["_slots"]
+        state["_view"] = None
+        state["_raised"] = []
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self.index = {node: i for i, node in enumerate(self._nodes)}
+        self._slots = {
+            (lo << 32) | hi: slot
+            for slot, (lo, hi) in enumerate(zip(self._lo, self._hi))
+        }
 
     # -- construction --------------------------------------------------------
+
+    def _intern(self, node: EntityId, time: Optional[float] = None) -> int:
+        """``node``'s index (assigned on first sight), its span
+        extended to ``time`` when given."""
+        i = self.index.get(node)
+        if i is None:
+            i = self.index[node] = len(self._nodes)
+            self._nodes.append(node)
+            self._first.append(math.inf)
+            self._last.append(-math.inf)
+            self.version += 1
+        if time is not None:
+            if time < self._first[i]:
+                self._first[i] = time
+            if time > self._last[i]:
+                self._last[i] = time
+        return i
 
     def add_node(
         self, node: EntityId, time: Optional[float] = None
     ) -> None:
-        if node not in self._adjacency:
-            self._adjacency[node] = {}
-            self.version += 1
-        if time is not None:
-            self.touch(node, time)
+        self._intern(node, time)
 
     def touch(self, node: EntityId, time: float) -> None:
         """Extend the node's observed [first_seen, last_seen] span."""
-        first = self._first_seen.get(node)
-        if first is None or time < first:
-            self._first_seen[node] = time
-        last = self._last_seen.get(node)
-        if last is None or time > last:
-            self._last_seen[node] = time
+        self._intern(node, time)
 
     def add_edge(
         self,
@@ -126,83 +163,63 @@ class EntityGraph:
             raise ValueError(f"self-edge not allowed: {a}")
         if not 0.0 < weight <= 1.0:
             raise ValueError(f"edge weight must be in (0, 1]: {weight}")
-        self.add_node(a, time)
-        self.add_node(b, time)
-        existing = self._adjacency[a].get(b)
-        if existing is None:
-            self.edge_count += 1
-        elif weight <= existing:
+        i = self._intern(a, time)
+        j = self._intern(b, time)
+        if i > j:
+            i, j = j, i
+        key = (i << 32) | j
+        slot = self._slots.get(key)
+        if slot is None:
+            self._slots[key] = len(self._weight)
+            self._lo.append(i)
+            self._hi.append(j)
+            self._weight.append(weight)
+        elif weight > self._weight[slot]:
+            self._weight[slot] = weight
+            if self._view is not None:
+                self._raised.append(slot)
+        else:
             return
-        self._adjacency[a][b] = weight
-        self._adjacency[b][a] = weight
         self.version += 1
-        if self._changed is not None:
-            self._changed.add(a)
-            self._changed.add(b)
-
-    def drain_changes(
-        self, since: Optional[object], stamp: object
-    ) -> Optional[Set[EntityId]]:
-        """Nodes whose adjacency changed since the compile ``since``.
-
-        ``since`` is the stamp of the caller's previous compile; the
-        answer is ``None`` (diff unknown: treat every node as changed)
-        unless that compile is the last one taken from *this* graph.
-        Tracking restarts under ``stamp``, the caller's new compile.
-        """
-        changed = (
-            self._changed
-            if since is not None and since is self._compile_stamp
-            else None
-        )
-        self._changed = set()
-        self._compile_stamp = stamp
-        return changed
 
     # -- reads ---------------------------------------------------------------
 
     @property
     def node_count(self) -> int:
-        return len(self._adjacency)
+        return len(self._nodes)
+
+    @property
+    def edge_count(self) -> int:
+        return len(self._weight)
 
     def __contains__(self, node: EntityId) -> bool:
-        return node in self._adjacency
+        return node in self.index
 
     def nodes(self, kind: Optional[str] = None) -> List[EntityId]:
         """All nodes (optionally one kind), in insertion order."""
         if kind is None:
-            return list(self._adjacency)
-        return [node for node in self._adjacency if node.kind == kind]
+            return list(self._nodes)
+        return [node for node in self._nodes if node.kind == kind]
 
-    def neighbors(self, node: EntityId) -> Dict[EntityId, float]:
-        return dict(self._adjacency.get(node, {}))
-
-    _EMPTY_ADJACENCY: Dict[EntityId, float] = {}
-
-    def neighbors_view(self, node: EntityId) -> Mapping[EntityId, float]:
-        """The node's live adjacency dict — read-only by contract.
-
-        :meth:`neighbors` returns a defensive copy, which is the right
-        default but O(degree) allocation per call; hot analysis loops
-        (graph compile, campaign corroboration/attachment scans) read
-        this view instead and must not mutate it.
-        """
-        return self._adjacency.get(node, self._EMPTY_ADJACENCY)
-
-    def weighted_degree(self, node: EntityId) -> float:
-        return sum(self._adjacency.get(node, {}).values())
+    def edge_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(lo, hi, weight)`` per edge slot, as NumPy copies."""
+        return (
+            np.frombuffer(self._lo, dtype=np.intc).astype(np.int64),
+            np.frombuffer(self._hi, dtype=np.intc).astype(np.int64),
+            np.frombuffer(self._weight, dtype=np.float64).copy(),
+        )
 
     def first_seen(self, node: EntityId) -> Optional[float]:
-        return self._first_seen.get(node)
+        i = self.index.get(node)
+        if i is None or self._first[i] == math.inf:
+            return None
+        return self._first[i]
 
     def last_seen(self, node: EntityId) -> Optional[float]:
-        return self._last_seen.get(node)
-
-    def kind_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for node in self._adjacency:
-            counts[node.kind] = counts.get(node.kind, 0) + 1
-        return counts
+        i = self.index.get(node)
+        if i is None or self._last[i] == -math.inf:
+            return None
+        return self._last[i]
 
     def components(
         self, nodes: Optional[Iterable[EntityId]] = None
@@ -210,34 +227,37 @@ class EntityGraph:
         """Connected components over ``nodes`` (default: every node).
 
         When ``nodes`` is given, components are computed on the induced
-        subgraph: only edges with both endpoints inside the set count.
-        Components and their members are returned in deterministic
-        sorted order.
+        subgraph: only edges with both endpoints inside the set count,
+        and nodes not in the graph are ignored.  Components and their
+        members are returned in deterministic sorted order.
         """
-        allowed: Optional[Set[EntityId]] = (
-            None if nodes is None else set(nodes)
+        n = len(self._nodes)
+        inside = np.ones(n, dtype=bool)
+        if nodes is not None:
+            inside[:] = False
+            picked = [self.index[node] for node in nodes if node in self]
+            inside[np.array(picked, dtype=np.int64)] = True
+        lo, hi, _ = self.edge_columns()
+        joined = inside[lo] & inside[hi]
+        labels = merge_labels(
+            np.arange(n, dtype=np.int64), lo[joined], hi[joined]
         )
-        union: KeyedUnionFind[EntityId] = KeyedUnionFind()
-        pool = self._adjacency if allowed is None else allowed
-        for node in sorted(pool):
-            if allowed is not None and node not in self._adjacency:
-                continue
-            union.add(node)
-            for neighbor in self._adjacency.get(node, {}):
-                if allowed is None or neighbor in allowed:
-                    union.union(node, neighbor)
+        members = np.flatnonzero(inside)
+        groups: Dict[int, List[EntityId]] = {}
+        for i, label in zip(members.tolist(), labels[members].tolist()):
+            groups.setdefault(label, []).append(self._nodes[i])
         return sorted(
-            (sorted(group) for group in union.groups()),
+            (sorted(group) for group in groups.values()),
             key=lambda group: group[0],
         )
 
     def edges(self) -> List[Tuple[EntityId, EntityId, float]]:
         """Every edge once, endpoints ordered, sorted."""
+        nodes = self._nodes
         found = []
-        for a, neighbors in self._adjacency.items():
-            for b, weight in neighbors.items():
-                if a < b:
-                    found.append((a, b, weight))
+        for i, j, weight in zip(self._lo, self._hi, self._weight):
+            a, b = nodes[i], nodes[j]
+            found.append((a, b, weight) if a < b else (b, a, weight))
         return sorted(found)
 
     def snapshot(self, include_spans: bool = False) -> Dict[str, object]:
@@ -255,16 +275,17 @@ class EntityGraph:
         extra state matters (cross-shard merges).
         """
         view: Dict[str, object] = {
-            "nodes": sorted(self.nodes()),
+            "nodes": sorted(self._nodes),
             "edges": self.edges(),
         }
         if include_spans:
             # A sorted triple list, not a node-keyed dict: tuple keys
             # would not survive the JSON result cache.
-            view["spans"] = [
-                (node, self._first_seen[node], self._last_seen[node])
-                for node in sorted(self._first_seen)
-            ]
+            view["spans"] = sorted(
+                span
+                for span in zip(self._nodes, self._first, self._last)
+                if span[1] != math.inf
+            )
         return view
 
     @classmethod
@@ -292,8 +313,6 @@ class EntityGraph:
             node = EntityId(*raw)
             self.touch(node, float(first))
             self.touch(node, float(last))
-
-
 @dataclass
 class GraphBuilderConfig:
     """Knobs for the incremental builder.

@@ -53,7 +53,7 @@ from typing import (
 
 from ..core.detection.verdict import Verdict
 from .builder import EntityGraph
-from .propagation import CompiledGraph
+from .propagation import CompiledGraph, compile_graph
 from .entities import (
     BOOKING_REF,
     FINGERPRINT,
@@ -282,11 +282,9 @@ def extract_campaigns(
     merits, while one that merely inherited heat from a single shared
     identity node needs ``min_device_corroboration`` risky neighbours.
 
-    ``compiled`` (when given) serves the neighbour scans from the CSR
-    arrays :func:`~repro.graph.propagation.compile_graph` already
-    built for propagation, skipping per-call adjacency dict copies;
-    corroboration counts and attachment sets are order-independent,
-    so the result is identical either way.
+    Neighbour scans read the graph's CSR view: ``compiled`` (the view
+    propagation already swept) or, when not given,
+    :func:`~repro.graph.propagation.compile_graph`'s.
 
     ``nodes`` (when given) restricts the core search to those nodes,
     which must be whole connected components of the graph: every read
@@ -300,10 +298,9 @@ def extract_campaigns(
     """
     config = config or CampaignConfig()
     seeds = seeds or {}
-    if compiled is not None and compiled.version == graph.version:
-        neighbors_of = compiled.neighbors_of
-    else:
-        neighbors_of = graph.neighbors_view
+    if compiled is None:
+        compiled = compile_graph(graph, obs=obs)
+    neighbors_of = compiled.neighbors_of
     core = [
         node
         for node in (graph.nodes() if nodes is None else nodes)

@@ -242,8 +242,7 @@ class GraphAnalysis:
     campaign_verdicts: List[CampaignVerdict]
     #: The merged seed map the sweep started from — kept so equivalence
     #: harnesses can replay the exact analysis through the dict
-    #: reference path (``tests/propagation_oracle.propagate_dict`` +
-    #: uncompiled extraction).
+    #: reference path (``tests/propagation_oracle.propagate_dict``).
     seeds: Dict[EntityId, float] = field(default_factory=dict)
 
 
@@ -256,13 +255,12 @@ def analyze(
 ) -> GraphAnalysis:
     """Propagate ``seeds`` and extract campaign verdicts (pure).
 
-    The graph is compiled to CSR form once (or reused via ``compiled``
-    when the caller's cached copy is still structurally current, and
-    spliced forward from it when not) and shared by both the
-    propagation sweep and the campaign extraction's neighbour scans.
+    The graph's CSR view (``compiled``, or :func:`compile_graph`'s
+    when not given) is shared by both the propagation sweep and the
+    campaign extraction's neighbour scans.
     """
-    if compiled is None or compiled.version != graph.version:
-        compiled = compile_graph(graph, obs=obs, previous=compiled)
+    if compiled is None:
+        compiled = compile_graph(graph, obs=obs)
     result = propagate(
         graph, seeds, config=config.propagation, obs=obs,
         compiled=compiled,

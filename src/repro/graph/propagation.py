@@ -40,17 +40,17 @@ Properties the test-suite pins:
   fixed point; the loop stops when the largest per-node delta drops
   below tolerance.
 
-The sweep itself runs on a :class:`CompiledGraph`: the adjacency dicts
-are compiled into int-indexed CSR arrays (nodes in insertion order,
-incoming edges grouped by destination, sources sorted by node id within
-each group) and every Jacobi round becomes three NumPy operations —
-gather source mass, scale by the precomputed coupling, ``np.bincount``
-back onto destinations.  ``np.bincount`` accumulates each bin in array
-order, which within a group is the sorted-neighbour order; where the
-group sits in the array does not matter.  So the vectorized sweep is
-bit-identical to the historical per-edge Python loop (kept in
-``tests/propagation_oracle.py`` as ``propagate_dict``, the reference
-the property tests compare against).
+The sweep itself runs on a :class:`CompiledGraph`, the int-indexed CSR
+view derived from the graph's interned edge columns (nodes in
+insertion order, incoming edges grouped by destination, sources sorted
+by node id within each group), and every Jacobi round becomes three
+NumPy operations — gather source mass, scale by the precomputed
+coupling, ``np.bincount`` back onto destinations.  ``np.bincount``
+accumulates each bin in array order, which within a group is the
+sorted-neighbour order; where the group sits in the array does not
+matter.  So the vectorized sweep is bit-identical to the historical
+per-edge Python loop (kept in ``tests/propagation_oracle.py`` as
+``propagate_dict``, the reference the property tests compare against).
 
 A Jacobi update reads only a node's in-neighbours, so connected
 components are separable.  Given a :class:`ComponentScope`,
@@ -63,20 +63,19 @@ to re-sweep only the components that changed.  The whole-graph sweep
 every node in one component, so every node runs until the slowest
 component converges.
 
-Compilation is seed-independent and incremental.  Node indices are
-append-only, and the graph records which nodes' adjacency changed
-since the last compile, so a streaming caller hands its cached compile
-back as ``previous``: only the changed nodes' groups are re-sorted and
-spliced in, new nodes are appended, and the result equals a cold
-compile array for array.
+Derivation is seed-independent and incremental.  Node indices are
+append-only and edge slots are append-only columns, so
+:func:`compile_graph` caches the view on the graph and, when the graph
+has changed, re-sorts only the groups of new nodes and of the endpoints
+of slots appended or raised since: the result equals a cold derivation
+array for array.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import getitem
+from itertools import repeat
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -134,26 +133,25 @@ class PropagationResult:
 
 @dataclass
 class CompiledGraph:
-    """Int-indexed CSR form of an :class:`EntityGraph`.
+    """Int-indexed CSR view of an :class:`EntityGraph`, derived from its
+    columns.
 
-    Node indices follow graph insertion order, so they are append-only:
-    a node keeps its index across every later compile of the same
-    graph.  Incoming edges are grouped by destination node (``indptr``
-    bounds node ``i``'s group at ``src[indptr[i]:indptr[i+1]]``) with
-    sources *sorted by node id* inside each group — the same
-    sorted-neighbour iteration order the dict reference uses, and the
-    only order ``np.bincount`` summation depends on, which is what
-    keeps float accumulation bit-identical across build orders.
-    ``degree`` is the weighted degree summed in that order, and
-    ``src_degree`` gathers it per edge so the damped coupling is one
-    elementwise expression at propagate time.
+    Node indices are the graph's interned indices (insertion order), so
+    a node keeps its index across every later derivation.  Incoming
+    edges are grouped by destination node (``indptr`` bounds node
+    ``i``'s group at ``src[indptr[i]:indptr[i+1]]``) with sources
+    *sorted by node id* inside each group — the only order
+    ``np.bincount`` summation depends on, which is what keeps float
+    accumulation bit-identical across build orders.  ``degree`` is the
+    weighted degree summed in that order, and ``src_degree`` gathers it
+    per edge so the damped coupling is one elementwise expression at
+    propagate time.
 
-    Compilation depends only on graph *structure* (not on seeds or
-    config), and carries the graph's structural ``version`` so callers
-    can cache the compiled form and recompile only when the graph
-    changed — passing the cache back as ``previous`` so only the
-    changed groups are re-sorted.  ``stamp`` identifies this compile to
-    the graph's change log (:meth:`EntityGraph.drain_changes`).
+    ``nodes`` is the first ``node_count`` interned ids; ``index`` is
+    the graph's own interning map, which only ever grows.  ``version``
+    is the graph's structural version the view was derived at, and
+    ``base`` the version of the view it was spliced from (``-1`` when
+    derived cold).
     """
 
     nodes: List[EntityId]
@@ -165,10 +163,10 @@ class CompiledGraph:
     degree: np.ndarray      # (n,) float64 — weighted degree per node
     src_degree: np.ndarray  # (e,) float64 — degree[src] per edge
     version: int = 0
-    stamp: Optional[object] = field(default=None, repr=False)
-    #: Indices of the nodes whose groups this compile re-sorted: the
-    #: nodes whose adjacency changed since ``previous`` plus the new
-    #: ones (every node on a cold compile).
+    base: int = -1
+    #: Indices of the nodes whose groups this derivation re-sorted: the
+    #: new nodes plus the endpoints of edge slots appended or raised
+    #: since ``base`` (every node on a cold derivation).
     resorted: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64),
         repr=False,
@@ -195,7 +193,7 @@ class CompiledGraph:
         )
 
     def neighbors_of(self, node: EntityId) -> List[EntityId]:
-        """The node's neighbours, sorted by id (no dict copy)."""
+        """The node's neighbours, sorted by id."""
         i = self.index.get(node)
         if i is None:
             return []
@@ -204,100 +202,107 @@ class CompiledGraph:
 
 
 def compile_graph(
-    graph: EntityGraph,
-    obs: Optional[object] = None,
-    previous: Optional[CompiledGraph] = None,
+    graph: EntityGraph, obs: Optional[object] = None
 ) -> CompiledGraph:
-    """Compile ``graph`` into CSR arrays (seed-independent).
+    """The CSR view of ``graph`` (seed-independent), derived on demand.
 
-    With ``previous`` — the last compile taken from this same graph —
-    only the groups of nodes whose adjacency changed since are
-    re-sorted; every other group is copied from ``previous`` to its
-    shifted offset, and new nodes are appended.  Any other
-    ``previous`` (a foreign graph, an older compile, ``None``) makes
-    every node count as changed: the cold compile is the same routine
-    splicing into nothing.  Either way the arrays equal a cold
-    compile's exactly.  The result's ``resorted`` lists the re-sorted
-    nodes, so a streaming caller learns what changed without tracking
-    it twice.
+    The graph caches its last view: while its structural version is
+    unchanged the cached view is returned as is.  Otherwise only the
+    neighbour groups of new nodes and of the endpoints of edge slots
+    appended or raised since the cached view are gathered from the
+    edge columns and re-sorted; every other group is copied from the
+    cached view to its shifted offset.  Without a cached view (a fresh
+    or unpickled graph) every group is re-sorted: the cold derivation
+    is the same routine splicing into nothing.  Either way the arrays
+    equal a cold derivation's exactly.  The result's ``resorted`` lists
+    the re-sorted nodes, so a streaming caller learns what changed
+    without tracking it twice.
     """
+    previous = graph._view
+    if previous is not None and previous.version == graph.version:
+        return previous
     span = obs.timer("graph.compile").time() if obs is not None else None
     if span is not None:
         span.__enter__()
     try:
-        stamp = object()
-        changed = graph.drain_changes(
-            previous.stamp if previous is not None else None, stamp
-        )
+        if previous is None:
+            # Derive cold: splice into an empty view.
+            none = np.empty(0, dtype=np.int64)
+            previous = CompiledGraph(
+                nodes=[], index={}, indptr=np.zeros(1, dtype=np.int64),
+                src=none, dst=none, weights=none.astype(np.float64),
+                degree=none, src_degree=none, version=-1,
+            )
         nodes = graph.nodes()
         n = len(nodes)
-        if changed is None:
-            changed = ()
-            old_n = 0
-            index: Dict[EntityId, int] = {}
-            old_indptr = np.zeros(1, dtype=np.int64)
-            old_src = old_dst = np.empty(0, dtype=np.int64)
-            old_weights = np.empty(0, dtype=np.float64)
-        else:
-            old_n = previous.node_count
-            index = dict(previous.index)
-            old_indptr = previous.indptr
-            old_src, old_dst = previous.src, previous.dst
-            old_weights = previous.weights
-        index.update(zip(nodes[old_n:], range(old_n, n)))
-        # Changed and new nodes, ascending: their groups are re-sorted.
+        old_n = previous.node_count
+        lo, hi, slot_weights = graph.edge_columns()
+        # New nodes and the endpoints of slots appended or raised since
+        # ``previous``: their groups are gathered and re-sorted.
+        touched = np.concatenate([
+            np.arange(previous.edge_count // 2, lo.shape[0]),
+            np.array(graph._raised, dtype=np.int64),
+        ])
+        graph._raised = []
         is_dirty = np.zeros(n, dtype=bool)
-        is_dirty[list(map(index.__getitem__, changed))] = True
         is_dirty[old_n:] = True
+        is_dirty[lo[touched]] = True
+        is_dirty[hi[touched]] = True
         dirty = np.flatnonzero(is_dirty)
-        adjacencies = [graph.neighbors_view(nodes[i]) for i in dirty.tolist()]
-        dirty_counts = np.fromiter(
-            map(len, adjacencies), dtype=np.int64, count=len(adjacencies)
+        # Every directed edge into a dirty node, taken from both ends
+        # of the undirected slots.
+        ends = np.concatenate([lo, hi])
+        starts = np.concatenate([hi, lo])
+        picked = np.flatnonzero(is_dirty[ends])
+        group_dst = ends[picked]
+        group_src = starts[picked]
+        # Rank the sources present by node id, then order the picked
+        # edges by destination and, inside each group, by that rank.
+        is_present = np.zeros(n, dtype=bool)
+        is_present[group_src] = True
+        present = np.flatnonzero(is_present).tolist()
+        rank = np.empty(n, dtype=np.int64)
+        rank[sorted(present, key=nodes.__getitem__)] = np.arange(
+            len(present), dtype=np.int64
         )
-        # Each changed group's neighbours, sorted by node id, end to end.
-        neighbors = list(chain.from_iterable(map(sorted, adjacencies)))
+        order = np.lexsort((rank[group_src], group_dst))
+        group_src = group_src[order]
+        group_weights = np.concatenate([slot_weights, slot_weights])[
+            picked[order]
+        ]
+        dirty_counts = np.bincount(group_dst, minlength=n)[dirty]
         counts = np.zeros(n, dtype=np.int64)
-        counts[:old_n] = np.diff(old_indptr)
+        counts[:old_n] = np.diff(previous.indptr)
         counts[dirty] = dirty_counts
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         src = np.empty(int(indptr[-1]), dtype=np.int64)
         weights = np.empty(src.shape[0], dtype=np.float64)
         # Unchanged groups keep their contents, shifted to new offsets.
-        kept = np.flatnonzero(~is_dirty[old_dst])
-        kept_dst = old_dst[kept]
-        at = kept + (indptr[kept_dst] - old_indptr[kept_dst])
-        src[at] = old_src[kept]
-        weights[at] = old_weights[kept]
+        kept = np.flatnonzero(~is_dirty[previous.dst])
+        kept_dst = previous.dst[kept]
+        at = kept + (indptr[kept_dst] - previous.indptr[kept_dst])
+        src[at] = previous.src[kept]
+        weights[at] = previous.weights[kept]
         # Re-sorted groups land at their own new offsets.
         group_starts = np.zeros(dirty.shape[0], dtype=np.int64)
         np.cumsum(dirty_counts[:-1], out=group_starts[1:])
-        at = np.arange(len(neighbors), dtype=np.int64) + np.repeat(
+        at = np.arange(group_src.shape[0], dtype=np.int64) + np.repeat(
             indptr[dirty] - group_starts, dirty_counts
         )
-        src[at] = np.fromiter(
-            map(index.__getitem__, neighbors),
-            dtype=np.int64,
-            count=len(neighbors),
-        )
-        # Each neighbour's weight, read from its own group's adjacency.
-        owners = chain.from_iterable(
-            map(repeat, adjacencies, dirty_counts.tolist())
-        )
-        weights[at] = np.fromiter(
-            map(getitem, owners, neighbors),
-            dtype=np.float64,
-            count=len(neighbors),
-        )
+        src[at] = group_src
+        weights[at] = group_weights
         # Destination index per edge; bincount over it accumulates each
         # node's incoming sum in sorted-source order — the dict path's
         # exact summation order, wherever the group sits in the array.
         dst = np.repeat(np.arange(n, dtype=np.int64), counts)
-        degree = np.bincount(dst, weights=weights, minlength=n)
-        src_degree = degree[src] if n else np.empty(0, dtype=np.float64)
+        degree = np.bincount(dst, weights=weights, minlength=n).astype(
+            np.float64, copy=False
+        )
+        src_degree = degree[src]
         compiled = CompiledGraph(
             nodes=nodes,
-            index=index,
+            index=graph.index,
             indptr=indptr,
             src=src,
             dst=dst,
@@ -305,9 +310,10 @@ def compile_graph(
             degree=degree,
             src_degree=src_degree,
             version=graph.version,
-            stamp=stamp,
+            base=previous.version,
             resorted=dirty,
         )
+        graph._view = compiled
     finally:
         if span is not None:
             span.__exit__(None, None, None)
@@ -348,10 +354,9 @@ def propagate(
     in, and scores are clamped into [0, 1] on the way out, so a caller
     cannot push the diffusion out of range.
 
-    ``compiled`` reuses a previous :func:`compile_graph` result; it
-    must match the graph's current structural version (streaming
-    callers cache it and recompile, incrementally, when the graph
-    changed).
+    ``compiled`` is the graph's :func:`compile_graph` view; it must
+    match the graph's current structural version (a view derived
+    before a later change is rejected).
 
     ``scope`` sweeps only the listed components, and stops each one at
     the first round where its *own* largest delta drops below

@@ -79,6 +79,7 @@ from .entities import (
     session_node,
 )
 from .propagation import CompiledGraph, ComponentScope, compile_graph
+from .unionfind import merge_labels
 
 
 class ComponentCache:
@@ -109,24 +110,9 @@ class ComponentCache:
             [self.labels, np.arange(old_n, n, dtype=np.int64)]
         )
         edges = compiled.group_edges(rows)
-        ends, starts = compiled.dst[edges], compiled.src[edges]
-        # Hook each joined pair's larger root under its smaller one,
-        # flatten by pointer jumping, and repeat until every edge's
-        # ends share a root.  Every label points at a smaller-or-equal
-        # index, so there are no cycles and roots only decrease.
-        while True:
-            a, b = labels[ends], labels[starts]
-            apart = a != b
-            if not apart.any():
-                break
-            a, b = a[apart], b[apart]
-            labels[np.maximum(a, b)] = np.minimum(a, b)
-            while True:
-                jumped = labels[labels]
-                if (jumped == labels).all():
-                    break
-                labels = jumped
-        self.labels = labels
+        self.labels = merge_labels(
+            labels, compiled.dst[edges], compiled.src[edges]
+        )
 
     def scope(self, changed: np.ndarray) -> ComponentScope:
         """Every node of the components holding a ``changed`` node."""
@@ -181,11 +167,8 @@ class GraphStreamAdapter(StreamAdapter):
         self._dirty: Set[EntityId] = set()
         self._convicted_fingerprints: set = set()
         self._sessions_since_refresh = 0
-        #: Cached CSR compile of the builder's graph, keyed on the
-        #: graph's structural version: refreshes that land between
-        #: structural changes (or the final analysis right after a
-        #: periodic one) reuse the arrays, and the others hand it to
-        #: ``compile_graph`` so only the changed nodes are re-sorted.
+        #: The graph's CSR view as of the last refresh: a later view
+        #: derived from it re-sorted exactly the nodes changed since.
         #: Derived state, so it is left out of pickles.
         self._compiled: Optional[CompiledGraph] = None
         #: Per-component state of the periodic refresh; derived, so it
@@ -275,15 +258,17 @@ class GraphStreamAdapter(StreamAdapter):
         self.refreshes += 1
         self._drain_seed_feeds()
         graph = self.builder.graph
+        compiled = compile_graph(graph, obs=self.obs)
         resorted = np.empty(0, dtype=np.int64)
-        if (
-            self._compiled is None
-            or self._compiled.version != graph.version
-        ):
-            self._compiled = compile_graph(
-                graph, obs=self.obs, previous=self._compiled
-            )
-            resorted = self._compiled.resorted
+        if compiled is not self._compiled:
+            if (
+                self._compiled is None
+                or compiled.base != self._compiled.version
+            ):
+                # Not derived from the view the labels were kept from.
+                self._components = None
+            resorted = compiled.resorted
+            self._compiled = compiled
         if not final:
             return self._convict(self._refresh_components(resorted), now)
         # The final pass is global; its compile is not linked into the

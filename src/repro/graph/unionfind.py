@@ -1,24 +1,53 @@
-"""Disjoint-set unions, dense and keyed.
+"""Disjoint-set unions: a dense union-find and array component labels.
 
 :class:`UnionFind` is the dense integer variant the identity linker in
-:mod:`repro.core.detection.rotation` has always used (it now lives here
-so every graph consumer shares one implementation).
-:class:`KeyedUnionFind` lifts the same structure to arbitrary hashable
-keys with dynamic growth — the shape connected-component extraction
-over an :class:`~repro.graph.builder.EntityGraph` needs, where nodes
-arrive incrementally and are tuples, not indices.
+:mod:`repro.core.detection.rotation` has always used (it lives here so
+every graph consumer shares one implementation).  It keeps the classic
+invariants: path compression never changes which root represents a
+set, union is by size, and ``groups()`` is a deterministic partition
+of every index.
 
-Both keep the classic invariants: path compression never changes which
-root represents a set, union is by size, and ``groups()`` is a
-deterministic partition of everything ever added.
+:func:`merge_labels` is the vectorised form the entity graph uses: one
+label per node index, merged edge array by edge array.  It labels
+:meth:`~repro.graph.builder.EntityGraph.components` and keeps the
+streaming adapter's component labels current as edges arrive
+(:class:`~repro.graph.stream.ComponentCache`).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Generic, Hashable, List, TypeVar
+from typing import Dict, List
 
-K = TypeVar("K", bound=Hashable)
+import numpy as np
+
+
+def merge_labels(
+    labels: np.ndarray, ends: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """Merge the components that the edges ``(ends[k], starts[k])`` join.
+
+    ``labels`` gives each node index its component's label: the index
+    of one member, no larger than the node's own index, and a fixed
+    point (``labels[labels] == labels``).  Each joined pair's larger
+    root is hooked under its smaller one, labels are flattened by
+    pointer jumping, and that repeats until every edge's ends share a
+    root.  Every label points at a smaller-or-equal index, so there are
+    no cycles and roots only decrease.  Returns the merged labels
+    (``labels`` itself may be written to).
+    """
+    while True:
+        a, b = labels[ends], labels[starts]
+        apart = a != b
+        if not apart.any():
+            return labels
+        a, b = a[apart], b[apart]
+        labels[np.maximum(a, b)] = np.minimum(a, b)
+        while True:
+            jumped = labels[labels]
+            if (jumped == labels).all():
+                break
+            labels = jumped
 
 
 class UnionFind:
@@ -56,55 +85,3 @@ class UnionFind:
         for item in range(len(self._parent)):
             by_root[self.find(item)].append(item)
         return sorted(by_root.values(), key=lambda grp: grp[0])
-
-
-class KeyedUnionFind(Generic[K]):
-    """Disjoint-set union over arbitrary hashable keys.
-
-    Keys are added lazily (``add``/``union``/``find`` all create unknown
-    keys) and remembered in insertion order, which makes ``groups()``
-    deterministic for any deterministic feed: each group lists members
-    in insertion order, and groups sort by their earliest member.
-    """
-
-    def __init__(self) -> None:
-        self._index: Dict[K, int] = {}
-        self._keys: List[K] = []
-        self._inner = UnionFind(0)
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __contains__(self, key: K) -> bool:
-        return key in self._index
-
-    def add(self, key: K) -> int:
-        """Ensure ``key`` exists; return its dense index."""
-        index = self._index.get(key)
-        if index is None:
-            index = len(self._keys)
-            self._index[key] = index
-            self._keys.append(key)
-            self._inner._parent.append(index)
-            self._inner._size.append(1)
-        return index
-
-    def find(self, key: K) -> K:
-        """The representative key of ``key``'s set (adds if unknown)."""
-        return self._keys[self._inner.find(self.add(key))]
-
-    def union(self, a: K, b: K) -> None:
-        self._inner.union(self.add(a), self.add(b))
-
-    def connected(self, a: K, b: K) -> bool:
-        return self._inner.find(self.add(a)) == self._inner.find(
-            self.add(b)
-        )
-
-    def groups(self) -> List[List[K]]:
-        """Every disjoint set, members in insertion order, sets ordered
-        by earliest member."""
-        return [
-            [self._keys[index] for index in group]
-            for group in self._inner.groups()
-        ]

@@ -150,10 +150,12 @@ class Dataset:
             ),
         )
 
-    def save(self, path: Union[str, Path]) -> None:
-        """Persist as one compressed ``.npz`` (the ``--store`` file)."""
+    def save(self, path: Union[str, Path]) -> str:
+        """Persist as one compressed ``.npz`` (the ``--store`` file);
+        returns the path written, which gains ``.npz`` if it lacked it."""
+        written = str(path) if str(path).endswith(".npz") else f"{path}.npz"
         np.savez_compressed(
-            path,
+            written,
             session_ids=np.array(self.session_ids, dtype=np.str_),
             actor_classes=np.array(self.actor_classes, dtype=np.str_),
             features=self.features,
@@ -161,6 +163,7 @@ class Dataset:
             gaps=self.gaps,
             labels=self.labels,
         )
+        return written
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Dataset":

@@ -67,8 +67,10 @@ SCHEMA_VERSION = 2
 BUSY_TIMEOUT_MS = 5000
 
 #: Snapshot envelope: magic, format version, SHA-256 of the pickle.
+#: The format is bumped when a pickled class changes layout (2: the
+#: columnar entity graph), so an older blob is refused, not misread.
 SNAPSHOT_MAGIC = b"RPSN"
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
 _ENVELOPE = struct.Struct(">4sH32s")
 
 _SCHEMA = f"""

@@ -9,13 +9,14 @@ compare the vectorized kernel against.
 
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.graph.builder import EntityGraph
 from repro.graph.entities import EntityId
 from repro.graph.propagation import PropagationConfig, PropagationResult
 
+from tests.graph_oracle import DictEntityGraph
+
 
 def propagate_dict(
-    graph: EntityGraph,
+    graph,
     seeds: Mapping[EntityId, float],
     config: Optional[PropagationConfig] = None,
     obs: Optional[object] = None,
@@ -25,9 +26,13 @@ def propagate_dict(
     Kept verbatim as the semantic specification the CSR kernel is
     property-tested against (`tests/test_propagation_csr.py`): same
     sorted-neighbour summation order, same monotone delta tracking,
-    same clamping.  Production callers use :func:`propagate`.
+    same clamping.  Production callers use :func:`propagate`.  A
+    graph that is not already a :class:`DictEntityGraph` is copied
+    into one first.
     """
     config = config or PropagationConfig()
+    if not isinstance(graph, DictEntityGraph):
+        graph = DictEntityGraph.copy_of(graph)
 
     nodes = sorted(set(graph.nodes()) | set(seeds))
     seed_of = {

@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
 import argparse
+import contextlib
+import io
 import itertools
+import os
 
+import numpy as np
 import pytest
 
 from repro.cli import SCENARIO_COMMANDS, _parse_param, build_parser, main
@@ -465,3 +469,58 @@ class TestInputValidation:
                   "--out", str(out)])
         assert "training_worlds must be >= 1" in str(exit_.value.code)
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def trained_store(tmp_path_factory):
+    """A one-world model plus its ``--store`` file, saved under a name
+    without ``.npz``; returns the model path and the printed store
+    path."""
+    root = tmp_path_factory.mktemp("train")
+    model = root / "model.rpml"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([
+            "train", "--worlds", "1", "--epochs", "1", "--ticks-short",
+            "--out", str(model), "--store", str(root / "store"),
+        ]) == 0
+    last = out.getvalue().strip().splitlines()[-1]
+    prefix = "feature store written: "
+    assert last.startswith(prefix)
+    return model, last[len(prefix):]
+
+
+class TestFeatureStoreFiles:
+    def test_train_prints_the_store_path_written(
+        self, trained_store, capsys
+    ):
+        model, store = trained_store
+        assert store.endswith("store.npz")
+        assert os.path.exists(store)
+        assert main(["predict", str(model), "--store", store]) == 0
+        assert "sessions scored" in capsys.readouterr().out
+
+    def _predict_error(self, model, store) -> str:
+        with pytest.raises(SystemExit) as exit_:
+            main(["predict", str(model), "--store", str(store)])
+        message = str(exit_.value.code)
+        assert message.startswith("error: ")
+        assert "\n" not in message
+        return message
+
+    def test_predict_missing_store_is_a_one_line_error(
+        self, trained_store, tmp_path
+    ):
+        model, _ = trained_store
+        message = self._predict_error(model, tmp_path / "absent.npz")
+        assert "absent.npz" in message
+
+    def test_predict_store_without_the_arrays_is_a_one_line_error(
+        self, trained_store, tmp_path
+    ):
+        model, _ = trained_store
+        path = tmp_path / "other.npz"
+        np.savez_compressed(path, features=np.zeros((1, 2)))
+        message = self._predict_error(model, path)
+        assert "other.npz" in message
+        assert "session_ids" in message

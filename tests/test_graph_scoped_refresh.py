@@ -51,6 +51,7 @@ from repro.stream.adapters import FP_SUBJECT_PREFIX
 from repro.web.logs import Session
 from repro.web.request import HOLD
 
+from tests.graph_oracle import DictEntityGraph
 from tests.test_graph_builder import make_booking, make_entry, make_sms
 
 #: Thresholds low enough that small random crews form campaigns and
@@ -191,8 +192,9 @@ def _subgraph(graph: EntityGraph, component) -> EntityGraph:
         for time in (graph.first_seen(node), graph.last_seen(node)):
             if time is not None:
                 sub.touch(node, time)
+    oracle = DictEntityGraph.copy_of(graph)
     for node in component:
-        for neighbor, weight in graph.neighbors_view(node).items():
+        for neighbor, weight in oracle.neighbors(node).items():
             if node < neighbor:
                 sub.add_edge(node, neighbor, weight)
     return sub
@@ -326,6 +328,26 @@ class TestScopedRefresh:
             assert_refresh_is_cold_recompute(stream.adapter, refresh)
 
         run_stream(steps, refresh_every, check)
+
+    @settings(max_examples=40, deadline=None)
+    @given(steps=_STEPS, refresh_every=st.integers(1, 4))
+    def test_views_derived_between_refreshes_miss_nothing(
+        self, steps, refresh_every
+    ):
+        """Another reader deriving the graph's CSR view between two
+        refreshes must not hide the changes before its derivation from
+        the next refresh."""
+        stream = Stream(refresh_every)
+        sessions = []
+        recorder = RefreshRecorder()
+        with recorder.patch():
+            for index, step in enumerate(steps):
+                _, refreshed = apply_step(stream, index, step, sessions)
+                if refreshed:
+                    assert_refresh_is_cold_recompute(
+                        stream.adapter, recorder.results[-1]
+                    )
+                compile_graph(stream.adapter.builder.graph)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(steps=_STEPS, refresh_every=st.integers(1, 4))

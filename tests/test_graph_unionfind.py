@@ -1,22 +1,18 @@
-"""Property and unit tests for the shared disjoint-set structures.
+"""Property and unit tests for the dense disjoint-set structure.
 
-:mod:`repro.graph.unionfind` backs both the rotation linker and the
-entity graph's component extraction, so its invariants are pinned
-property-style: the partition it reports must be exactly the
-transitive closure of the unions applied, independent of order and
-repetition, and path compression must never change it.
+:class:`repro.graph.unionfind.UnionFind` backs the rotation linker, so
+its invariants are pinned property-style: the partition it reports
+must be exactly the transitive closure of the unions applied,
+independent of order and repetition, and path compression must never
+change it.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.graph.unionfind import KeyedUnionFind, UnionFind
+from repro.graph.unionfind import UnionFind
 
 
 def _partition(uf: UnionFind) -> set:
-    return {frozenset(group) for group in uf.groups()}
-
-
-def _keyed_partition(uf: KeyedUnionFind) -> set:
     return {frozenset(group) for group in uf.groups()}
 
 
@@ -89,71 +85,3 @@ class TestUnionFindProperties:
         groups = uf.groups()
         assert groups == [[0, 4], [1], [2], [3, 5]]
         assert len(uf) == 6
-
-
-class TestKeyedUnionFindProperties:
-    @settings(max_examples=80, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from("abcdefgh"),
-                st.sampled_from("abcdefgh"),
-            ),
-            max_size=20,
-        )
-    )
-    def test_connected_matches_groups(self, pairs):
-        """connected(a, b) agrees with group membership for every pair
-        of keys ever added."""
-        uf: KeyedUnionFind = KeyedUnionFind()
-        for a, b in pairs:
-            uf.union(a, b)
-        group_of = {}
-        for group in uf.groups():
-            for key in group:
-                group_of[key] = group[0]
-        keys = list(group_of)
-        for a in keys:
-            for b in keys:
-                assert uf.connected(a, b) == (
-                    group_of[a] == group_of[b]
-                )
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from("abcdefgh"),
-                st.sampled_from("abcdefgh"),
-            ),
-            max_size=20,
-        )
-    )
-    def test_order_independent_partition(self, pairs):
-        forward: KeyedUnionFind = KeyedUnionFind()
-        for a, b in pairs:
-            forward.union(a, b)
-        scrambled: KeyedUnionFind = KeyedUnionFind()
-        # Register every key first so insertion order differs, then
-        # union in reverse with swapped arguments.
-        for a, b in pairs:
-            scrambled.add(b)
-            scrambled.add(a)
-        for a, b in reversed(pairs):
-            scrambled.union(b, a)
-        assert _keyed_partition(forward) == _keyed_partition(scrambled)
-
-    def test_find_registers_unknown_keys(self):
-        uf: KeyedUnionFind = KeyedUnionFind()
-        assert uf.find("ghost") == "ghost"
-        assert "ghost" in uf
-        assert len(uf) == 1
-        assert uf.groups() == [["ghost"]]
-
-    def test_representative_is_a_member_key(self):
-        uf: KeyedUnionFind = KeyedUnionFind()
-        uf.union("x", "y")
-        uf.union("y", "z")
-        root = uf.find("z")
-        assert root in {"x", "y", "z"}
-        assert uf.find("x") == root

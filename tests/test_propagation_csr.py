@@ -1,4 +1,4 @@
-"""CSR propagation kernel vs the dict reference, plus compile caching.
+"""CSR propagation kernel vs the dict reference, plus the derived view.
 
 The vectorized Jacobi sweep in :func:`repro.graph.propagation.propagate`
 must be *bit-identical* to the dict implementation it replaced
@@ -8,16 +8,19 @@ random multipartite graphs (including isolated nodes and zero-seed
 worlds), identical round counts and convergence flags, and identical
 ``top()`` rankings.  Alongside: the ``top()`` heap-selection tie-break
 regression, the ``CompiledGraph`` version-stamp lifecycle, and the
-incremental compile: splicing forward from the previous compile must
-give a cold compile's arrays exactly, and a ``previous`` that is not
-the graph's last compile must never be spliced.
+incremental derivation: whatever was derived before, and across a
+pickle round trip, the CSR view, snapshot and components of the
+columnar graph equal the dict oracle's
+(:class:`tests.graph_oracle.DictEntityGraph`) array for array.
 """
+
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph.builder import EntityGraph
+from repro.graph.builder import EntityGraph, GraphBuilder
 from repro.graph.entities import EntityId
 from repro.graph.propagation import (
     CompiledGraph,
@@ -26,7 +29,14 @@ from repro.graph.propagation import (
     compile_graph,
     propagate,
 )
+from tests.graph_oracle import DictEntityGraph, cold_csr, neighbor_weights
 from tests.propagation_oracle import propagate_dict
+from tests.test_graph_builder import (
+    make_booking,
+    make_entry,
+    make_session,
+    make_sms,
+)
 
 _KINDS = ("s", "fp", "ip", "ref")
 
@@ -173,7 +183,7 @@ class TestCompiledGraphLifecycle:
         assert compiled.edge_count == 2 * graph.edge_count
         for node in graph.nodes():
             assert sorted(compiled.neighbors_of(node)) == sorted(
-                graph.neighbors(node)
+                neighbor_weights(graph, node)
             )
 
     def test_stale_compiled_graph_is_rejected(self):
@@ -244,20 +254,37 @@ def _compile_arrays(compiled: CompiledGraph):
     return compiled.nodes, compiled.index, raw, compiled.version
 
 
-def _resorted(graph, previous=None):
+def _resorted(graph):
     """Compile ``graph`` and report how many groups were re-sorted."""
     from repro.obs.core import ObsRegistry
 
     registry = ObsRegistry()
-    compiled = compile_graph(graph, obs=registry, previous=previous)
+    compiled = compile_graph(graph, obs=registry)
     return compiled, int(registry.counter("graph.compile.resorted"))
+
+
+def _restored(graph):
+    """A copy through pickle, as a snapshot/restore would make."""
+    return pickle.loads(pickle.dumps(graph))
+
+
+def _assert_view_matches_oracle(graph, oracle) -> None:
+    """The graph's derived CSR view equals the oracle's cold layout,
+    integers and floats compared as raw bytes."""
+    compiled = compile_graph(graph)
+    want = cold_csr(oracle)
+    assert compiled.nodes == want["nodes"]
+    for name in ("indptr", "src", "dst", "weights", "degree"):
+        got = getattr(compiled, name)
+        assert got.dtype == want[name].dtype, name
+        assert got.tobytes() == want[name].tobytes(), name
 
 
 #: Graph mutations: ``("edge", ka, a, kb, b, weight)`` adds an edge or
 #: raises/keeps an existing one; ``("raise", pick, bump)`` raises the
 #: weight of an existing edge; ``("node", k, i)`` adds a node;
-#: ``("compile", pick)`` compiles with ``previous`` chosen by ``pick``
-#: from the last compile, an older one, a foreign graph's, or none.
+#: ``("compile",)`` derives the view; ``("restore",)`` round-trips the
+#: graph through pickle, which drops the view.
 _OPS = st.lists(
     st.one_of(
         st.tuples(
@@ -272,7 +299,9 @@ _OPS = st.lists(
             st.floats(min_value=0.01, max_value=0.5),
         ),
         st.tuples(st.just("node"), st.integers(0, 3), st.integers(0, 15)),
-        st.tuples(st.just("compile"), st.integers(0, 9)),
+        st.tuples(st.just("compile")),
+        st.tuples(st.just("compile")),
+        st.tuples(st.just("restore")),
     ),
     max_size=60,
 )
@@ -282,51 +311,39 @@ class TestIncrementalCompile:
     @settings(max_examples=150, deadline=None)
     @given(ops=_OPS, seeds=_SEEDS)
     def test_incremental_compile_equals_cold_compile(self, ops, seeds):
-        """Whatever the mutation history and whichever ``previous`` is
-        passed, the compile equals a cold compile array for array, and
+        """Whatever the mutation history and whatever was derived
+        before, the view equals a cold derivation array for array, and
         propagating over it still equals the dict reference."""
         graph = EntityGraph()
-        # Same mutations, compiled cold only: the reference arrays.
-        mirror = EntityGraph()
-        foreign = _build([(0, 0, 1, 1, 0.5), (1, 1, 2, 2, 0.25)])
-        history = [compile_graph(foreign)]
-        last = None
+        oracle = DictEntityGraph()
         seed_map = {
             _node(kind, index): value
             for (kind, index), value in seeds.items()
         }
-        for op in ops + [("compile", 0)]:
+        for op in ops + [("compile",)]:
             if op[0] == "edge":
                 _, ka, a, kb, b, weight = op
-                for target in (graph, mirror):
+                for target in (graph, oracle):
                     target.add_edge(_node(ka, a), _node(kb, b), weight)
             elif op[0] == "raise":
-                edges = graph.edges()
+                edges = oracle.edges()
                 if edges:
                     a, b, weight = edges[op[1] % len(edges)]
-                    for target in (graph, mirror):
+                    for target in (graph, oracle):
                         target.add_edge(a, b, min(1.0, weight + op[2]))
             elif op[0] == "node":
-                for target in (graph, mirror):
+                for target in (graph, oracle):
                     target.add_node(_node(op[1], op[2]))
+            elif op[0] == "restore":
+                graph = _restored(graph)
             else:
-                pick = op[1]
-                if pick < 6:
-                    previous = last          # the normal, spliced case
-                elif pick < 9:
-                    previous = history[pick % len(history)]
-                else:
-                    previous = None
-                compiled, resorted = _resorted(graph, previous)
-                cold = compile_graph(mirror)
+                compiled = compile_graph(graph)
+                cold = compile_graph(_restored(graph))
+                assert cold.base == -1
                 assert _compile_arrays(compiled) == _compile_arrays(cold)
-                if previous is not last or last is None:
-                    # Not the graph's last compile: nothing spliced.
-                    assert resorted == graph.node_count
-                history.append(compiled)
-                last = compiled
-        csr = propagate(graph, seed_map, compiled=last)
-        ref = propagate_dict(graph, seed_map)
+                _assert_view_matches_oracle(graph, oracle)
+        csr = propagate(graph, seed_map, compiled=compiled)
+        ref = propagate_dict(oracle, seed_map)
         assert csr.scores == ref.scores
         assert (csr.rounds, csr.converged) == (ref.rounds, ref.converged)
 
@@ -334,31 +351,123 @@ class TestIncrementalCompile:
         graph = _build([(0, i, 1, i % 3, 0.5) for i in range(10)])
         first, resorted = _resorted(graph)
         assert resorted == graph.node_count
-        same, resorted = _resorted(graph, first)
+        same, resorted = _resorted(graph)
         assert resorted == 0
-        assert _compile_arrays(same) == _compile_arrays(first)
+        assert same is first
         # A new edge touches its two endpoints; a new node appends.
         graph.add_edge(_node(0, 0), _node(2, 0), 0.7)
-        grown, resorted = _resorted(graph, same)
+        grown, resorted = _resorted(graph)
         assert resorted == 2
+        assert grown.base == first.version
         assert grown.nodes[:first.node_count] == first.nodes
         # A weight raise touches both endpoints; a no-op touches none.
         graph.add_edge(_node(0, 1), _node(1, 1), 0.9)
         graph.add_edge(_node(0, 2), _node(1, 2), 0.1)
-        _, resorted = _resorted(graph, grown)
+        _, resorted = _resorted(graph)
         assert resorted == 2
 
-    def test_foreign_or_older_previous_compiles_cold(self):
+    def test_restored_graph_derives_cold(self):
+        """The view is derived state: a pickle leaves it out, so the
+        first derivation after a restore re-sorts every group and
+        equals the uninterrupted graph's view."""
         graph = _build([(0, i, 1, i % 3, 0.5) for i in range(6)])
-        other = _build([(0, i, 1, i % 3, 0.5) for i in range(6)])
-        older = compile_graph(graph)
-        latest = compile_graph(graph, previous=older)
+        compile_graph(graph)
         graph.add_edge(_node(0, 0), _node(2, 0), 0.7)
-        # Same structure, but another graph's compile: not spliced.
-        _, resorted = _resorted(graph, compile_graph(other))
-        assert resorted == graph.node_count
-        # The compile above superseded ``latest``, so it is stale too.
-        _, resorted = _resorted(graph, latest)
-        assert resorted == graph.node_count
-        _, resorted = _resorted(graph, older)
-        assert resorted == graph.node_count
+        restored = _restored(graph)
+        assert restored._view is None
+        cold, resorted = _resorted(restored)
+        assert resorted == restored.node_count
+        assert cold.base == -1
+        spliced, resorted = _resorted(graph)
+        assert resorted == 2
+        assert _compile_arrays(cold) == _compile_arrays(spliced)
+
+
+_FP = st.sampled_from(["f0", "f1", "f2", "f3"])
+_IPS = st.sampled_from(["10.0.0.1", "10.0.0.2", "10.0.1.7", "10.2.0.1"])
+_TIME = st.integers(0, 50).map(float)
+
+#: Record feeds: each ``observe_*`` kind, drawn from small pools so
+#: edges repeat, plus direct weight raises, derivations and restores.
+_FEED = st.lists(
+    st.one_of(
+        st.tuples(st.just("entry"), _FP, _IPS, _TIME),
+        st.tuples(
+            st.just("session"), st.integers(0, 5), _FP, _IPS, _TIME,
+            st.integers(0, 3),
+        ),
+        st.tuples(
+            st.just("booking"), _FP, _IPS, _TIME,
+            st.sampled_from(["ann", "bo", "cy"]), st.integers(0, 2),
+        ),
+        st.tuples(
+            st.just("sms"), _FP, _IPS, _TIME, st.integers(0, 3),
+            st.sampled_from(["", "R1", "R2"]),
+        ),
+        st.tuples(
+            st.just("raise"), st.integers(0, 1_000),
+            st.floats(min_value=0.01, max_value=0.5),
+        ),
+        st.tuples(st.just("compile")),
+        st.tuples(st.just("restore")),
+    ),
+    max_size=60,
+)
+
+
+def _feed(builder: GraphBuilder, step) -> None:
+    kind = step[0]
+    if kind == "entry":
+        _, fp, ip, time = step
+        builder.observe_entry(make_entry(time, fp, ip), time)
+    elif kind == "session":
+        _, sid, fp, ip, time, length = step
+        builder.observe_session(make_session(
+            f"s{sid}", fp, ip, [time + 10.0 * k for k in range(length + 1)]
+        ))
+    elif kind == "booking":
+        _, fp, ip, time, name, flight = step
+        builder.observe_booking(make_booking(
+            time, fp, ip, [(name, "kot")], flight=f"LO{flight}"
+        ))
+    else:
+        _, fp, ip, time, phone, ref = step
+        builder.observe_sms(make_sms(time, fp, ip, f"60{phone}", ref=ref))
+
+
+class TestColumnarGraphMatchesOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(steps=_FEED, picks=st.lists(st.integers(0, 1_000), max_size=8))
+    def test_observe_feed_matches_dict_graph(self, steps, picks):
+        """Random interleavings of every ``observe_*`` kind, duplicate
+        edges, weight raises and pickle round trips: the columnar
+        graph's derived CSR arrays, snapshot and components equal the
+        dict oracle's fed the same records."""
+        builder = GraphBuilder()
+        reference = GraphBuilder()
+        reference.graph = DictEntityGraph()
+        for step in steps + [("compile",)]:
+            if step[0] == "compile":
+                _assert_view_matches_oracle(builder.graph, reference.graph)
+            elif step[0] == "restore":
+                builder = _restored(builder)
+            elif step[0] == "raise":
+                edges = reference.graph.edges()
+                if edges:
+                    a, b, weight = edges[step[1] % len(edges)]
+                    for target in (builder.graph, reference.graph):
+                        target.add_edge(a, b, min(1.0, weight + step[2]))
+            else:
+                for target in (builder, reference):
+                    _feed(target, step)
+        graph, oracle = builder.graph, reference.graph
+        assert graph.snapshot(include_spans=True) == oracle.snapshot(
+            include_spans=True
+        )
+        assert graph.components() == oracle.components()
+        nodes = oracle.nodes()
+        subset = [nodes[pick % len(nodes)] for pick in picks] if nodes else []
+        assert graph.components(subset) == oracle.components(subset)
+        for node in nodes:
+            assert graph.first_seen(node) == oracle.first_seen(node)
+            assert graph.last_seen(node) == oracle.last_seen(node)

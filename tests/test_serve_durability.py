@@ -3,14 +3,21 @@ all-or-nothing write transactions, the WAL fold at each snapshot,
 readers that do not block ingest, and the digest-checked snapshot
 envelope."""
 
+import hashlib
 import os
+import pickle
 import sqlite3
 import time
 
 import pytest
 
 from repro.serve.service import DetectionService, ingest_payload
-from repro.serve.state import StateStore, StateStoreError
+from repro.serve.state import (
+    _ENVELOPE,
+    SNAPSHOT_MAGIC,
+    StateStore,
+    StateStoreError,
+)
 
 from tests.serve_util import FailingCommits, campaign_entries
 
@@ -220,6 +227,21 @@ class TestSnapshotEnvelope:
         self._store_blob(path, blob[:keep])
         with StateStore(str(path)) as store:
             with pytest.raises(StateStoreError, match="truncated"):
+                store.load_snapshot()
+
+    def test_format_1_snapshot_refused(self, tmp_path):
+        """A blob in the format-1 envelope pickled the dict-of-dicts
+        entity graph; this build refuses it instead of unpickling it
+        into the columnar graph."""
+        path = tmp_path / "s.db"
+        self._snapshot(path)
+        body = pickle.dumps({"subject": "fp-rot-marker"})
+        blob = _ENVELOPE.pack(
+            SNAPSHOT_MAGIC, 1, hashlib.sha256(body).digest()
+        ) + body
+        self._store_blob(path, blob)
+        with StateStore(str(path)) as store:
+            with pytest.raises(StateStoreError, match="v1"):
                 store.load_snapshot()
 
     def test_version_1_database_refused(self, tmp_path):

@@ -34,6 +34,8 @@ from repro.shard.merge import (
     reduction_for,
 )
 
+from tests.graph_oracle import neighbor_weights
+
 
 class TestEmptyMergeIsIdentity:
     def test_merging_fresh_recorder_preserves_snapshot(self):
@@ -142,7 +144,7 @@ class TestGraphSnapshotMerge:
             left.snapshot(include_spans=True)
         )
         merged.merge_snapshot(right.snapshot(include_spans=True))
-        assert merged.neighbors(node("a"))[node("b")] == 0.8
+        assert neighbor_weights(merged, node("a"))[node("b")] == 0.8
         assert merged.first_seen(node("a")) == 1.0
         assert merged.last_seen(node("a")) == 9.0
         assert merged.edge_count == 2
