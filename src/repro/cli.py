@@ -703,12 +703,14 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     from .scenarios.streaming import build_stream_pipeline
-    from .trace import TraceReader, replay_trace
+    from .trace import TraceError, TraceReader, replay_trace
 
-    with TraceReader(args.trace) as reader:
-        meta = dict(reader.meta)
-    pipeline = build_stream_pipeline()
-    report, stats = replay_trace(args.trace, pipeline)
+    try:
+        with TraceReader(args.trace) as reader:
+            meta = dict(reader.meta)
+        report, stats = replay_trace(args.trace, build_stream_pipeline())
+    except (OSError, TraceError) as error:
+        raise SystemExit(f"error: {error}")
     bots = report.bot_subjects()
     print(render_table(
         ["Metric", "Value"],
@@ -997,19 +999,25 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from .serve.codec import CodecError
     from .serve.server import run_server
+    from .serve.state import StateStoreError
+    from .trace import TraceError
 
-    return run_server(
-        args.db,
-        host=args.host,
-        port=args.port,
-        checkpoint_interval=args.checkpoint_interval,
-        refresh_every=(
-            args.refresh_every if args.refresh_every > 0 else None
-        ),
-        replay=args.replay,
-        quiet=args.quiet,
-    )
+    try:
+        return run_server(
+            args.db,
+            host=args.host,
+            port=args.port,
+            checkpoint_interval=args.checkpoint_interval,
+            refresh_every=(
+                args.refresh_every if args.refresh_every > 0 else None
+            ),
+            replay=args.replay,
+            quiet=args.quiet,
+        )
+    except (StateStoreError, TraceError, CodecError, OSError) as error:
+        raise SystemExit(f"error: {error}")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -9,8 +9,9 @@ uninterrupted run.
 
 Layers, bottom up:
 
-* :mod:`~repro.serve.codec` — LogEntry ⇄ JSON/row wire format;
-* :mod:`~repro.serve.state` — SQLite snapshot + write-ahead journal;
+* :mod:`~repro.serve.codec` — LogEntry ⇄ JSON wire format;
+* :mod:`~repro.serve.state` — SQLite snapshot + write-ahead journal
+  of RPTR records;
 * :mod:`~repro.serve.service` — journal-first event application over
   a persistent pipeline core, checkpointing, final-analysis digest;
 * :mod:`~repro.serve.http` / :mod:`~repro.serve.app` — minimal
@@ -21,7 +22,6 @@ Layers, bottom up:
 """
 
 from .codec import (
-    ENTRY_FIELDS,
     CodecError,
     entry_from_dict,
     entry_to_dict,
@@ -40,7 +40,6 @@ from .service import (
 from .state import StateStore, StateStoreError
 
 __all__ = [
-    "ENTRY_FIELDS",
     "CodecError",
     "entry_from_dict",
     "entry_to_dict",

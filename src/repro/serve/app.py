@@ -22,10 +22,11 @@ Routes:
 ``POST``    ``/shutdown``  checkpoint and stop the server
 ==========  =============  ================================================
 
-Error mapping: malformed JSON / bad events / out-of-order times / trace
-corruption → 400; ingest seq mismatch and ingest-after-finish → 409
-(with the authoritative ``events_ingested`` so clients resync); unknown
-path → 404; wrong method → 405.
+Error mapping: malformed JSON / bad events / out-of-order or
+non-finite times / a corrupt or unsupported trace → 400; ingest seq
+mismatch and ingest-after-finish → 409 (with the authoritative
+``events_ingested`` so clients resync); unknown path → 404; wrong
+method → 405.
 
 A failed state-store write (any route that journals or checkpoints) →
 503 with ``events_ingested``, the durable count to resume from: the
@@ -42,7 +43,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ..obs.core import ObsRegistry
 from ..obs.report import render_prometheus
-from ..trace.format import TraceCorruption
+from ..trace.format import TraceError
 from .codec import CodecError
 from .http import BadRequest, HttpRequest, HttpResponse
 from .service import DetectionService, SeqConflict, ServiceFinished
@@ -94,8 +95,7 @@ class ServeApp:
             return HttpResponse.error(404, f"no route {request.path}")
         try:
             return handler(request)
-        except (BadRequest, CodecError, TraceCorruption,
-                ValueError) as error:
+        except (BadRequest, CodecError, TraceError, ValueError) as error:
             if self.obs is not None:
                 self.obs.increment("serve.http.bad_requests")
             return HttpResponse.error(400, str(error))

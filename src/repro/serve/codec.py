@@ -1,36 +1,22 @@
 """Wire codec: :class:`~repro.web.logs.LogEntry` ⇄ JSON-able dicts.
 
-The ingest endpoint, the SQLite journal and the query responses all
-speak the same flat field set — exactly the eleven strings plus three
-scalars the RPTR trace format serialises, so a trace entry, an ingested
-event and a journaled row are interchangeable representations of the
-same request.
+The ingest endpoint and the query responses speak one flat field set —
+exactly the eleven strings plus three scalars the RPTR trace format
+(:mod:`repro.trace.format`) serialises, which is also the journal's
+encoding at rest.  :func:`entry_from_dict` therefore refuses what an
+RPTR record cannot hold (a status outside the u16, a string over
+:data:`~repro.trace.format.MAX_STRING_BYTES` UTF-8 bytes or not
+encodable at all), so a batch that parses always journals.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..common import ClientRef
+from ..trace.format import MAX_STATUS, MAX_STRING_BYTES
 from ..web.logs import LogEntry
-
-#: Journal/ingest column order (stable: the journal schema pins it).
-ENTRY_FIELDS: Tuple[str, ...] = (
-    "time",
-    "method",
-    "path",
-    "status",
-    "blocked_by",
-    "outcome",
-    "ip_address",
-    "ip_country",
-    "ip_residential",
-    "fingerprint_id",
-    "user_agent",
-    "profile_id",
-    "actor",
-    "actor_class",
-)
 
 _REQUIRED = ("time", "method", "path", "status", "ip_address",
              "fingerprint_id")
@@ -71,7 +57,7 @@ def entry_from_dict(data: Mapping[str, object]) -> LogEntry:
     if missing:
         raise CodecError(f"event missing required fields: {missing}")
     try:
-        return LogEntry(
+        entry = LogEntry(
             time=float(data["time"]),  # type: ignore[arg-type]
             method=str(data["method"]),
             path=str(data["path"]),
@@ -89,47 +75,61 @@ def entry_from_dict(data: Mapping[str, object]) -> LogEntry:
             blocked_by=str(data.get("blocked_by", "")),
             outcome=str(data.get("outcome", "")),
         )
+        _check_recordable(entry)
     except (TypeError, ValueError) as error:
         raise CodecError(f"bad event field: {error}")
+    return entry
 
 
-def entry_to_row(entry: LogEntry) -> Tuple[object, ...]:
-    """Journal row in :data:`ENTRY_FIELDS` order."""
-    data = entry_to_dict(entry)
-    return tuple(
-        int(data[name]) if name == "ip_residential" else data[name]
-        for name in ENTRY_FIELDS
+def _check_recordable(entry: LogEntry) -> None:
+    """Refuse what the journal's RPTR record cannot hold."""
+    if not 0 <= entry.status <= MAX_STATUS:
+        raise CodecError(f"status {entry.status} outside 0..{MAX_STATUS}")
+    client = entry.client
+    texts = (
+        entry.method, entry.path, entry.blocked_by, entry.outcome,
+        client.ip_address, client.ip_country, client.fingerprint_id,
+        client.user_agent, client.profile_id, client.actor,
+        client.actor_class,
     )
+    for text in texts:
+        size = len(text.encode("utf-8"))  # a lone surrogate raises here
+        if size > MAX_STRING_BYTES:
+            raise CodecError(
+                f"string field of {size} UTF-8 bytes "
+                f"(at most {MAX_STRING_BYTES})"
+            )
 
 
-def entry_from_row(row: Sequence[object]) -> LogEntry:
-    """Rebuild an entry from a journal row (inverse of
-    :func:`entry_to_row`)."""
-    data = dict(zip(ENTRY_FIELDS, row))
-    data["ip_residential"] = bool(data["ip_residential"])
-    return entry_from_dict(data)
-
-
-def parse_events(
-    payload: object, last_time: Optional[float]
-) -> Tuple[LogEntry, ...]:
-    """Validate a full ingest batch up front.
-
-    Checks shape *and* time-ordering (against ``last_time``, the
-    pipeline's latest observed event time, and within the batch) so
-    the caller can journal-then-apply knowing neither step can fail
-    halfway — a partially applied batch would diverge the in-memory
-    pipeline from its own journal.
-    """
-    if not isinstance(payload, Sequence) or isinstance(payload, (str, bytes)):
-        raise CodecError("events must be a list of event objects")
-    entries = tuple(entry_from_dict(item) for item in payload)
+def check_order(
+    entries: Sequence[LogEntry], last_time: Optional[float]
+) -> None:
+    """Raise :class:`CodecError` unless every time is finite and none
+    precedes ``last_time`` (the pipeline's latest observed event time)
+    or the entry before it: the pipeline's ordering contract, checked
+    before a batch is journaled so neither journaling nor applying can
+    fail halfway.  ``Infinity`` would put every later event "before"
+    it and ``NaN`` compares false with everything, so both are
+    refused outright."""
     previous = last_time
     for index, entry in enumerate(entries):
+        if not math.isfinite(entry.time):
+            raise CodecError(f"event {index} has time {entry.time}")
         if previous is not None and entry.time < previous:
             raise CodecError(
                 f"events must be time-ordered: event {index} at "
                 f"{entry.time} arrives before {previous}"
             )
         previous = entry.time
+
+
+def parse_events(
+    payload: object, last_time: Optional[float]
+) -> Tuple[LogEntry, ...]:
+    """Validate a full ingest batch up front: the shape of every
+    event, then :func:`check_order` against ``last_time``."""
+    if not isinstance(payload, Sequence) or isinstance(payload, (str, bytes)):
+        raise CodecError("events must be a list of event objects")
+    entries = tuple(entry_from_dict(item) for item in payload)
+    check_order(entries, last_time)
     return entries

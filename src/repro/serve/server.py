@@ -61,12 +61,16 @@ class DetectionServer:
         self.quiet = quiet
         self.obs = obs if obs is not None else ObsRegistry()
         self.store = StateStore(db_path)
-        self.service = DetectionService(
-            self.store,
-            checkpoint_interval=checkpoint_interval,
-            refresh_every=refresh_every,
-            obs=self.obs,
-        )
+        try:
+            self.service = DetectionService(
+                self.store,
+                checkpoint_interval=checkpoint_interval,
+                refresh_every=refresh_every,
+                obs=self.obs,
+            )
+        except BaseException:
+            self.store.close()  # a refused restore leaves nothing open
+            raise
         self.app = ServeApp(
             self.service, obs=self.obs, on_shutdown=self.request_shutdown
         )

@@ -33,7 +33,7 @@ from ..stream.feed import RecordFeed
 from ..stream.pipeline import StreamPipeline, StreamReport
 from ..trace.replay import read_entries
 from ..web.logs import LogEntry
-from .codec import CodecError, entry_to_dict, parse_events
+from .codec import check_order, entry_to_dict, parse_events
 from .state import StateStore, StateStoreError
 
 #: Default events between checkpoints (the CLI flag overrides).
@@ -139,13 +139,15 @@ class DetectionService:
     acknowledged event prefix, a service restored after ``SIGKILL``
     continues *exactly* where the uninterrupted one would be.
 
-    Write protocol per batch: validate everything up front
-    (:func:`~repro.serve.codec.parse_events`), journal + commit, then
-    apply to the pipeline — so no acknowledged event can be lost and no
-    half-applied batch can diverge memory from disk.  A failed journal
-    commit is rolled back and raises
-    :class:`~repro.serve.state.StateStoreError` before anything is
-    applied, so the same batch can be resent with the same ``seq``.
+    Write protocol per batch: validate everything up front (shape in
+    :func:`~repro.serve.codec.parse_events`, time order in
+    :func:`~repro.serve.codec.check_order` for ingest and replay
+    alike), journal + commit, then apply to the pipeline — so no
+    acknowledged event can be lost and no half-applied batch can
+    diverge memory from disk.  A failed journal commit is rolled back
+    and raises :class:`~repro.serve.state.StateStoreError` before
+    anything is applied, so the same batch can be resent with the same
+    ``seq``.
     """
 
     def __init__(
@@ -288,12 +290,17 @@ class DetectionService:
         how many are applied this call, which lets callers replay in
         bounded chunks. Entries are journaled and applied in ``batch``
         groups — one SQLite commit per group, the throughput lever that
-        keeps the server path within 2x of direct replay.
+        keeps the server path within 2x of direct replay.  The trace is
+        read through once before any of it is journaled, so a torn or
+        corrupt trace raises before the first batch, and each batch is
+        order-checked as :func:`parse_events` checks an ingest batch.
         """
         if self.finished:
             raise ServiceFinished("service already finished")
         if offset < 0:
             raise ValueError(f"offset must be >= 0: {offset}")
+        for _ in read_entries(path):
+            pass  # a CRC pass first: no unverified entry is journaled
         applied = 0
         skipped = 0
         pending: List[LogEntry] = []
@@ -306,9 +313,11 @@ class DetectionService:
             pending.append(entry)
             applied += 1
             if len(pending) >= batch:
+                check_order(pending, self.last_time())
                 self._apply(tuple(pending))
                 pending.clear()
         if pending:
+            check_order(pending, self.last_time())
             self._apply(tuple(pending))
         return {
             "replayed": applied,
@@ -317,13 +326,10 @@ class DetectionService:
         }
 
     def _apply(self, entries: Tuple[LogEntry, ...]) -> None:
-        """Journal-then-apply one validated, time-ordered batch."""
-        last = self.last_time()
-        if last is not None and entries[0].time < last:
-            raise CodecError(
-                f"events must be time-ordered: batch starts at "
-                f"{entries[0].time}, pipeline is at {last}"
-            )
+        """Journal-then-apply one batch of entries already checked for
+        order: an entry the pipeline would refuse must never reach the
+        journal, or every restore would replay it into the same
+        refusal."""
         self.store.append_events(self._seq + 1, entries)
         pipeline = self.pipeline
         for entry in entries:

@@ -2,13 +2,13 @@
 
 Durability model (classic checkpoint/WAL):
 
-* every acknowledged event is first appended to the ``journal`` table
-  and **committed** — an ack therefore promises the event survives a
-  ``SIGKILL``, and (``synchronous=FULL``) a power loss;
+* every acknowledged batch is first appended to the ``journal`` table
+  as one row and **committed** — an ack therefore promises the batch
+  survives a ``SIGKILL``, and (``synchronous=FULL``) a power loss;
 * every ``checkpoint_interval`` events the service pickles its full
   in-memory detection core (pipeline, adapters, graph, fusion — all
   pure deterministic Python state) into the ``snapshots`` table and
-  truncates the journal prefix the snapshot now covers;
+  deletes the journal rows the snapshot now covers;
 * restore = load latest snapshot, then re-apply the journal tail
   through the restored pipeline.  Because the pipeline is a
   deterministic function of its event prefix and pickling preserves
@@ -34,6 +34,18 @@ back, and a failed ``sqlite3`` call surfaces as
 :class:`StateStoreError`, so a failed commit leaves neither a wedged
 transaction nor rows the live pipeline never applied.
 
+A journal row is ``(first_seq, count, record)``: the batch's events
+are seqs ``first_seq .. first_seq + count - 1`` and ``record`` is one
+complete RPTR trace of them (:mod:`repro.trace.format`: its own string
+table, a footer with the entry count and a CRC32), with
+``{"first_seq": first_seq}`` as its metadata, so restore decodes
+through the same :class:`~repro.trace.format.TraceReader` as ``repro
+replay`` and ``POST /replay``.  A record that fails to
+decode (bad CRC, truncated, unsupported), whose count or metadata
+disagrees with its row, or that leaves a gap or an overlap with the
+record before it raises :class:`StateStoreError` naming its
+``first_seq``; no corrupt record replays silently.
+
 A snapshot blob is an envelope: magic, format version and the SHA-256
 of the pickle, then the pickle.  A truncated or corrupt blob fails the
 digest check and raises :class:`StateStoreError` instead of
@@ -56,11 +68,12 @@ import struct
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..trace.format import TraceError, TraceReader, TraceWriter
 from ..web.logs import LogEntry
-from .codec import ENTRY_FIELDS, entry_from_row, entry_to_row
 
-#: Bumped when the on-disk schema changes (2: enveloped snapshots).
-SCHEMA_VERSION = 2
+#: Bumped when the on-disk schema changes (2: enveloped snapshots;
+#: 3: one RPTR record per journaled batch).
+SCHEMA_VERSION = 3
 
 #: How long a write waits on another connection's lock (SQLite's
 #: ``busy_timeout``; Python's default ``timeout=5.0``).
@@ -73,14 +86,15 @@ SNAPSHOT_MAGIC = b"RPSN"
 SNAPSHOT_FORMAT = 2
 _ENVELOPE = struct.Struct(">4sH32s")
 
-_SCHEMA = f"""
+_SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
     value TEXT NOT NULL
 );
 CREATE TABLE IF NOT EXISTS journal (
-    seq INTEGER PRIMARY KEY,
-    {", ".join(f"{name} {'REAL' if name == 'time' else 'INTEGER' if name in ('status', 'ip_residential') else 'TEXT'} NOT NULL" for name in ENTRY_FIELDS)}
+    first_seq INTEGER PRIMARY KEY,
+    count     INTEGER NOT NULL,
+    record    BLOB NOT NULL
 );
 CREATE TABLE IF NOT EXISTS snapshots (
     id         INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -114,7 +128,8 @@ CREATE TABLE IF NOT EXISTS entities (
 
 class StateStoreError(Exception):
     """The database is unusable (wrong schema version or journal mode,
-    corrupt snapshot) or a write failed and was rolled back."""
+    corrupt snapshot or journal record) or a write failed and was
+    rolled back."""
 
 
 class StateStore:
@@ -128,12 +143,7 @@ class StateStore:
     All writes happen on the event-loop thread; SQLite's default
     serialized mode plus one connection per store keeps this simple.
     Every write method is one transaction that either commits whole or
-    rolls back and raises :class:`StateStoreError`.  ``commit``
-    batching is the caller's choice: :meth:`append_events` commits by
-    default (ingest-path durability), but bulk replay may pass
-    ``commit=False`` and :meth:`commit` every N events — the
-    throughput/durability dial the benchmark exercises.  A failure in
-    such an open batch rolls back every uncommitted append.
+    rolls back and raises :class:`StateStoreError`.
     """
 
     def __init__(self, path: str) -> None:
@@ -180,15 +190,14 @@ class StateStore:
         self.close()
 
     @contextmanager
-    def _transaction(self, what: str, commit: bool = True) -> Iterator[None]:
-        """Run the body as (part of) one transaction: commit it when
-        ``commit``, roll it back on any error.  ``sqlite3`` errors
-        surface as :class:`StateStoreError`; others propagate as they
-        are, after the rollback."""
+    def _transaction(self, what: str) -> Iterator[None]:
+        """Run the body as one transaction: commit it, or roll it back
+        on any error.  ``sqlite3`` errors surface as
+        :class:`StateStoreError`; others propagate as they are, after
+        the rollback."""
         try:
             yield
-            if commit:
-                self._conn.commit()
+            self._conn.commit()
         except sqlite3.Error as error:
             self._conn.rollback()
             raise StateStoreError(
@@ -216,20 +225,21 @@ class StateStore:
     # -- journal --------------------------------------------------------------
 
     def append_events(
-        self,
-        first_seq: int,
-        entries: Tuple[LogEntry, ...],
-        commit: bool = True,
+        self, first_seq: int, entries: Tuple[LogEntry, ...]
     ) -> None:
-        """Append ``entries`` as seq ``first_seq..first_seq+n-1``."""
-        with self._transaction("journal append", commit):
-            self._conn.executemany(
-                f"INSERT INTO journal (seq, {', '.join(ENTRY_FIELDS)}) "
-                f"VALUES ({', '.join('?' * (len(ENTRY_FIELDS) + 1))})",
-                [
-                    (first_seq + offset,) + entry_to_row(entry)
-                    for offset, entry in enumerate(entries)
-                ],
+        """Journal ``entries`` as seq ``first_seq..first_seq+n-1``: one
+        row holding one RPTR record, committed."""
+        if not entries:
+            return
+        buffer = io.BytesIO()
+        with TraceWriter(buffer, meta={"first_seq": first_seq}) as writer:
+            for entry in entries:
+                writer.write(entry)
+        with self._transaction("journal append"):
+            self._conn.execute(
+                "INSERT INTO journal (first_seq, count, record) "
+                "VALUES (?, ?, ?)",
+                (first_seq, len(entries), buffer.getvalue()),
             )
 
     def commit(self) -> None:
@@ -237,25 +247,67 @@ class StateStore:
             pass
 
     def journal_tail(self, after_seq: int) -> List[Tuple[int, LogEntry]]:
-        """Every journaled ``(seq, entry)`` with ``seq > after_seq``."""
+        """Every journaled ``(seq, entry)`` past both ``after_seq`` and
+        the latest snapshot, in seq order.  Every record read is
+        decoded and checked whole before any entry is returned."""
+        floor = max(after_seq, self.snapshot_seq())
         rows = self._conn.execute(
-            f"SELECT seq, {', '.join(ENTRY_FIELDS)} FROM journal "
-            "WHERE seq > ? ORDER BY seq",
-            (after_seq,),
+            "SELECT first_seq, count, record FROM journal "
+            "WHERE first_seq + count - 1 > ? ORDER BY first_seq",
+            (floor,),
         ).fetchall()
-        return [(row[0], entry_from_row(row[1:])) for row in rows]
+        tail: List[Tuple[int, LogEntry]] = []
+        expected = floor + 1  # the seq the next record must hold
+        for index, (first_seq, count, record) in enumerate(rows):
+            # Only the first record may start before ``expected``: a
+            # snapshot or ``after_seq`` can cover part of its batch.
+            if first_seq > expected or (index and first_seq < expected):
+                raise self._record_error(
+                    first_seq, f"the journal should go on at seq {expected}"
+                )
+            entries = self._decode_record(first_seq, count, record)
+            tail.extend(
+                zip(range(expected, first_seq + count),
+                    entries[expected - first_seq:])
+            )
+            expected = first_seq + count
+        return tail
+
+    def _decode_record(
+        self, first_seq: int, count: int, record: bytes
+    ) -> List[LogEntry]:
+        try:
+            with TraceReader(io.BytesIO(record)) as reader:
+                entries = list(reader)
+                meta = reader.meta
+        except TraceError as error:
+            raise self._record_error(first_seq, str(error)) from error
+        if meta != {"first_seq": first_seq}:
+            raise self._record_error(first_seq, f"metadata {meta!r}")
+        if len(entries) != count:
+            raise self._record_error(
+                first_seq, f"{len(entries)} entries, row says {count}"
+            )
+        return entries
+
+    def _record_error(self, first_seq: int, problem: str) -> StateStoreError:
+        return StateStoreError(
+            f"{self.path}: journal record {first_seq} is corrupt: {problem}"
+        )
 
     def durable_seq(self) -> int:
         """Highest committed event seq (snapshot floor included)."""
-        row = self._conn.execute("SELECT MAX(seq) FROM journal").fetchone()
+        row = self._conn.execute(
+            "SELECT MAX(first_seq + count - 1) FROM journal"
+        ).fetchone()
         if row[0] is not None:
             return int(row[0])
         return self.snapshot_seq()
 
     def journal_rows(self) -> int:
-        return self._conn.execute(
-            "SELECT COUNT(*) FROM journal"
-        ).fetchone()[0]
+        """Events journaled past the latest snapshot (not table rows:
+        a row holds a batch, which a snapshot may cover in part)."""
+        return max(self.durable_seq() - self.snapshot_seq(), 0)
 
     # -- snapshots ------------------------------------------------------------
 
@@ -274,7 +326,7 @@ class StateStore:
         derived: Optional[Dict[str, object]] = None,
     ) -> int:
         """Checkpoint: persist the enveloped pickle of ``core`` at
-        ``seq``, drop the journal prefix it covers and any older
+        ``seq``, drop the journal rows it covers whole and any older
         snapshot, and rewrite the derived query tables — one atomic
         transaction, so a kill or a failed write mid-checkpoint leaves
         the previous checkpoint intact.  Then fold the WAL into the
@@ -301,7 +353,8 @@ class StateStore:
                     "(SELECT id FROM snapshots ORDER BY id DESC LIMIT 1)"
                 )
                 self._conn.execute(
-                    "DELETE FROM journal WHERE seq <= ?", (seq,)
+                    "DELETE FROM journal WHERE first_seq + count - 1 <= ?",
+                    (seq,),
                 )
                 if derived is not None:
                     self._write_derived(derived)

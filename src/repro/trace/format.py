@@ -18,16 +18,27 @@ definition record and referenced by id afterwards — client identity
 fields repeat across almost every entry, so a trace costs a few bytes
 per request instead of a few hundred.  The footer CRC covers every
 record byte between header and footer; a reader hitting a bad CRC,
-truncated frame, or missing footer raises :class:`TraceCorruption`
-instead of returning silently short data.
+truncated frame, missing footer, or bytes after the footer raises
+:class:`TraceCorruption` instead of returning silently short data.
+
+A trace is a file (written by ``repro stream --capture``, read by
+``repro replay`` and ``POST /replay``) or a byte string: the serve
+journal stores each acknowledged ingest batch as one complete trace in
+a SQLite blob.  Writer and reader therefore take a path or an open
+binary stream, so every trace, on disk or in the journal, is read by
+the one :class:`TraceReader`.  A string field
+holds at most :data:`MAX_STRING_BYTES` UTF-8 bytes and a status at
+most :data:`MAX_STATUS`; the serve codec refuses larger values at the
+door, so journaling a validated batch cannot fail.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
-from typing import BinaryIO, Dict, Iterator, List, Optional
+from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..common import ClientRef
 from ..web.logs import LogEntry
@@ -45,6 +56,22 @@ _FOOTER_STRUCT = struct.Struct("<QI")
 _META_LEN = struct.Struct("<I")
 _VERSION_STRUCT = struct.Struct("<H")
 
+#: Largest value the u16 status field and string length can hold.
+MAX_STATUS = 0xFFFF
+MAX_STRING_BYTES = 0xFFFF
+
+#: A trace's location: a filesystem path or an open binary stream.
+Target = Union[str, "os.PathLike[str]", BinaryIO]
+
+
+def _open(target: Target, mode: str) -> Tuple[str, BinaryIO, bool]:
+    """``(label for messages, handle, whether we own the handle)``: a
+    path is opened (and later closed) here, a stream is the caller's."""
+    if isinstance(target, (str, os.PathLike)):
+        path = os.fspath(target)
+        return path, open(path, mode), True
+    return getattr(target, "name", "<stream>"), target, False
+
 
 class TraceError(Exception):
     """Base error for trace I/O."""
@@ -55,18 +82,21 @@ class TraceCorruption(TraceError):
 
 
 class TraceWriter:
-    """Append-only trace writer.
+    """Append-only trace writer to a path or an open binary stream.
 
     Use as a context manager (or call :meth:`close`) — the footer with
     the entry count and CRC is only written on close, and a trace
     without a footer reads as corrupt (by design: a crashed capture
-    should not pass for a complete one).
+    should not pass for a complete one).  Closing closes the file the
+    writer opened; a caller's stream is left open.
     """
 
-    def __init__(self, path: str, meta: Optional[Dict[str, object]] = None):
-        self.path = path
+    def __init__(
+        self, target: Target, meta: Optional[Dict[str, object]] = None
+    ):
         self.meta = dict(meta or {})
-        self._handle: Optional[BinaryIO] = open(path, "wb")
+        self.path, handle, self._owned = _open(target, "wb")
+        self._handle: Optional[BinaryIO] = handle
         self._strings: Dict[str, int] = {}
         self._crc = 0
         self.entries_written = 0
@@ -93,7 +123,7 @@ class TraceWriter:
             string_id = len(self._strings)
             self._strings[text] = string_id
             blob = text.encode("utf-8")
-            if len(blob) > 0xFFFF:
+            if len(blob) > MAX_STRING_BYTES:
                 raise TraceError(
                     f"string too long for trace format: {len(blob)} bytes"
                 )
@@ -142,7 +172,8 @@ class TraceWriter:
             bytes([_KIND_FOOTER])
             + _FOOTER_STRUCT.pack(self.entries_written, self._crc)
         )
-        self._handle.close()
+        if self._owned:
+            self._handle.close()
         self._handle = None
 
     @property
@@ -151,48 +182,45 @@ class TraceWriter:
 
 
 class TraceReader:
-    """Streaming trace reader; iterates :class:`LogEntry` objects.
+    """Streaming trace reader over a path or an open binary stream;
+    iterates :class:`LogEntry` objects.
 
     Validates magic and version eagerly (constructor) and the CRC and
-    entry count lazily (when iteration reaches the footer).
+    entry count lazily (when iteration reaches the footer), so a
+    caller that must not act on unverified entries reads the whole
+    trace before using any of them.
     """
 
-    def __init__(self, path: str):
-        self.path = path
-        self._handle: BinaryIO = open(path, "rb")
-        magic = self._handle.read(4)
+    def __init__(self, source: Target):
+        self.path, self._handle, self._owned = _open(source, "rb")
+        try:
+            self.version, self.meta = self._read_header()
+        except BaseException:
+            self.close()
+            raise
+
+    def _read_header(self) -> Tuple[int, Dict[str, object]]:
+        magic = self._handle.read(len(TRACE_MAGIC))
         if magic != TRACE_MAGIC:
-            self._handle.close()
             raise TraceCorruption(
-                f"{path}: bad magic {magic!r} (expected {TRACE_MAGIC!r})"
+                f"{self.path}: bad magic {magic!r} (expected {TRACE_MAGIC!r})"
             )
-        raw_version = self._handle.read(_VERSION_STRUCT.size)
-        if len(raw_version) < _VERSION_STRUCT.size:
-            self._handle.close()
-            raise TraceCorruption(f"{path}: truncated header")
-        (self.version,) = _VERSION_STRUCT.unpack(raw_version)
-        if self.version != TRACE_VERSION:
-            self._handle.close()
+        (version,) = _VERSION_STRUCT.unpack(
+            self._read_exact(_VERSION_STRUCT.size, "header")
+        )
+        if version != TRACE_VERSION:
             raise TraceError(
-                f"{path}: unsupported trace version {self.version} "
+                f"{self.path}: unsupported trace version {version} "
                 f"(this reader speaks {TRACE_VERSION})"
             )
-        raw_len = self._handle.read(_META_LEN.size)
-        if len(raw_len) < _META_LEN.size:
-            self._handle.close()
-            raise TraceCorruption(f"{path}: truncated header")
-        (meta_len,) = _META_LEN.unpack(raw_len)
-        meta_blob = self._handle.read(meta_len)
-        if len(meta_blob) < meta_len:
-            self._handle.close()
-            raise TraceCorruption(f"{path}: truncated metadata")
+        (meta_len,) = _META_LEN.unpack(
+            self._read_exact(_META_LEN.size, "header")
+        )
+        meta_blob = self._read_exact(meta_len, "metadata")
         try:
-            self.meta: Dict[str, object] = json.loads(
-                meta_blob.decode("utf-8")
-            )
+            return version, json.loads(meta_blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            self._handle.close()
-            raise TraceCorruption(f"{path}: bad metadata: {error}")
+            raise TraceCorruption(f"{self.path}: bad metadata: {error}")
 
     def __enter__(self) -> "TraceReader":
         return self
@@ -201,14 +229,14 @@ class TraceReader:
         self.close()
 
     def close(self) -> None:
-        if self._handle is not None:
+        if self._handle is not None and self._owned:
             self._handle.close()
-            self._handle = None  # type: ignore[assignment]
+        self._handle = None  # type: ignore[assignment]
 
-    def _read_exact(self, size: int) -> bytes:
+    def _read_exact(self, size: int, what: str = "record") -> bytes:
         blob = self._handle.read(size)
         if len(blob) < size:
-            raise TraceCorruption(f"{self.path}: truncated record")
+            raise TraceCorruption(f"{self.path}: truncated {what}")
         return blob
 
     def __iter__(self) -> Iterator[LogEntry]:
@@ -237,6 +265,10 @@ class TraceReader:
                         f"(footer {expected_crc:#010x}, "
                         f"computed {crc:#010x})"
                     )
+                if self._handle.read(1):
+                    raise TraceCorruption(
+                        f"{self.path}: bytes after the footer"
+                    )
                 return
             if kind == _KIND_STRING:
                 head = self._read_exact(_STRING_HEAD.size)
@@ -248,7 +280,10 @@ class TraceReader:
                     raise TraceCorruption(
                         f"{self.path}: out-of-order string id {string_id}"
                     )
-                strings.append(blob.decode("utf-8"))
+                try:
+                    strings.append(blob.decode("utf-8"))
+                except UnicodeDecodeError as error:
+                    raise TraceCorruption(f"{self.path}: bad string: {error}")
                 continue
             if kind == _KIND_ENTRY:
                 payload = self._read_exact(_ENTRY_STRUCT.size)

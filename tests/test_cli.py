@@ -119,10 +119,139 @@ class TestStreamCommands:
     def test_replay_rejects_corrupt_trace(self, tmp_path, capsys):
         bad = tmp_path / "bad.rptr"
         bad.write_bytes(b"not a trace at all")
-        from repro.trace import TraceCorruption
+        message = _one_line_error(["replay", str(bad)])
+        assert "bad magic" in message
 
-        with pytest.raises(TraceCorruption):
-            main(["replay", str(bad)])
+    @pytest.mark.parametrize("fault", ["missing", "torn", "unsupported"])
+    def test_replay_unreadable_trace_is_a_one_line_error(
+        self, tmp_path, fault
+    ):
+        import struct
+
+        from repro.trace import TRACE_MAGIC, TRACE_VERSION
+
+        from tests.serve_util import campaign_entries, write_trace
+
+        trace = tmp_path / "t.rptr"
+        if fault == "torn":
+            write_trace(trace, campaign_entries())
+            trace.write_bytes(trace.read_bytes()[:-20])
+        elif fault == "unsupported":
+            trace.write_bytes(
+                TRACE_MAGIC + struct.pack("<H", TRACE_VERSION + 1)
+                + struct.pack("<I", 2) + b"{}"
+            )
+        message = _one_line_error(["replay", str(trace)])
+        assert {
+            "missing": "No such file",
+            "torn": "truncated record",
+            "unsupported": "unsupported trace version",
+        }[fault] in message
+
+
+def _one_line_error(argv) -> str:
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    message = str(exit_.value.code)
+    assert message.startswith("error: ")
+    assert "\n" not in message
+    return message
+
+
+def test_serve_bootstrap_replay_out_of_order_is_a_one_line_error(tmp_path):
+    from tests.serve_util import make_entry, write_trace
+
+    trace = write_trace(
+        tmp_path / "t.rptr",
+        [make_entry(t) for t in (1.0, 2.0, 5.0, 3.0, 6.0)],
+    )
+    message = _one_line_error([
+        "serve", "--db", str(tmp_path / "s.db"), "--port", "0",
+        "--quiet", "--replay", trace,
+    ])
+    assert "time-ordered" in message
+
+
+class TestServeCommand:
+    """``repro serve`` on a database it refuses or cannot restore."""
+
+    def _journaled_db(self, path, **service_kwargs):
+        from repro.serve.service import DetectionService, ingest_payload
+        from repro.serve.state import StateStore
+
+        from tests.serve_util import campaign_entries
+
+        service = DetectionService(StateStore(str(path)), **service_kwargs)
+        events = ingest_payload(campaign_entries())
+        service.ingest(events[:10])
+        service.ingest(events[10:])
+        service.store.close()
+
+    @pytest.fixture(autouse=True)
+    def _never_listen(self, monkeypatch):
+        """Each case must fail while restoring, before the server
+        binds; one that got that far fails here instead of serving."""
+        from repro.serve.server import DetectionServer
+
+        async def serve(self, replay=None):
+            raise AssertionError("the server restored and started")
+
+        monkeypatch.setattr(DetectionServer, "serve", serve)
+
+    def _serve_error(self, path, *extra) -> str:
+        return _one_line_error(
+            ["serve", "--db", str(path), "--port", "0", "--quiet", *extra]
+        )
+
+    def test_version_2_database(self, tmp_path):
+        import sqlite3
+
+        path = tmp_path / "s.db"
+        conn = sqlite3.connect(str(path))
+        conn.executescript(
+            "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT);"
+            "INSERT INTO meta VALUES ('schema_version', '2');"
+        )
+        conn.close()
+        assert "schema version 2" in self._serve_error(path)
+
+    def test_corrupt_journal_record(self, tmp_path):
+        import sqlite3
+
+        path = tmp_path / "s.db"
+        self._journaled_db(path)
+        conn = sqlite3.connect(str(path))
+        conn.execute(
+            "UPDATE journal SET record = substr(record, 1, 40) "
+            "WHERE first_seq = 11"
+        )
+        conn.commit()
+        conn.close()
+        assert "journal record 11 is corrupt" in self._serve_error(path)
+
+    def test_settings_mismatch(self, tmp_path):
+        path = tmp_path / "s.db"
+        self._journaled_db(path, checkpoint_interval=5)
+        message = self._serve_error(path, "--refresh-every", "0")
+        assert "refresh_every=None" in message
+
+    def test_failed_restore_closes_the_store(self, tmp_path, monkeypatch):
+        from repro.serve import server
+        from repro.serve.state import StateStore, StateStoreError
+
+        path = tmp_path / "s.db"
+        self._journaled_db(path, checkpoint_interval=5)
+        closed = []
+
+        class RecordingStore(StateStore):
+            def close(self):
+                closed.append(self.path)
+                super().close()
+
+        monkeypatch.setattr(server, "StateStore", RecordingStore)
+        with pytest.raises(StateStoreError, match="refresh_every"):
+            server.DetectionServer(str(path), refresh_every=None)
+        assert closed == [str(path)]
 
 
 class TestSweepCommand:

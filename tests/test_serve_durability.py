@@ -1,7 +1,7 @@
 """Durability of the serve state store: WAL mode at ``synchronous=FULL``,
 all-or-nothing write transactions, the WAL fold at each snapshot,
-readers that do not block ingest, and the digest-checked snapshot
-envelope."""
+readers that do not block ingest, the digest-checked snapshot
+envelope and the CRC-checked RPTR journal records."""
 
 import hashlib
 import os
@@ -72,9 +72,10 @@ class TestDurabilitySettings:
         this stream (78 events in 5-event batches, a checkpoint every
         10 events, 4 KiB pages: 7 folds) the peaks measured 131,872
         bytes at the first fold, which also carries the schema, then
-        57,712 to 78,312 bytes (14 to 19 WAL frames).  Without the
-        fold the WAL keeps every frame: 189,552 bytes at the second
-        checkpoint and 556,232 at the seventh."""
+        57,712 to 74,192 bytes (14 to 18 WAL frames; a journal row
+        holds one RPTR record per batch).  Without the fold the WAL
+        keeps every frame: 189,552 bytes at the second checkpoint and
+        539,752 at the seventh."""
         bound = 160_000
         path = tmp_path / "s.db"
         service = make_service(path, checkpoint_interval=10)
@@ -251,4 +252,170 @@ class TestSnapshotEnvelope:
             store.set_meta("schema_version", "1")
             store.commit()
         with pytest.raises(StateStoreError, match="schema version 1"):
+            StateStore(path)
+
+
+class TestJournalRecords:
+    """Each acknowledged batch is one RPTR record; a record that does
+    not check out stops the restore with :class:`StateStoreError`."""
+
+    BATCH = 8
+
+    def _journal(self, path):
+        """Ingest ``campaign_entries()`` in batches, no checkpoint;
+        returns the events."""
+        events = ingest_payload(campaign_entries())
+        service = make_service(path)
+        for start in range(0, len(events), self.BATCH):
+            service.ingest(events[start:start + self.BATCH], seq=start)
+        service.store.close()
+        return events
+
+    def _rewrite(self, path, sql, *params):
+        conn = sqlite3.connect(str(path))
+        try:
+            conn.execute(sql, params)
+            conn.commit()
+        finally:
+            conn.close()
+
+    def _record(self, path, first_seq):
+        conn = sqlite3.connect(str(path))
+        try:
+            return conn.execute(
+                "SELECT record FROM journal WHERE first_seq = ?",
+                (first_seq,),
+            ).fetchone()[0]
+        finally:
+            conn.close()
+
+    def _restore_fails(self, path, match):
+        store = StateStore(str(path))
+        try:
+            with pytest.raises(StateStoreError, match=match):
+                DetectionService(store, checkpoint_interval=10_000)
+        finally:
+            store.close()
+
+    def test_one_row_per_batch_restores_exactly(self, tmp_path):
+        path = tmp_path / "s.db"
+        events = self._journal(path)
+        conn = sqlite3.connect(str(path))
+        try:
+            rows = conn.execute(
+                "SELECT first_seq, count FROM journal ORDER BY first_seq"
+            ).fetchall()
+        finally:
+            conn.close()
+        assert rows == [
+            (start + 1, len(events[start:start + self.BATCH]))
+            for start in range(0, len(events), self.BATCH)
+        ]
+        restored = make_service(path)
+        assert restored.journal_replayed == len(events)
+        reference = make_service(tmp_path / "ref.db")
+        reference.ingest(events)
+        assert restored.analysis_digest() == reference.analysis_digest()
+
+    def test_flipped_byte_raises(self, tmp_path):
+        path = tmp_path / "s.db"
+        self._journal(path)
+        record = bytearray(self._record(path, self.BATCH + 1))
+        record[len(record) // 2] ^= 0x01
+        self._rewrite(
+            path, "UPDATE journal SET record = ? WHERE first_seq = ?",
+            bytes(record), self.BATCH + 1,
+        )
+        self._restore_fails(path, f"journal record {self.BATCH + 1}")
+
+    @pytest.mark.parametrize("keep", [0, 10, -1])
+    def test_truncated_record_raises(self, tmp_path, keep):
+        path = tmp_path / "s.db"
+        self._journal(path)
+        record = self._record(path, 1)
+        self._rewrite(
+            path, "UPDATE journal SET record = ? WHERE first_seq = 1",
+            record[:keep],
+        )
+        self._restore_fails(path, "journal record 1 is corrupt")
+
+    def test_wrong_count_raises(self, tmp_path):
+        path = tmp_path / "s.db"
+        self._journal(path)
+        self._rewrite(
+            path, "UPDATE journal SET count = count - 1 WHERE first_seq = 1"
+        )
+        self._restore_fails(path, "row says 7")
+
+    def test_gap_between_records_raises(self, tmp_path):
+        path = tmp_path / "s.db"
+        self._journal(path)
+        self._rewrite(
+            path, "DELETE FROM journal WHERE first_seq = ?", self.BATCH + 1
+        )
+        self._restore_fails(path, "record 17 is corrupt: .* go on at seq 9")
+
+    def test_overlapping_records_raise(self, tmp_path):
+        path = tmp_path / "s.db"
+        self._journal(path)
+        self._rewrite(
+            path, "INSERT INTO journal VALUES (5, 8, ?)", self._record(path, 9)
+        )
+        self._restore_fails(path, "record 5 is corrupt: .* go on at seq 9")
+
+    def test_record_missing_at_the_start_raises(self, tmp_path):
+        path = tmp_path / "s.db"
+        self._journal(path)
+        self._rewrite(path, "DELETE FROM journal WHERE first_seq = 1")
+        self._restore_fails(path, "record 9 is corrupt: .* go on at seq 1")
+
+    def test_record_moved_to_another_row_raises(self, tmp_path):
+        """Two records swapped between rows each decode cleanly; the
+        ``first_seq`` in a record's metadata gives the swap away."""
+        path = tmp_path / "s.db"
+        self._journal(path)
+        first, second = self._record(path, 1), self._record(path, 9)
+        self._rewrite(
+            path, "UPDATE journal SET record = ? WHERE first_seq = 1", second
+        )
+        self._rewrite(
+            path, "UPDATE journal SET record = ? WHERE first_seq = 9", first
+        )
+        self._restore_fails(path, "journal record 1 is corrupt: metadata")
+
+    def test_every_flipped_bit_raises(self, tmp_path):
+        """The CRC covers the string and entry frames; magic, version,
+        metadata, footer and the end of the record are checked too, so
+        flipping any one bit of a record stops the replay."""
+        entries = tuple(campaign_entries(rotations=1, legit_visitors=1))[:3]
+        with StateStore(str(tmp_path / "s.db")) as store:
+            store.append_events(1, entries)
+            record = store._conn.execute(
+                "SELECT record FROM journal"
+            ).fetchone()[0]
+            for position in range(len(record) * 8):
+                corrupt = bytearray(record)
+                corrupt[position // 8] ^= 1 << position % 8
+                store._conn.execute(
+                    "UPDATE journal SET record = ?", (bytes(corrupt),)
+                )
+                with pytest.raises(StateStoreError, match="record 1"):
+                    store.journal_tail(0)
+
+    def test_version_2_database_refused(self, tmp_path):
+        """Schema 2 journaled one 14-column row per event; this build
+        refuses it rather than misreading it."""
+        path = str(tmp_path / "s.db")
+        conn = sqlite3.connect(path)
+        try:
+            conn.executescript(
+                "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT);"
+                "INSERT INTO meta VALUES ('schema_version', '2');"
+                "CREATE TABLE journal (seq INTEGER PRIMARY KEY, "
+                "time REAL NOT NULL, method TEXT NOT NULL);"
+                "INSERT INTO journal VALUES (1, 5.0, 'GET');"
+            )
+        finally:
+            conn.close()
+        with pytest.raises(StateStoreError, match="schema version 2"):
             StateStore(path)

@@ -193,6 +193,38 @@ class TestErrorMapping:
         assert status["journal_rows"] == status["events_ingested"]
         assert client.healthz()["status"] == "ok"
 
+    def test_unsupported_trace_version_400(self, served, tmp_path):
+        import struct
+
+        from repro.trace import TRACE_MAGIC, TRACE_VERSION
+
+        _, client = served
+        trace = tmp_path / "v2.rptr"
+        trace.write_bytes(
+            TRACE_MAGIC + struct.pack("<H", TRACE_VERSION + 1)
+            + struct.pack("<I", 2) + b"{}"
+        )
+        with pytest.raises(ServeClientError) as exc_info:
+            client.replay(str(trace))
+        assert exc_info.value.status == 400
+        assert "unsupported trace version" in exc_info.value.payload["error"]
+
+    def test_out_of_order_replay_400_then_ingest_goes_on(
+        self, served, tmp_path
+    ):
+        _, client = served
+        trace = write_trace(
+            tmp_path / "t.rptr",
+            [make_entry(t) for t in (1.0, 2.0, 5.0, 3.0, 6.0)],
+        )
+        with pytest.raises(ServeClientError) as exc_info:
+            client.replay(trace)
+        assert exc_info.value.status == 400
+        status = client.status()
+        assert status["events_ingested"] == status["journal_rows"] == 0
+        events = ingest_payload([make_entry(1.0), make_entry(2.0)])
+        assert client.ingest(events, seq=0)["events_ingested"] == 2
+
     def test_missing_trace_400(self, served):
         _, client = served
         with pytest.raises(ServeClientError) as exc_info:

@@ -66,6 +66,19 @@ class TestIngest:
             service.ingest(ingest_payload([make_entry(5.0)]))
         assert service.events_ingested == 1
 
+    @pytest.mark.parametrize("time_", [float("inf"), float("nan")])
+    def test_non_finite_time_rejected_before_journal(self, tmp_path, time_):
+        """``Infinity`` would put every later event "before" it and
+        ``NaN`` compares false with everything: neither is journaled,
+        and ingest carries on afterwards."""
+        service = make_service(tmp_path)
+        service.ingest(ingest_payload([make_entry(10.0)]))
+        with pytest.raises(CodecError, match="has time"):
+            service.ingest(ingest_payload([make_entry(time_)]), seq=1)
+        assert service.store.journal_rows() == 1
+        assert service.ingest(ingest_payload([make_entry(11.0)]), seq=1)
+        assert service.store.durable_seq() == 2
+
     def test_ingest_after_finish_refused(self, tmp_path):
         service = make_service(tmp_path)
         service.ingest(ingest_payload([make_entry(1.0)]))
@@ -122,6 +135,49 @@ class TestReplayFile:
         assert (
             service.pipeline.events_processed == service.events_ingested
         )
+
+    def test_flipped_bit_in_trace_journals_nothing(self, tmp_path):
+        """The trace's CRC is checked before its first batch is
+        journaled: one flipped status bit never reaches the journal,
+        so it cannot replay after a restart."""
+        from repro.trace import TraceCorruption
+
+        entries = campaign_entries()
+        source = write_trace(tmp_path / "ok.rptr", entries)
+        blob = bytearray(open(source, "rb").read())
+        # The last entry record sits just before the 13-byte footer;
+        # its status is the u16 after the kind byte and the f64 time.
+        status_at = len(blob) - 13 - 56 + 1 + 8
+        blob[status_at] ^= 0x10
+        flipped = tmp_path / "flipped.rptr"
+        flipped.write_bytes(bytes(blob))
+        service = make_service(tmp_path)
+        with pytest.raises(TraceCorruption, match="CRC mismatch"):
+            service.replay_file(str(flipped), batch=7)
+        assert service.events_ingested == 0
+        assert service.store.durable_seq() == 0
+        service.store.close()
+        assert make_service(tmp_path).journal_replayed == 0
+
+    def test_out_of_order_trace_journals_nothing(self, tmp_path):
+        """An out-of-order entry inside a replay batch is refused
+        before the batch is journaled: the service keeps ingesting
+        and a restart restores cleanly."""
+        trace = write_trace(
+            tmp_path / "t.rptr",
+            [make_entry(t) for t in (1.0, 2.0, 5.0, 3.0, 6.0)],
+        )
+        service = make_service(tmp_path)
+        with pytest.raises(CodecError, match="time-ordered"):
+            service.replay_file(trace)
+        assert service.events_ingested == 0
+        assert service.store.durable_seq() == 0
+        events = ingest_payload([make_entry(1.0), make_entry(2.0)])
+        assert service.ingest(events, seq=0) == 2
+        service.store.close()
+        restored = make_service(tmp_path)
+        assert restored.journal_replayed == 2
+        assert restored.events_ingested == 2
 
 
 class TestRecoveryEquivalence:

@@ -3,12 +3,9 @@
 import pytest
 
 from repro.serve.codec import (
-    ENTRY_FIELDS,
     CodecError,
     entry_from_dict,
-    entry_from_row,
     entry_to_dict,
-    entry_to_row,
     parse_events,
 )
 from repro.serve.state import SCHEMA_VERSION, StateStore, StateStoreError
@@ -20,12 +17,6 @@ class TestCodec:
     def test_dict_roundtrip_is_identity(self):
         for entry in campaign_entries(rotations=1, legit_visitors=1):
             assert entry_from_dict(entry_to_dict(entry)) == entry
-
-    def test_row_roundtrip_is_identity(self):
-        for entry in campaign_entries(rotations=1, legit_visitors=1):
-            row = entry_to_row(entry)
-            assert len(row) == len(ENTRY_FIELDS)
-            assert entry_from_row(row) == entry
 
     def test_missing_required_field_rejected(self):
         data = entry_to_dict(make_entry(1.0))
@@ -50,6 +41,32 @@ class TestCodec:
         )
         assert entry.client.actor_class == "legit"
         assert entry.blocked_by == ""
+
+    @pytest.mark.parametrize("status", [-1, 65_536])
+    def test_status_outside_u16_rejected(self, status):
+        data = entry_to_dict(make_entry(1.0, status=status))
+        with pytest.raises(CodecError, match="status"):
+            entry_from_dict(data)
+
+    def test_string_over_65535_utf8_bytes_rejected(self):
+        data = entry_to_dict(make_entry(1.0))
+        data["user_agent"] = "é" * 32_768  # 65,536 UTF-8 bytes
+        with pytest.raises(CodecError, match="65536 UTF-8 bytes"):
+            entry_from_dict(data)
+        data["user_agent"] = "é" * 32_767 + "a"  # 65,535: fits
+        assert entry_from_dict(data).client.user_agent == data["user_agent"]
+
+    def test_unencodable_string_rejected(self):
+        data = entry_to_dict(make_entry(1.0))
+        data["path"] = "/search\ud800"  # a lone surrogate, as JSON can carry
+        with pytest.raises(CodecError, match="surrogate"):
+            entry_from_dict(data)
+
+    @pytest.mark.parametrize("time_", [float("inf"), float("nan")])
+    def test_parse_events_rejects_non_finite_time(self, time_):
+        events = [entry_to_dict(make_entry(time_))]
+        with pytest.raises(CodecError, match="has time"):
+            parse_events(events, None)
 
     def test_parse_events_rejects_non_list(self):
         with pytest.raises(CodecError, match="list"):

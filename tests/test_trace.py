@@ -95,6 +95,29 @@ class TestRoundtrip:
         assert isinstance(log, WebLog)
         assert log.entries() == entries
 
+    def test_stream_roundtrip_leaves_the_stream_open(self):
+        import io
+
+        entries = sample_entries()
+        buffer = io.BytesIO()
+        with TraceWriter(buffer, meta={"first_seq": 1}) as writer:
+            for entry in entries:
+                writer.write(entry)
+        assert not buffer.closed
+        source = io.BytesIO(buffer.getvalue())
+        with TraceReader(source) as reader:
+            assert reader.meta == {"first_seq": 1}
+            assert list(reader) == entries
+        assert not source.closed
+
+    def test_path_like_target(self, tmp_path):
+        path = tmp_path / "t.rptr"
+        with TraceWriter(path) as writer:
+            writer.write(make_entry(1.0))
+        with TraceReader(path) as reader:
+            assert reader.path == str(path)
+            assert list(reader) == [make_entry(1.0)]
+
     def test_writer_refuses_after_close(self, tmp_path):
         writer = TraceWriter(str(tmp_path / "t.rptr"))
         writer.close()
@@ -144,6 +167,22 @@ class TestCorruption:
         corrupt = tmp_path / "crc.rptr"
         corrupt.write_bytes(bytes(blob))
         with pytest.raises(TraceCorruption):
+            list(read_entries(str(corrupt)))
+
+    def test_bytes_after_footer(self, tmp_path):
+        write_trace(tmp_path / "ok.rptr", sample_entries())
+        padded = tmp_path / "padded.rptr"
+        padded.write_bytes((tmp_path / "ok.rptr").read_bytes() + b"\x00")
+        with pytest.raises(TraceCorruption, match="after the footer"):
+            list(read_entries(str(padded)))
+
+    def test_undecodable_string_is_corruption(self, tmp_path):
+        write_trace(tmp_path / "ok.rptr", [make_entry(1.0)])
+        blob = bytearray((tmp_path / "ok.rptr").read_bytes())
+        blob[blob.index(b"UA-1")] = 0xFF  # never valid in UTF-8
+        corrupt = tmp_path / "utf8.rptr"
+        corrupt.write_bytes(bytes(blob))
+        with pytest.raises(TraceCorruption, match="bad string"):
             list(read_entries(str(corrupt)))
 
     def test_truncated_header(self, tmp_path):
