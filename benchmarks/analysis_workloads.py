@@ -11,7 +11,8 @@ committed speedups are same-machine, same-data, same-run comparisons:
 
 * ``analysis_features`` — ``sessionize()`` + one
   ``extract_features()`` row per session (materialize every
-  ``LogEntry``/``Session``, loop per session)
+  ``LogEntry``/``Session``, loop per session; both reference
+  encoders are the test oracles in ``tests/``)
   versus one ``SessionIndex.from_log()`` pass over the columnar
   blocks.  Throughput is log rows per second.
 * ``graph_propagation`` — ``propagate_dict()`` (per-edge Python
@@ -35,7 +36,6 @@ from __future__ import annotations
 import random
 import statistics
 import time
-from types import SimpleNamespace
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -44,7 +44,6 @@ from kernel_workloads import peak_rss_mb, quick_mode
 
 from repro.common import ClientRef
 from repro.core.detection.clustering import ClusteringDetector
-from repro.core.detection.features import FEATURE_NAMES, extract_features
 from repro.core.detection.fusion import FusionDetector
 from repro.core.detection.session_index import SessionIndex
 from repro.core.detection.volume import VolumeDetector
@@ -65,6 +64,7 @@ from repro.web.request import (
     SEARCH,
     TRAP,
 )
+from tests.feature_oracle import object_index, object_matrix
 from tests.graph_oracle import DictEntityGraph
 from tests.propagation_oracle import propagate_dict
 from tests.session_oracle import sessionize
@@ -132,15 +132,6 @@ def build_feature_log() -> WebLog:
             )
             emitted += 1
     return log
-
-
-def object_matrix(sessions) -> np.ndarray:
-    """The per-object reference: one ``extract_features`` row per
-    session, in session order."""
-    matrix = np.zeros((len(sessions), len(FEATURE_NAMES)))
-    for row, session in enumerate(sessions):
-        matrix[row] = extract_features(session).vector()
-    return matrix
 
 
 def features_workload() -> Dict[str, float]:
@@ -282,21 +273,17 @@ def _case_fused_verdicts_identical(case: str) -> bool:
     index = SessionIndex.from_log(log)
     if index.session_ids != [s.session_id for s in sessions]:
         return False
-    matrix = object_matrix(sessions)
-    if not np.array_equal(index.matrix, matrix):
+    reference = object_index(sessions)
+    if not np.array_equal(index.matrix, reference.matrix):
         return False
     if index.sessions() != sessions:
         return False
     kmeans_seed = 20_250_808
-    volume = VolumeDetector()
-    object_index = SimpleNamespace(
-        session_ids=[s.session_id for s in sessions], matrix=matrix
-    )
     object_fused = FusionDetector().fuse([
-        [volume.judge(session) for session in sessions],
+        VolumeDetector().judge_index(reference),
         ClusteringDetector(
             np.random.default_rng(kmeans_seed)
-        ).judge_index(object_index),
+        ).judge_index(reference),
     ])
     columnar_fused = FusionDetector().fuse([
         VolumeDetector().judge_index(index),

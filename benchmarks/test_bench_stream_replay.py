@@ -16,8 +16,10 @@ seats, no periodic controller in any arm):
 The blocking arm is also captured to a trace and replayed through a
 fresh pipeline, asserting the acceptance criterion end-to-end: replayed
 streaming session verdicts are *identical* to the batch pipeline's on
-the rebuilt log, and the replay reports events/sec with the simulation
-cost stripped away.
+the rebuilt log — and both to the per-session reference encoder in
+``tests/feature_oracle.py``, since stream and batch share one encoding
+— and the replay reports events/sec with the simulation cost stripped
+away.
 """
 
 import os
@@ -35,6 +37,8 @@ from repro.scenarios.streaming import (
 from repro.sim.clock import format_duration
 from repro.stream import SessionDetectorAdapter, batch_session_verdicts
 from repro.trace import rebuild_log, replay_trace
+from tests.feature_oracle import object_index
+from tests.session_oracle import sessionize
 
 
 def _arm(trace_path=None, **kwargs):
@@ -156,7 +160,10 @@ def test_trace_replay_throughput_and_equivalence(blocking_result):
 
     # Batch pipeline on the rebuilt log, same detector set.
     detectors = [VolumeDetector()]
-    batch = batch_session_verdicts(rebuild_log(trace), detectors)
+    log = rebuild_log(trace)
+    batch = batch_session_verdicts(log, detectors)
+    # The same detector on per-session reference features.
+    oracle = detectors[0].judge_index(object_index(sessionize(log)))
     replayed = [
         v for v in report.session_verdicts
         if v.detector == detectors[0].name
@@ -186,6 +193,7 @@ def test_trace_replay_throughput_and_equivalence(blocking_result):
     # yields verdicts identical to the batch pipeline.
     assert equivalent
     assert len(replayed) == len(batch)
+    assert batch == oracle
     # Replay sees the identical entry stream the live run saw.
     assert stats.entries == blocking_result.events_processed
     # Interning keeps the format compact (raw repr is ~300+ bytes/entry).

@@ -728,6 +728,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         title="Trace replay through the streaming pipeline",
     ))
     if args.compare_batch:
+        from collections import Counter
+
         from .scenarios.streaming import default_stream_adapters
         from .stream import batch_session_verdicts
         from .trace import rebuild_log
@@ -737,15 +739,19 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             for adapter in default_stream_adapters()
             if hasattr(adapter, "detector")
         ]
-        batch = set(batch_session_verdicts(rebuild_log(args.trace), detectors))
-        stream = set(report.session_verdicts)
+        # Multisets: a verdict dropped once and duplicated elsewhere
+        # must not pass as equal.
+        verdicts = batch_session_verdicts(rebuild_log(args.trace), detectors)
+        batch = Counter(verdicts)
+        stream = Counter(report.session_verdicts)
+        counts = (f"stream: {len(report.session_verdicts)}, "
+                  f"batch: {len(verdicts)} session verdicts")
         if batch == stream:
-            print(f"\nbatch equivalence: OK "
-                  f"({len(stream)} session verdicts identical)")
+            print(f"\nbatch equivalence: OK ({counts}, identical)")
             return 0
-        print(f"\nbatch equivalence: MISMATCH "
-              f"(stream-only: {len(stream - batch)}, "
-              f"batch-only: {len(batch - stream)})")
+        print(f"\nbatch equivalence: MISMATCH ({counts}; "
+              f"stream-only: {sum((stream - batch).values())}, "
+              f"batch-only: {sum((batch - stream).values())})")
         return 1
     return 0
 

@@ -22,7 +22,7 @@ from .anomaly import (
     regularized_gamma_q,
 )
 from .clustering import ClusteringConfig, ClusteringDetector, kmeans
-from .features import FEATURE_NAMES, SessionFeatures, extract_features
+from .features import FEATURE_NAMES
 from .fingerprint_rules import (
     FingerprintDetector,
     FingerprintWeights,
@@ -74,8 +74,6 @@ __all__ = [
     "ClusteringDetector",
     "kmeans",
     "FEATURE_NAMES",
-    "SessionFeatures",
-    "extract_features",
     "DEFAULT_WEIGHTS",
     "FusionDetector",
     "GeoVelocityConfig",

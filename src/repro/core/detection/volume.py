@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from ...web.logs import Session
-from .features import FEATURE_NAMES, extract_features
+from .features import FEATURE_NAMES
 from .verdict import Verdict
 
 #: Matrix columns :meth:`VolumeDetector.judge_index` reads, in
@@ -49,22 +48,10 @@ class VolumeDetector:
     def __init__(self, thresholds: VolumeThresholds = VolumeThresholds()) -> None:
         self.thresholds = thresholds
 
-    def judge(self, session: Session) -> Verdict:
-        features = extract_features(session)
-        return self._verdict(
-            session.session_id,
-            features.request_count,
-            features.duration_minutes,
-            features.requests_per_minute,
-        )
-
     def judge_index(self, index) -> List[Verdict]:
         """Judge every session in a :class:`~repro.core.detection.
-        session_index.SessionIndex` without materialising any.
-
-        Verdict-identical to :meth:`judge` on the corresponding
-        sessions: both feed the same float64 values to :meth:`_verdict`.
-        """
+        session_index.SessionIndex` — a whole log's or one block of
+        closed stream sessions — without materialising any."""
         counts, minutes, rates = index.matrix[:, _COLUMNS].T.tolist()
         return list(
             map(self._verdict, index.session_ids, counts, minutes, rates)

@@ -193,7 +193,9 @@ class GraphStreamAdapter(StreamAdapter):
         self._drain_feeds()
         return ()
 
-    def on_session_closed(self, session: Session) -> Iterable[Verdict]:
+    def on_session_closed(
+        self, session: Session, now: float
+    ) -> Iterable[Verdict]:
         self.builder.observe_session(session)
         node = session_node(session.session_id)
         accumulate_seed(
@@ -206,7 +208,7 @@ class GraphStreamAdapter(StreamAdapter):
         if self._sessions_since_refresh < self.refresh_every:
             return ()
         self._sessions_since_refresh = 0
-        return self._refresh(session.end)
+        return self._refresh(now)
 
     def end_of_stream(self) -> Iterable[Verdict]:
         self._drain_feeds()

@@ -10,7 +10,7 @@ the deterministic training loop behind ``repro train`` /
 ``repro predict``.
 """
 
-from .data import Dataset, build_dataset_columnar, encode_sequence
+from .data import Dataset, build_dataset_columnar
 from .detector import LEARNED_DETECTOR, LearnedSessionDetector
 from .encoder import SequenceEncoder
 from .io import load_model, save_model
@@ -39,7 +39,6 @@ __all__ = [
     "build_dataset_columnar",
     "config_hash",
     "dataset_digest",
-    "encode_sequence",
     "load_model",
     "save_model",
     "train_model",

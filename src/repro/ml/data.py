@@ -15,52 +15,32 @@ module holds the two model inputs:
   endpoint counts but obvious as a sequence.
 
 Token ids, paddings and sequence length are frozen constants so a
-model trained today can score sequences encoded tomorrow.  Batches are
-built from a :class:`~repro.core.detection.session_index.SessionIndex`
-by :func:`build_dataset_columnar`; :func:`encode_sequence` encodes one
-session at a time for the stream's per-session judge.
+model trained today can score sequences encoded tomorrow.  Datasets
+are built from a :class:`~repro.core.detection.session_index.
+SessionIndex` by :func:`build_dataset_columnar` — from a whole log in
+batch, from one block of closed sessions in the stream — and the
+index's :meth:`~repro.core.detection.session_index.SessionIndex.
+sequences` is the one sequence encoder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..web.logs import Session
-from ..web.request import (
-    BOARDING_PASS_SMS,
-    FLIGHT_DETAILS,
-    HOLD,
-    OTP_LOGIN,
-    PAY,
-    SEARCH,
-    TRAP,
-)
+from ..core.detection.session_index import ENDPOINT_ORDER
 
-#: Endpoint bucket per known path; anything else maps to OTHER_PATH.
-PATH_BUCKETS: Dict[str, int] = {
-    SEARCH: 0,
-    FLIGHT_DETAILS: 1,
-    HOLD: 2,
-    PAY: 3,
-    OTP_LOGIN: 4,
-    BOARDING_PASS_SMS: 5,
-    TRAP: 6,
-}
-OTHER_PATH = 7
-_PATH_COUNT = 8
+#: Outcome buckets per endpoint: success vs anything else (errors,
+#: blocks).
+OUTCOME_COUNT = 2
 
-#: Outcome buckets: success vs anything else (errors, blocks).
-OK_STATUS = 0
-ERROR_STATUS = 1
-_STATUS_COUNT = 2
-
-#: Token = path bucket × outcome bucket; id 0..VOCAB_SIZE-1 are real
-#: events, PAD_TOKEN marks positions past the session's end.
-VOCAB_SIZE = _PATH_COUNT * _STATUS_COUNT
+#: Token = endpoint bucket (:data:`~repro.core.detection.session_index.
+#: ENDPOINT_ORDER` + other) × outcome bucket; ids 0..VOCAB_SIZE-1 are
+#: real events, PAD_TOKEN marks positions past the session's end.
+VOCAB_SIZE = (len(ENDPOINT_ORDER) + 1) * OUTCOME_COUNT
 PAD_TOKEN = VOCAB_SIZE
 
 #: Fixed sequence length: long enough for the behavioural loop to show
@@ -68,34 +48,6 @@ PAD_TOKEN = VOCAB_SIZE
 #: Longer sessions keep their *first* MAX_SEQUENCE_LENGTH events — the
 #: funnel entry is where automation cadence is most regular.
 MAX_SEQUENCE_LENGTH = 48
-
-
-def entry_token(path: str, status: int) -> int:
-    """Token id for one log entry."""
-    bucket = PATH_BUCKETS.get(path, OTHER_PATH)
-    outcome = OK_STATUS if status == 200 else ERROR_STATUS
-    return bucket * _STATUS_COUNT + outcome
-
-
-def encode_sequence(session: Session) -> Tuple[np.ndarray, np.ndarray]:
-    """``(tokens, gaps)`` arrays of length :data:`MAX_SEQUENCE_LENGTH`.
-
-    ``tokens`` is int16 with :data:`PAD_TOKEN` padding; ``gaps`` holds
-    ``log1p(seconds since previous event)`` (0.0 for the first event
-    and at padded positions) — log-scaled so second-cadence bots and
-    minute-cadence humans land on comparable magnitudes.
-    """
-    tokens = np.full(MAX_SEQUENCE_LENGTH, PAD_TOKEN, dtype=np.int16)
-    gaps = np.zeros(MAX_SEQUENCE_LENGTH, dtype=np.float64)
-    previous: Optional[float] = None
-    for position, entry in enumerate(
-        session.entries[:MAX_SEQUENCE_LENGTH]
-    ):
-        tokens[position] = entry_token(entry.path, entry.status)
-        if previous is not None:
-            gaps[position] = np.log1p(max(entry.time - previous, 0.0))
-        previous = entry.time
-    return tokens, gaps
 
 
 @dataclass

@@ -1,12 +1,14 @@
 """The learned arm as a detector family.
 
-Wraps any fitted ladder rung behind the same surface every other family
-exposes — ``judge(session)`` / ``judge_index(index)`` returning
+Wraps any fitted ladder rung behind the surface every other session
+family exposes — ``judge_index(index)`` over a
+:class:`~repro.core.detection.session_index.SessionIndex`, returning
 :class:`~repro.core.detection.verdict.Verdict` — so the fusion layer,
 the streaming :class:`~repro.stream.adapters.SessionDetectorAdapter`
-and the benchmark harnesses treat a trained model exactly like the
-hand-tuned detectors.  The family name ``learned-sequence`` is the
-seventh entry in the fusion weight table.
+(one index per block of closed sessions) and the benchmark harnesses
+treat a trained model exactly like the hand-tuned detectors.  The
+family name ``learned-sequence`` is the seventh entry in the fusion
+weight table.
 """
 
 from __future__ import annotations
@@ -14,12 +16,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List, Tuple, Union
 
-import numpy as np
-
-from ..core.detection.features import extract_features
 from ..core.detection.verdict import Verdict
-from ..web.logs import Session
-from .data import Dataset, build_dataset_columnar, encode_sequence
+from .data import build_dataset_columnar
 from .io import ModelType, load_model
 
 #: Fusion-family name for learned-model verdicts.
@@ -59,24 +57,13 @@ class LearnedSessionDetector:
             reasons=(f"{self.model.kind}-probability",) if flagged else (),
         )
 
-    def judge(self, session: Session) -> Verdict:
-        """Judge one closed session (the stream's per-session path);
-        reads the session's entries only, never its ground truth."""
-        tokens, gaps = encode_sequence(session)
-        dataset = Dataset(
-            session_ids=[session.session_id],
-            features=extract_features(session).vector()[np.newaxis],
-            tokens=tokens[np.newaxis],
-            gaps=gaps[np.newaxis],
-            labels=np.full(1, np.nan),
-        )
-        probability = float(self.model.predict_proba(dataset)[0])
-        return self._verdict(session.session_id, probability)
-
     def judge_index(self, index) -> List[Verdict]:
         """Judge every session in a :class:`~repro.core.detection.
-        session_index.SessionIndex` — verdict-identical to :meth:`judge`
-        per session, via the columnar dataset builder."""
+        session_index.SessionIndex` via the columnar dataset builder;
+        reads the sessions' entries only, never their ground truth.
+        Frozen weights make a session's probability independent of
+        the batch it is scored in, up to float round-off in the
+        matrix products."""
         if not len(index):
             return []
         dataset = build_dataset_columnar(index)

@@ -145,7 +145,9 @@ class _CloseOrder(StreamAdapter):
     def __init__(self) -> None:
         self.session_ids: List[str] = []
 
-    def on_session_closed(self, session: Session) -> Tuple[Verdict, ...]:
+    def on_session_closed(
+        self, session: Session, now: float
+    ) -> Tuple[Verdict, ...]:
         self.session_ids.append(session.session_id)
         return ()
 

@@ -61,8 +61,9 @@ def default_stream_adapters(
     ``learned_model_path`` (an RPML file from ``repro train``) adds the
     trained session-sequence arm as a fourth adapter; its verdicts are
     batch-equivalent because the model's standardiser and weights are
-    frozen at train time, so judging sessions one at a time matches
-    judging them all at once.
+    frozen at train time, so judging each block of closed sessions
+    matches judging them all at once, up to float round-off in the
+    matrix products.
     """
     adapters: List[StreamAdapter] = [
         SessionDetectorAdapter(VolumeDetector()),

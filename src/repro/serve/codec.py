@@ -3,10 +3,13 @@
 The ingest endpoint and the query responses speak one flat field set —
 exactly the eleven strings plus three scalars the RPTR trace format
 (:mod:`repro.trace.format`) serialises, which is also the journal's
-encoding at rest.  :func:`entry_from_dict` therefore refuses what an
-RPTR record cannot hold (a status outside the u16, a string over
-:data:`~repro.trace.format.MAX_STRING_BYTES` UTF-8 bytes or not
-encodable at all), so a batch that parses always journals.
+encoding at rest.  :func:`entry_from_dict` takes each field only in
+its own JSON type — a number for ``time``, an integer for ``status``,
+a bool for ``ip_residential``, a string for the rest — rather than
+coercing it, and refuses what an RPTR record cannot hold (a status
+outside the u16, a string over :data:`~repro.trace.format.
+MAX_STRING_BYTES` UTF-8 bytes or not encodable at all), so a batch
+that parses always journals what was sent.
 """
 
 from __future__ import annotations
@@ -21,9 +24,23 @@ from ..web.logs import LogEntry
 _REQUIRED = ("time", "method", "path", "status", "ip_address",
              "fingerprint_id")
 
+#: The eleven string fields and their defaults (``None`` for a
+#: required field).
+_TEXT_NAMES = (
+    "method", "path", "blocked_by", "outcome", "ip_address", "ip_country",
+    "fingerprint_id", "user_agent", "profile_id", "actor", "actor_class",
+)
+_TEXT_DEFAULTS = (None, None, "", "", None, "", None, "", "", "", "legit")
+
 
 class CodecError(ValueError):
     """An ingested event dict does not describe a valid log entry."""
+
+
+def _mistyped(name: str, value: object, kind: str) -> CodecError:
+    return CodecError(
+        f"field {name!r} must be {kind}, got {type(value).__name__}"
+    )
 
 
 def entry_to_dict(entry: LogEntry) -> Dict[str, object]:
@@ -56,27 +73,49 @@ def entry_from_dict(data: Mapping[str, object]) -> LogEntry:
     missing = [name for name in _REQUIRED if name not in data]
     if missing:
         raise CodecError(f"event missing required fields: {missing}")
+    # Exact type() tests: JSON true/false parse as bool, an int
+    # subclass, and are neither a number nor an integer here.
+    time = data["time"]
+    if type(time) not in (int, float):
+        raise _mistyped("time", time, "a number")
+    status = data["status"]
+    if type(status) is not int:
+        raise _mistyped("status", status, "an integer")
+    residential = data.get("ip_residential", False)
+    if type(residential) is not bool:
+        raise _mistyped("ip_residential", residential, "a bool")
+    texts = list(map(data.get, _TEXT_NAMES, _TEXT_DEFAULTS))
+    if set(map(type, texts)) != {str}:
+        name, text = next(
+            (name, text) for name, text in zip(_TEXT_NAMES, texts)
+            if type(text) is not str
+        )
+        raise _mistyped(name, text, "a string")
+    (method, path, blocked_by, outcome, ip_address, ip_country,
+     fingerprint_id, user_agent, profile_id, actor, actor_class) = texts
     try:
         entry = LogEntry(
-            time=float(data["time"]),  # type: ignore[arg-type]
-            method=str(data["method"]),
-            path=str(data["path"]),
-            status=int(data["status"]),  # type: ignore[arg-type]
+            time=float(time),
+            method=method,
+            path=path,
+            status=status,
             client=ClientRef(
-                ip_address=str(data["ip_address"]),
-                ip_country=str(data.get("ip_country", "")),
-                ip_residential=bool(data.get("ip_residential", False)),
-                fingerprint_id=str(data["fingerprint_id"]),
-                user_agent=str(data.get("user_agent", "")),
-                profile_id=str(data.get("profile_id", "")),
-                actor=str(data.get("actor", "")),
-                actor_class=str(data.get("actor_class", "legit")),
+                ip_address=ip_address,
+                ip_country=ip_country,
+                ip_residential=residential,
+                fingerprint_id=fingerprint_id,
+                user_agent=user_agent,
+                profile_id=profile_id,
+                actor=actor,
+                actor_class=actor_class,
             ),
-            blocked_by=str(data.get("blocked_by", "")),
-            outcome=str(data.get("outcome", "")),
+            blocked_by=blocked_by,
+            outcome=outcome,
         )
         _check_recordable(entry)
-    except (TypeError, ValueError) as error:
+    except (OverflowError, ValueError) as error:
+        # float() of an integer past the double range, or a string
+        # the UTF-8 encoder refuses.
         raise CodecError(f"bad event field: {error}")
     return entry
 

@@ -3,8 +3,11 @@
 Two kinds of adapter ride the stream:
 
 * **session adapters** (:class:`SessionDetectorAdapter`) judge each
-  session *the moment it closes*, with the unmodified batch detector —
-  so end-of-stream verdicts are identical to the detector's columnar
+  block of sessions *the moment the sessionizer closes it*, with the
+  unmodified batch detector's ``judge_index`` over a ``SessionIndex``
+  of the block (:meth:`~repro.core.detection.session_index.
+  SessionIndex.from_sessions`) — the same encoding and the same code
+  as the batch pass, so end-of-stream verdicts are identical to
   ``judge_index`` over the batch ``SessionIndex``, which is the
   equivalence the replay harness asserts;
 * **entity fast paths** (:class:`HoldVelocityAdapter`,
@@ -20,7 +23,7 @@ collide with session ids inside the fusion layer.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, List, Protocol
+from typing import Deque, Dict, Iterable, List, Protocol
 
 from ..core.detection.subjects import FP_SUBJECT_PREFIX, entity_subject
 from ..core.detection.verdict import Verdict
@@ -29,12 +32,12 @@ from ..web.request import BOARDING_PASS_SMS, HOLD
 from .store import KeyedStore
 
 
-class SessionJudge(Protocol):
-    """The slice of a batch detector the session adapter needs."""
+class IndexJudge(Protocol):
+    """A batch detector's columnar path over a ``SessionIndex``."""
 
     name: str
 
-    def judge(self, session: Session) -> Verdict: ...
+    def judge_index(self, index) -> List[Verdict]: ...
 
 
 class StreamAdapter:
@@ -46,8 +49,11 @@ class StreamAdapter:
         """Called for every log entry, in stream order."""
         return ()
 
-    def on_session_closed(self, session: Session) -> Iterable[Verdict]:
-        """Called when the sessionizer closes a session."""
+    def on_session_closed(
+        self, session: Session, now: float
+    ) -> Iterable[Verdict]:
+        """Called for every closed session, at ``now``, the stream time
+        of the close."""
         return ()
 
     def end_of_stream(self) -> Iterable[Verdict]:
@@ -61,18 +67,36 @@ class StreamAdapter:
 class SessionDetectorAdapter(StreamAdapter):
     """Judges closed sessions with an unmodified batch detector.
 
-    Stateless between sessions, so its memory footprint is zero — all
-    windowing lives in the sessionizer.
+    The pipeline hands it each block of closed sessions once
+    (:meth:`judge_block`), then each session of the block in order
+    (:meth:`on_session_closed`), which returns that session's verdict.
+    A block's verdicts are all handed out before the pipeline returns,
+    so between blocks the adapter holds none — all windowing lives in
+    the sessionizer.
     """
 
-    def __init__(self, detector: SessionJudge) -> None:
+    def __init__(self, detector: IndexJudge) -> None:
         self.detector = detector
         self.name = detector.name
         self.sessions_judged = 0
 
-    def on_session_closed(self, session: Session) -> Iterable[Verdict]:
+    def __getstate__(self) -> Dict[str, object]:
+        # Between blocks no verdict is pending: snapshots carry none.
+        state = self.__dict__.copy()
+        state.pop("_judged", None)
+        return state
+
+    def judge_block(self, index) -> None:
+        """Judge one block's ``SessionIndex``, rows in close order."""
+        self._judged: Deque[Verdict] = deque(
+            self.detector.judge_index(index)
+        )
+
+    def on_session_closed(
+        self, session: Session, now: float
+    ) -> Iterable[Verdict]:
         self.sessions_judged += 1
-        return (self.detector.judge(session),)
+        return (self._judged.popleft(),)
 
 
 class _SlidingCounterAdapter(StreamAdapter):

@@ -7,8 +7,12 @@ while the simulation is still running, or offline from a captured trace
 
 1. the incremental sessionizer (closing idle sessions as event time
    advances),
-2. every adapter's fast path (``on_entry``) and session hook
-   (``on_session_closed``),
+2. every adapter's fast path (``on_entry``) and, for each block of
+   sessions the sessionizer closes, one columnar judgement of the
+   block by the session judges
+   (:meth:`~repro.stream.adapters.SessionDetectorAdapter.judge_block`)
+   followed by every adapter's session hook (``on_session_closed``),
+   session by session,
 3. incremental noisy-OR fusion,
 
 and any subject whose *fused* verdict crosses the bot threshold is
@@ -27,17 +31,12 @@ from time import perf_counter
 from typing import Callable, List, Optional, Protocol, Sequence
 
 from ..core.detection.fusion import FusionDetector
+from ..core.detection.session_index import SessionIndex
 from ..core.detection.verdict import Verdict
 from ..web.logs import DEFAULT_IDLE_GAP, LogEntry, Session, WebLog
-from .adapters import StreamAdapter
+from .adapters import IndexJudge, SessionDetectorAdapter, StreamAdapter
 from .fusion import IncrementalFusion
 from .sessionizer import StreamSessionizer
-
-
-class IndexJudge(Protocol):
-    """A batch detector's columnar path over a ``SessionIndex``."""
-
-    def judge_index(self, index) -> List[Verdict]: ...
 
 
 class VerdictSink(Protocol):
@@ -53,7 +52,7 @@ class StreamReport:
     events_processed: int
     sessions_closed: int
     #: Per-session detector verdicts, in judge order (session close
-    #: order, then adapter order) — batch-equivalent as a set.
+    #: order, then adapter order) — batch-equivalent as a multiset.
     session_verdicts: List[Verdict] = field(default_factory=list)
     #: Fast-path entity verdicts (``fp:`` subjects), in emission order.
     entity_verdicts: List[Verdict] = field(default_factory=list)
@@ -117,15 +116,13 @@ class StreamPipeline:
         now = entry.time
         obs = self.obs
         if obs is None:
-            for session in self.sessionizer.observe(entry):
-                self._on_session_closed(session)
+            self._close(self.sessionizer.observe(entry), now)
             for adapter in self.adapters:
                 for verdict in adapter.on_entry(entry, now):
                     self._entity_verdicts.append(verdict)
                     self._fuse(verdict, now)
             if self.events_processed % self.evict_every == 0:
-                for session in self.sessionizer.close_idle(now):
-                    self._on_session_closed(session)
+                self._close(self.sessionizer.close_idle(now), now)
                 for adapter in self.adapters:
                     adapter.evict_idle(now, self.sessionizer.idle_gap)
             return
@@ -136,8 +133,7 @@ class StreamPipeline:
         obs.timer("stream.stage.sessionize").observe(
             perf_counter() - started
         )
-        for session in closed:
-            self._on_session_closed(session)
+        self._close(closed, now)
         started = perf_counter()
         for adapter in self.adapters:
             for verdict in adapter.on_entry(entry, now):
@@ -149,8 +145,7 @@ class StreamPipeline:
         )
         if self.events_processed % self.evict_every == 0:
             started = perf_counter()
-            for session in self.sessionizer.close_idle(now):
-                self._on_session_closed(session)
+            self._close(self.sessionizer.close_idle(now), now)
             for adapter in self.adapters:
                 adapter.evict_idle(now, self.sessionizer.idle_gap)
             obs.timer("stream.stage.evict").observe(
@@ -163,8 +158,7 @@ class StreamPipeline:
             raise RuntimeError("pipeline already finished")
         self._finished = True
         now = self._last_time()
-        for session in self.sessionizer.flush():
-            self._on_session_closed(session, now=now)
+        self._close(self.sessionizer.flush(), now)
         for adapter in self.adapters:
             for verdict in adapter.end_of_stream():
                 self._entity_verdicts.append(verdict)
@@ -202,21 +196,38 @@ class StreamPipeline:
 
     # -- internals ------------------------------------------------------------
 
-    def _on_session_closed(
-        self, session: Session, now: Optional[float] = None
-    ) -> None:
-        when = now if now is not None else session.end
+    def _close(self, sessions: List[Session], now: float) -> None:
+        """Judge one block of sessions closed at stream time ``now``:
+        the session judges score the whole block through one
+        ``SessionIndex``, then every adapter sees each session in
+        close order."""
+        if not sessions:
+            return
         obs = self.obs
         started = perf_counter() if obs is not None else 0.0
-        for adapter in self.adapters:
-            for verdict in adapter.on_session_closed(session):
-                self._session_verdicts.append(verdict)
-                self._fuse(verdict, when)
+        judges = [
+            adapter
+            for adapter in self.adapters
+            if isinstance(adapter, SessionDetectorAdapter)
+        ]
+        if judges:
+            index = SessionIndex.from_sessions(sessions)
+            for judge in judges:
+                judge.judge_block(index)
+        for session in sessions:
+            self._on_session_closed(session, now)
         if obs is not None:
-            obs.increment("stream.sessions_closed")
             obs.timer("stream.stage.session_judges").observe(
                 perf_counter() - started
             )
+
+    def _on_session_closed(self, session: Session, now: float) -> None:
+        for adapter in self.adapters:
+            for verdict in adapter.on_session_closed(session, now):
+                self._session_verdicts.append(verdict)
+                self._fuse(verdict, now)
+        if self.obs is not None:
+            self.obs.increment("stream.sessions_closed")
 
     def _fuse(self, verdict: Verdict, now: float) -> None:
         obs = self.obs
@@ -250,8 +261,6 @@ def batch_session_verdicts(
     """The batch pipeline the stream is measured against: index the
     finished log once, judge it with every detector's columnar
     ``judge_index``."""
-    from ..core.detection.session_index import SessionIndex
-
     index = SessionIndex.from_log(log, idle_gap=idle_gap)
     verdicts: List[Verdict] = []
     for detector in detectors:

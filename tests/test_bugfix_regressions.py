@@ -28,12 +28,13 @@ from repro.analysis.evaluation import (
     session_actor,
 )
 from repro.common import ClientRef, LEGIT, SCRAPER
-from repro.core.detection.features import FEATURE_NAMES, extract_features
+from repro.core.detection.features import FEATURE_NAMES
+from repro.core.detection.session_index import SessionIndex
 from repro.core.detection.verdict import Verdict
 from repro.ml import LogisticHead, MLPHead, Standardiser
 from repro.web.logs import LogEntry, Session
 from repro.web.request import SEARCH
-from tests.feature_oracle import build_dataset
+from tests.feature_oracle import build_dataset, extract_features
 
 
 def make_session(session_id, actor=SCRAPER, entry_count=3):
@@ -143,6 +144,16 @@ class TestZeroEntrySessionGuards:
         features = extract_features(self.empty_session())
         assert features.session_id == "empty"
         assert features.vector().tolist() == [0.0] * len(FEATURE_NAMES)
+
+    def test_block_index_row_is_all_zeros(self):
+        index = SessionIndex.from_sessions(
+            [self.empty_session(), make_session("S1")]
+        )
+        assert index.matrix[0].tolist() == [0.0] * len(FEATURE_NAMES)
+        assert index.matrix[1].tobytes() == (
+            extract_features(make_session("S1")).vector().tobytes()
+        )
+        assert index.actor_classes == [LEGIT, SCRAPER]
 
     def test_session_actor_is_unattributed(self):
         assert session_actor(self.empty_session()) == ""

@@ -1,13 +1,14 @@
-"""Tests for repro.core.detection.features and volume detection."""
+"""Tests for the session feature vector and volume detection."""
 
 import pytest
 
 from repro.common import ClientRef, LEGIT
-from repro.core.detection.features import FEATURE_NAMES, extract_features
+from repro.core.detection.features import FEATURE_NAMES
 from repro.core.detection.session_index import SessionIndex
 from repro.core.detection.volume import VolumeDetector, VolumeThresholds
 from repro.web.logs import LogEntry, Session, WebLog
 from repro.web.request import HOLD, PAY, SEARCH
+from tests.feature_oracle import extract_features
 
 
 def make_session(times_paths, session_id="S1", statuses=None):
@@ -38,6 +39,12 @@ def make_session(times_paths, session_id="S1", statuses=None):
         fingerprint_id="fp",
         entries=entries,
     )
+
+
+def judge(detector, session):
+    """``detector``'s verdict on one session, through the index of a
+    one-session block."""
+    return detector.judge_index(SessionIndex.from_sessions([session]))[0]
 
 
 def one_request_per_client_log(clients):
@@ -114,14 +121,14 @@ class TestVolumeDetector:
     def test_low_volume_session_clean(self):
         detector = VolumeDetector()
         session = make_session([(0.0, SEARCH), (60.0, HOLD), (120.0, PAY)])
-        verdict = detector.judge(session)
+        verdict = judge(detector, session)
         assert not verdict.is_bot
         assert verdict.score < 0.5
 
     def test_scraper_volume_flagged(self):
         detector = VolumeDetector()
         entries = [(float(i), SEARCH) for i in range(500)]
-        verdict = detector.judge(make_session(entries))
+        verdict = judge(detector, make_session(entries))
         assert verdict.is_bot
         assert "session-request-count" in verdict.reasons
 
@@ -131,7 +138,7 @@ class TestVolumeDetector:
         )
         # 100 requests in 5 minutes = 20/minute.
         entries = [(i * 3.0, SEARCH) for i in range(100)]
-        verdict = detector.judge(make_session(entries))
+        verdict = judge(detector, make_session(entries))
         assert verdict.is_bot
         assert "request-rate" in verdict.reasons
 
@@ -139,7 +146,7 @@ class TestVolumeDetector:
         """Three fast clicks are not a bot signature."""
         detector = VolumeDetector()
         entries = [(0.0, SEARCH), (0.5, SEARCH), (1.0, SEARCH)]
-        assert not detector.judge(make_session(entries)).is_bot
+        assert not judge(detector, make_session(entries)).is_bot
 
     def test_low_volume_doi_evades(self):
         """The paper's core claim: a seat spinner's session volume is
@@ -148,7 +155,7 @@ class TestVolumeDetector:
         spinner_session = make_session(
             [(0.0, SEARCH), (30.0, HOLD), (3600.0, HOLD), (7200.0, HOLD)]
         )
-        assert not detector.judge(spinner_session).is_bot
+        assert not judge(detector, spinner_session).is_bot
 
     def test_judge_all(self):
         detector = VolumeDetector()
@@ -157,6 +164,6 @@ class TestVolumeDetector:
         assert [v.subject_id for v in verdicts] == [
             "S0000001", "S0000002", "S0000003", "S0000004",
         ]
-        assert verdicts == [
-            detector.judge(session) for session in index.sessions()
-        ]
+        assert verdicts == detector.judge_index(
+            SessionIndex.from_sessions(index.sessions())
+        )

@@ -11,6 +11,7 @@ from repro.core.detection.clustering import (
     ClusteringDetector,
     kmeans,
 )
+from repro.core.detection.session_index import SessionIndex
 from repro.ml.detector import LearnedSessionDetector
 from repro.ml.models import LogisticHead
 from repro.web.logs import LogEntry, Session
@@ -91,7 +92,9 @@ class TestLogisticClassifier:
         model = uniform_head()
         fit(model, sessions, labels)
         detector = LearnedSessionDetector(model)
-        verdicts = [detector.judge(session) for session in sessions]
+        verdicts = detector.judge_index(
+            SessionIndex.from_sessions(sessions)
+        )
         assert sum(v.is_bot for v in verdicts) == 20
 
     def test_unfitted_predict_raises(self):

@@ -180,7 +180,7 @@ def apply_step(stream: Stream, index: int, step, sessions: list):
     verdicts = []
     for entry in entries:
         verdicts.extend(adapter.on_entry(entry, entry.time))
-    verdicts.extend(adapter.on_session_closed(session))
+    verdicts.extend(adapter.on_session_closed(session, session.end))
     return verdicts, adapter.refreshes > before
 
 

@@ -78,7 +78,7 @@ def _run_stream(refresh_every=None, campaign_sink=None):
     for session in sessions:
         for entry in session.entries:
             verdicts.extend(adapter.on_entry(entry, entry.time))
-        verdicts.extend(adapter.on_session_closed(session))
+        verdicts.extend(adapter.on_session_closed(session, session.end))
     # Fold the other families' convictions in the way the pipeline's
     # fusion stage would hand them over: as accumulated seeds.
     from repro.graph.detector import accumulate_seed, seed_from_verdicts

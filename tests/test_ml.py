@@ -15,20 +15,19 @@ from repro.ml import (
     Standardiser,
     TrainConfig,
     build_dataset_columnar,
-    encode_sequence,
     load_model,
     save_model,
     train_model,
     weights_digest,
 )
-from repro.ml.data import MAX_SEQUENCE_LENGTH, PAD_TOKEN, VOCAB_SIZE, entry_token
+from repro.ml.data import MAX_SEQUENCE_LENGTH, PAD_TOKEN, VOCAB_SIZE
 from repro.ml.io import ModelFormatError
 from repro.ml.train import calibrate_threshold
 from repro.stream import SessionDetectorAdapter, StreamPipeline
 from repro.web.logs import LogEntry, Session
 from repro.web.logs import WebLog
 from repro.web.request import FLIGHT_DETAILS, HOLD, SEARCH
-from tests.feature_oracle import build_dataset
+from tests.feature_oracle import build_dataset, encode_sequence, entry_token
 
 
 def make_client(ip="1.1.1.1", fingerprint="fp", actor=LEGIT):
@@ -430,13 +429,17 @@ class TestLearnedDetector:
             LearnedSessionDetector(MLPHead())
 
     def test_judge_matches_judge_all(self, trained_mlp):
-        """Scoring one session at a time (the streaming path) matches
-        batch scoring of the whole index to float round-off — the
-        standardiser and weights are frozen at train time."""
+        """Scoring each session in a block of its own (the stream
+        judges blocks of any size) matches batch scoring of the whole
+        index to float round-off — the standardiser and weights are
+        frozen at train time."""
         index = SessionIndex.from_log(mixed_log())
         detector = LearnedSessionDetector(trained_mlp)
         batch = detector.judge_index(index)
-        single = [detector.judge(session) for session in index.sessions()]
+        single = [
+            detector.judge_index(SessionIndex.from_sessions([session]))[0]
+            for session in index.sessions()
+        ]
         assert_verdicts_close(single, batch)
         assert all(v.detector == "learned-sequence" for v in batch)
         assert [v.is_bot for v in batch] == list(index.is_attacker)

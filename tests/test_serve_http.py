@@ -152,6 +152,26 @@ class TestErrorMapping:
             client.ingest([{"nope": 1}])
         assert exc_info.value.status == 400
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("time", "5.0"),
+            ("status", 200.7),
+            ("ip_residential", "false"),
+            ("fingerprint_id", None),
+        ],
+        ids=["time-not-number", "status-not-integer",
+             "residential-not-bool", "string-not-string"],
+    )
+    def test_mistyped_field_400_nothing_applied(self, served, name, value):
+        server, client = served
+        events = ingest_payload([make_entry(1.0), make_entry(2.0)])
+        events[1][name] = value
+        with pytest.raises(ServeClientError) as exc_info:
+            client.ingest(events)
+        assert exc_info.value.status == 400
+        assert server.service.events_ingested == 0
+
     def test_seq_conflict_409_carries_count(self, served):
         _, client = served
         events = ingest_payload([make_entry(1.0), make_entry(2.0)])

@@ -10,6 +10,7 @@ from repro.serve.service import (
     DetectionService,
     SeqConflict,
     ServiceFinished,
+    build_core,
     ingest_payload,
 )
 from repro.serve.state import StateStore, StateStoreError
@@ -338,6 +339,26 @@ class TestDetectionOutcomes:
         )
         service.ingest(ingest_payload(campaign_entries()))
         assert len(service.campaigns_view()) >= 1
+
+    def test_convictions_stamped_with_the_triggering_event_time(self):
+        """A conviction made while an event is processed carries that
+        event's time — the stream time of the session close that
+        triggered it — not the end of the closed session; those made
+        by the final flush carry the last event time."""
+        core = build_core(refresh_every=2, graph_config=None, evict_every=8)
+        pipeline = core["pipeline"]
+        logs = (core["campaigns"].records, core["sink"].records)
+        entries = campaign_entries()
+        for entry in entries:
+            before = [len(records) for records in logs]
+            pipeline.process(entry)
+            for records, start in zip(logs, before):
+                assert {now for now, _ in records[start:]} <= {entry.time}
+        assert core["campaigns"].records, "no campaign convicted mid-stream"
+        before = [len(records) for records in logs]
+        pipeline.finish()
+        for records, start in zip(logs, before):
+            assert {now for now, _ in records[start:]} <= {entries[-1].time}
 
     def test_legit_fingerprints_not_convicted(self, tmp_path):
         service = make_service(tmp_path)

@@ -62,6 +62,50 @@ class TestCodec:
         with pytest.raises(CodecError, match="surrogate"):
             entry_from_dict(data)
 
+    @pytest.mark.parametrize("time_", ["5.0", True, None, [1.0]])
+    def test_time_not_a_json_number_rejected(self, time_):
+        data = entry_to_dict(make_entry(1.0))
+        data["time"] = time_
+        with pytest.raises(CodecError, match="'time' must be a number"):
+            entry_from_dict(data)
+
+    def test_time_integer_past_double_range_rejected(self):
+        data = entry_to_dict(make_entry(1.0))
+        data["time"] = 10 ** 400
+        with pytest.raises(CodecError, match="too large"):
+            entry_from_dict(data)
+
+    @pytest.mark.parametrize("status", [200.7, 200.0, True, "200", None])
+    def test_status_not_a_json_integer_rejected(self, status):
+        data = entry_to_dict(make_entry(1.0))
+        data["status"] = status
+        with pytest.raises(CodecError, match="'status' must be an integer"):
+            entry_from_dict(data)
+
+    @pytest.mark.parametrize("residential", ["false", 0, 1, None])
+    def test_ip_residential_not_a_bool_rejected(self, residential):
+        data = entry_to_dict(make_entry(1.0))
+        data["ip_residential"] = residential
+        with pytest.raises(
+            CodecError, match="'ip_residential' must be a bool"
+        ):
+            entry_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("fingerprint_id", None),
+            ("path", 5),
+            ("user_agent", ["UA"]),
+            ("actor_class", {"class": "legit"}),
+        ],
+    )
+    def test_string_field_not_a_string_rejected(self, name, value):
+        data = entry_to_dict(make_entry(1.0))
+        data[name] = value
+        with pytest.raises(CodecError, match=f"'{name}' must be a string"):
+            entry_from_dict(data)
+
     @pytest.mark.parametrize("time_", [float("inf"), float("nan")])
     def test_parse_events_rejects_non_finite_time(self, time_):
         events = [entry_to_dict(make_entry(time_))]

@@ -9,7 +9,10 @@ engineered to hit the nasty corners (equal start times, exact
 idle-gap boundaries, key interleavings, majority-class ties) plus
 hypothesis-generated schedules, and then pin the verdict-level
 equality of every matrix detector family against the same detectors
-fed per-session ``extract_features`` rows.
+fed per-session ``extract_features`` rows.  The block constructor
+(:meth:`~repro.core.detection.session_index.SessionIndex.
+from_sessions`) is held to the same oracle over the blocks a
+``StreamSessionizer`` closes, with and without a forcing cap.
 """
 
 import random
@@ -26,7 +29,8 @@ from repro.core.detection.volume import VolumeDetector
 from repro.ml.data import build_dataset_columnar
 from repro.ml.models import LogisticHead
 from repro.obs.core import ObsRegistry
-from repro.web.logs import WebLog
+from repro.stream.sessionizer import StreamSessionizer
+from repro.web.logs import LogEntry, WebLog
 from tests.feature_oracle import build_dataset, object_index, object_matrix
 from tests.session_oracle import sessionize
 
@@ -182,6 +186,109 @@ class TestSessionIndexEquality:
         assert timers and sum(t.count for t in timers.values()) == 1
 
 
+def _stream_blocks(rows, idle_gap, cap):
+    """Every non-empty block of sessions a ``StreamSessionizer``
+    closes over ``rows`` (observe, a periodic ``close_idle``, the
+    final flush), and the sessionizer."""
+    sessionizer = StreamSessionizer(
+        idle_gap=idle_gap, max_open_sessions=cap
+    )
+    blocks = []
+    for position, (time, method, path, status, client) in enumerate(rows):
+        blocks.append(sessionizer.observe(
+            LogEntry(time, method, path, status, client)
+        ))
+        if position % 16 == 15:
+            blocks.append(sessionizer.close_idle(time))
+    blocks.append(sessionizer.flush())
+    return [block for block in blocks if block], sessionizer
+
+
+def _assert_block_matches(sessions):
+    """``from_sessions`` over one block equals the per-session oracle
+    row for row, byte for byte."""
+    index = SessionIndex.from_sessions(sessions)
+    reference = build_dataset(sessions, with_truth=True)
+    assert index.session_ids == [s.session_id for s in sessions]
+    assert index.matrix.tobytes() == reference.features.tobytes()
+    tokens, gaps = index.sequences()
+    assert tokens.tobytes() == reference.tokens.tobytes()
+    assert gaps.tobytes() == reference.gaps.tobytes()
+    assert list(index.counts) == [s.request_count for s in sessions]
+    assert list(index.starts) == [s.start for s in sessions]
+    assert list(index.ends) == [s.end for s in sessions]
+    assert index.ips == [s.ip_address for s in sessions]
+    assert index.fingerprints == [s.fingerprint_id for s in sessions]
+    assert index.actor_classes == reference.actor_classes
+    assert index.sessions() == list(sessions)
+
+
+def _same_key_block(blocks):
+    """Every session of ``blocks`` as one block, same-key sessions
+    next to each other in start order."""
+    return sorted(
+        (session for block in blocks for session in block),
+        key=lambda s: (s.ip_address, s.fingerprint_id, s.start),
+    )
+
+
+class TestBlockIndex:
+    """``SessionIndex.from_sessions`` over stream-closed blocks."""
+
+    @pytest.mark.parametrize("cap", [None, 6])
+    @pytest.mark.parametrize("trial", range(3))
+    def test_stream_blocks_match_oracle(self, cap, trial):
+        rng = random.Random(2000 * trial + (cap or 0))
+        rows = _random_rows(rng, rng.randint(200, 1500))
+        blocks, sessionizer = _stream_blocks(rows, 1800.0, cap)
+        if cap is not None:
+            assert sessionizer.forced_closes > 0
+        for block in blocks:
+            _assert_block_matches(block)
+        _assert_block_matches(_same_key_block(blocks))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gaps=st.lists(
+            st.sampled_from([0.0, 1.0, 1800.0, 1800.5, 10.0, 7200.0]),
+            min_size=1,
+            max_size=60,
+        ),
+        keys=st.lists(
+            st.integers(min_value=0, max_value=3),
+            min_size=1,
+            max_size=60,
+        ),
+        cap=st.sampled_from([None, 1, 2]),
+    )
+    def test_hypothesis_blocks(self, gaps, keys, cap):
+        """Key/gap schedules and caps chosen adversarially: a cap of
+        one or two force-closes sessions that the same key reopens
+        moments later, so the same-key block holds sessions of one
+        key with no idle gap between them."""
+        rng = random.Random(9)
+        clients = _clients(4, rng)
+        time = 0.0
+        rows = []
+        for gap, key in zip(gaps, keys):
+            time += gap
+            rows.append((
+                time, rng.choice(["GET", "POST"]), rng.choice(PATHS),
+                rng.choice([200, 403]), clients[key],
+            ))
+        blocks, _ = _stream_blocks(rows, 1800.0, cap)
+        for block in blocks:
+            _assert_block_matches(block)
+        _assert_block_matches(_same_key_block(blocks))
+
+    def test_empty_block(self):
+        index = SessionIndex.from_sessions([])
+        assert len(index) == 0
+        assert index.matrix.shape == (0, len(FEATURE_NAMES))
+        tokens, gaps = index.sequences()
+        assert tokens.shape[0] == 0 and gaps.shape[0] == 0
+
+
 class TestDetectorEquivalence:
     def _fixture(self):
         rng = random.Random(77)
@@ -191,7 +298,7 @@ class TestDetectorEquivalence:
     def test_volume_verdicts_identical(self):
         sessions, index = self._fixture()
         detector = VolumeDetector()
-        assert [detector.judge(s) for s in sessions] == (
+        assert detector.judge_index(SessionIndex.from_sessions(sessions)) == (
             detector.judge_index(index)
         )
 

@@ -38,7 +38,7 @@ class SessionRecorder(StreamAdapter):
     def __init__(self):
         self.sessions = []
 
-    def on_session_closed(self, session):
+    def on_session_closed(self, session, now):
         self.sessions.append(session)
         return ()
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common import SCRAPER
-from repro.core.detection.features import extract_features
+from repro.core.detection.session_index import SessionIndex
 from repro.core.detection.volume import VolumeDetector
 from repro.identity.forge import (
     BotIdentity,
@@ -20,6 +20,7 @@ from repro.traffic.evasive_scraper import (
 )
 from repro.traffic.scraper import ScraperBot, ScraperConfig
 from repro.web.request import TRAP
+from tests.feature_oracle import extract_features
 from tests.session_oracle import sessionize
 
 
@@ -121,7 +122,9 @@ class TestEvasiveScraper:
             if s.actor_class == SCRAPER
         ]
         detector = VolumeDetector()
-        verdicts = [detector.judge(session) for session in sessions]
+        verdicts = detector.judge_index(
+            SessionIndex.from_sessions(sessions)
+        )
         assert not any(v.is_bot for v in verdicts)
 
     def test_backs_off_after_blocks(self):
