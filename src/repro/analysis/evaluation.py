@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from ..common import LEGIT
 from ..core.detection.verdict import Verdict
-from ..web.logs import Session
+from ..web.logs import Session, WebLog
+from ..web.request import BLOCKED
 
 
 @dataclass(frozen=True)
@@ -321,3 +322,28 @@ def false_positive_sessions(
         if not session.is_attacker
         and predicted.get(session.session_id, False)
     ]
+
+
+def legit_collateral(
+    log: WebLog, convicted: Set[str]
+) -> Tuple[int, float]:
+    """What an online defense cost legitimate users.
+
+    Returns the legitimate requests the edge blocked and the share of
+    legitimate fingerprints seen in ``log`` that are among the
+    ``convicted`` fingerprints (0.0 when no legitimate fingerprint was
+    seen).
+    """
+    blocked = 0
+    fingerprints: Set[str] = set()
+    for entry in log.iter_entries():
+        if entry.client.actor_class == LEGIT:
+            fingerprints.add(entry.client.fingerprint_id)
+            if entry.status == BLOCKED:
+                blocked += 1
+    rate = (
+        len(convicted & fingerprints) / len(fingerprints)
+        if fingerprints
+        else 0.0
+    )
+    return blocked, rate

@@ -11,24 +11,26 @@ time order and keeps, per destination number, a sliding reuse window of
 ``(time, sender fingerprint)`` events.  When a number's window count
 reaches the reuse threshold the number's reputation goes to zero and
 every fingerprint that fed it inside the window is convicted as a
-``fp:`` entity (the namespace the online mitigation sink acts on).
+``fp:`` entity, once (:func:`~repro.core.detection.subjects.
+convict_once`), the namespace the online mitigation sink acts on.
 Once a number is flagged, reputation takes over from the window: any
 *later* sender touching it is convicted on contact — numbers are
 cheap for attackers to rent but expensive to un-burn.
 
 The scorer is a pure function of the record sequence, so the batch
-path (:func:`score_sms_records`) and the streaming adapter draining a
-:class:`~repro.stream.feed.RecordFeed` produce identical verdicts by
-construction — the equivalence the test suite pins.
+path (:func:`score_sms_records`) and the streaming
+:class:`~repro.stream.sms_records.SmsRecordAdapter` draining a
+:class:`~repro.stream.feed.RecordFeed` through it produce identical
+verdicts by construction — the equivalence the test suite pins.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Tuple
+from typing import Deque, Dict, List, Set, Tuple
 
 from ...sms.gateway import OTP, SmsRecord
-from .subjects import entity_subject
+from .subjects import convict_once
 from .verdict import Verdict
 
 NUMBER_REPUTATION = "number-reputation"
@@ -60,7 +62,8 @@ class NumberReputationScorer:
         self._windows: Dict[str, Deque[Tuple[float, str]]] = {}
         #: Numbers whose reputation is burned, with the burn time.
         self.flagged_numbers: Dict[str, float] = {}
-        self._convicted: set = set()
+        #: Fingerprints convicted so far (each is convicted once).
+        self.convicted: Set[str] = set()
         self.records_seen = 0
 
     def observe(self, record: SmsRecord) -> List[Verdict]:
@@ -75,8 +78,8 @@ class NumberReputationScorer:
         if number in self.flagged_numbers:
             # Reputation path: the number is already burned; anyone
             # still feeding it is part of the cycling operation.
-            return self._convict(
-                [fingerprint_id],
+            return convict_once(
+                self.convicted, (fingerprint_id,), self.name,
                 f"burned-number:{number}",
             )
 
@@ -97,8 +100,8 @@ class NumberReputationScorer:
             dict.fromkeys(sender for _, sender in window)
         )
         del self._windows[number]
-        return self._convict(
-            contributors,
+        return convict_once(
+            self.convicted, contributors, self.name,
             f"number-reuse:{len(window)}-in-{self.reuse_window:.0f}s:"
             f"{number}",
         )
@@ -110,32 +113,9 @@ class NumberReputationScorer:
         surge."""
         return []
 
-    def _convict(
-        self, fingerprint_ids: List[str], reason: str
-    ) -> List[Verdict]:
-        verdicts = []
-        for fingerprint_id in fingerprint_ids:
-            if fingerprint_id in self._convicted:
-                continue
-            self._convicted.add(fingerprint_id)
-            verdicts.append(
-                Verdict(
-                    subject_id=entity_subject(fingerprint_id),
-                    detector=self.name,
-                    score=1.0,
-                    is_bot=True,
-                    reasons=(reason,),
-                )
-            )
-        return verdicts
-
     @property
     def convicted_fingerprints(self) -> List[str]:
-        return sorted(self._convicted)
-
-    @property
-    def tracked_numbers(self) -> int:
-        return len(self._windows)
+        return sorted(self.convicted)
 
 
 def score_sms_records(

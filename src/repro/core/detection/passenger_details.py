@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from ...booking.passengers import edit_distance, gibberish_score
 from ...booking.reservation import BookingRecord
-from ...graph.unionfind import UnionFind
+from ...graph.unionfind import key_groups
 
 # Finding kinds.
 GIBBERISH_NAMES = "gibberish-names"
@@ -228,19 +228,13 @@ class PassengerDetailAnalyzer:
         if not shared:
             return []
 
-        union = UnionFind(len(records))
-        first_with: Dict[Tuple[str, str], int] = {}
-        for index, record in enumerate(records):
-            for key in {p.name_key for p in record.passengers}:
-                if key not in shared:
-                    continue
-                if key in first_with:
-                    union.union(first_with[key], index)
-                else:
-                    first_with[key] = index
-
         findings = []
-        for group in union.groups():
+        for group in key_groups(
+            [
+                {p.name_key for p in record.passengers} & shared
+                for record in records
+            ]
+        ):
             if len(group) < self.config.permutation_min_bookings:
                 continue
             pool: Set[Tuple[str, str]] = set()

@@ -3,10 +3,11 @@
 Fingerprint rotation defeats per-fingerprint verdicts (Section III-B),
 but rotation cannot scrub *everything*: booking references, passenger
 names and campaign targets persist across identity swaps.  This module
-clusters records that share those stable side-channels using a
-union-find, then measures each cluster's identity churn — which is how
-the Case A analysis recovers the paper's "rotated ... within an average
-of 5.3 hours" number from raw logs.
+clusters records that share those stable side-channels
+(:func:`~repro.graph.unionfind.key_groups`), then measures each
+cluster's identity churn — which is how the Case A analysis recovers
+the paper's "rotated ... within an average of 5.3 hours" number from
+raw logs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Sequence, Tuple
 
 from ...booking.reservation import BookingRecord
-from ...graph.unionfind import UnionFind
+from ...graph.unionfind import key_groups
 from ...sms.gateway import SmsRecord
 
 __all__ = [
@@ -59,34 +60,31 @@ class LinkedEntity:
 
 
 def _link(
-    items: Sequence,
+    records: Sequence,
     key_sets: Sequence[Sequence[Hashable]],
-    times: Sequence[float],
-    fingerprints: Sequence[str],
-    ips: Sequence[str],
     min_cluster: int,
 ) -> List[LinkedEntity]:
-    """Generic linker: union records sharing any key; summarise groups."""
-    union = UnionFind(len(items))
-    first_with_key: Dict[Hashable, int] = {}
-    for index, keys in enumerate(key_sets):
-        for key in keys:
-            if key in first_with_key:
-                union.union(first_with_key[key], index)
-            else:
-                first_with_key[key] = index
+    """Generic linker: group records sharing any key; summarise groups.
+
+    ``records`` are booking or SMS records: anything with a ``time``
+    and a ``client``."""
     entities = []
-    for group in union.groups():
+    for group in key_groups(key_sets):
         if len(group) < min_cluster:
             continue
-        group_times = [times[i] for i in group]
+        members = [records[i] for i in group]
+        times = [record.time for record in members]
         entities.append(
             LinkedEntity(
                 record_indices=tuple(group),
-                distinct_fingerprints=len({fingerprints[i] for i in group}),
-                distinct_ips=len({ips[i] for i in group}),
-                first_seen=min(group_times),
-                last_seen=max(group_times),
+                distinct_fingerprints=len(
+                    {record.client.fingerprint_id for record in members}
+                ),
+                distinct_ips=len(
+                    {record.client.ip_address for record in members}
+                ),
+                first_seen=min(times),
+                last_seen=max(times),
             )
         )
     entities.sort(key=lambda e: -e.record_count)
@@ -122,14 +120,7 @@ def link_booking_records(
                 keys.append(("name", passenger.name_key))
         key_sets.append(keys)
 
-    return _link(
-        records,
-        key_sets,
-        [record.time for record in records],
-        [record.client.fingerprint_id for record in records],
-        [record.client.ip_address for record in records],
-        min_cluster,
-    )
+    return _link(records, key_sets, min_cluster)
 
 
 def link_sms_records(
@@ -152,11 +143,4 @@ def link_sms_records(
             keys.append(("ref", record.booking_ref))
         key_sets.append(keys)
 
-    return _link(
-        records,
-        key_sets,
-        [record.time for record in records],
-        [record.client.fingerprint_id for record in records],
-        [record.client.ip_address for record in records],
-        min_cluster,
-    )
+    return _link(records, key_sets, min_cluster)

@@ -334,9 +334,7 @@ class SessionIndex:
         client_ids = {key: cid for cid, key in enumerate(refs)}
         columns = LogColumns(
             time=np.array(times, dtype=np.float64),
-            # Wider than the log store's int16: a stream fed through
-            # /ingest carries any u16 status.
-            status=np.array(statuses, dtype=np.int32),
+            status=np.array(statuses, dtype=np.uint16),
             method=np.fromiter(
                 map(string_ids.__getitem__, methods), np.int32, total
             ),

@@ -19,18 +19,21 @@ feeding a surging destination, via two complementary triggers:
 
 Like the number-reputation family, the scorer is a pure function of
 the record sequence: batch (:func:`~repro.core.detection.numbers.
-score_sms_records`) and streaming (a :class:`~repro.stream.feed.
-RecordFeed` drained per log entry) produce identical verdicts.
+score_sms_records`) and streaming (a :class:`~repro.stream.
+sms_records.SmsRecordAdapter` draining a :class:`~repro.stream.feed.
+RecordFeed` per log entry) produce identical verdicts.  Each
+fingerprint is convicted once, through :func:`~repro.core.detection.
+subjects.convict_once`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ...sms.gateway import NOTIFICATION, SmsRecord
 from .anomaly import EwmaMonitor
-from .subjects import entity_subject
+from .subjects import convict_once
 from .verdict import Verdict
 
 DESTINATION_SURGE = "destination-surge"
@@ -83,7 +86,8 @@ class DestinationSurgeScorer:
         #: Destinations currently under surge; senders touching them
         #: are convicted on contact.
         self._surging: set = set()
-        self._convicted: set = set()
+        #: Fingerprints convicted so far (each is convicted once).
+        self.convicted: Set[str] = set()
         self.surge_events: List[SurgeEvent] = []
         self.records_seen = 0
 
@@ -105,8 +109,9 @@ class DestinationSurgeScorer:
         fingerprint_id = record.client.fingerprint_id
         if destination in self._surging:
             verdicts.extend(
-                self._convict(
-                    [fingerprint_id], f"surging-destination:{destination}"
+                convict_once(
+                    self.convicted, (fingerprint_id,), self.name,
+                    f"surging-destination:{destination}",
                 )
             )
             return verdicts
@@ -170,36 +175,17 @@ class DestinationSurgeScorer:
             )
         )
         contributors = list(self._contributors.get(destination, {}))
-        return self._convict(
-            contributors,
+        return convict_once(
+            self.convicted, contributors, self.name,
             f"destination-surge:{trigger}:{count}-in-"
             f"{self.window:.0f}s:{destination}",
         )
-
-    def _convict(
-        self, fingerprint_ids: List[str], reason: str
-    ) -> List[Verdict]:
-        verdicts = []
-        for fingerprint_id in fingerprint_ids:
-            if fingerprint_id in self._convicted:
-                continue
-            self._convicted.add(fingerprint_id)
-            verdicts.append(
-                Verdict(
-                    subject_id=entity_subject(fingerprint_id),
-                    detector=self.name,
-                    score=1.0,
-                    is_bot=True,
-                    reasons=(reason,),
-                )
-            )
-        return verdicts
 
     # -- introspection -------------------------------------------------------
 
     @property
     def convicted_fingerprints(self) -> List[str]:
-        return sorted(self._convicted)
+        return sorted(self.convicted)
 
     @property
     def surging_destinations(self) -> List[str]:

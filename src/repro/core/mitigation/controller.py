@@ -41,6 +41,20 @@ from .honeypot import HoneypotManager
 from .policies import NipCapPolicy, RateLimitPolicy, SmsFeatureTogglePolicy
 
 
+def block_or_route(
+    blocks: BlockRuleManager,
+    honeypot: HoneypotManager,
+    honeypot_mode: bool,
+    fingerprint_id: str,
+) -> bool:
+    """Act on one convicted fingerprint: route it to the honeypot in
+    honeypot mode, block it otherwise.  False if it was already
+    handled."""
+    if honeypot_mode:
+        return honeypot.add_suspect_fingerprint(fingerprint_id)
+    return blocks.block_fingerprint_id(fingerprint_id) is not None
+
+
 @dataclass(frozen=True)
 class MitigationAction:
     """One timeline entry: what the controller did and why."""
@@ -187,6 +201,7 @@ class MitigationController(Process):
     def _evaluate_fingerprints(self, window_start: float) -> None:
         if not self.config.enable_fingerprint_blocks:
             return
+        honeypot_mode = self.config.honeypot_mode
         deployed = 0
 
         # Frequency rule: one browser identity creating many holds in a
@@ -200,11 +215,13 @@ class MitigationController(Process):
                 break
             if count < self.config.holds_per_fingerprint_threshold:
                 break
-            if self._handle_suspect(fingerprint_id):
+            if block_or_route(
+                self.blocks, self.honeypot, honeypot_mode, fingerprint_id
+            ):
                 deployed += 1
                 self._act(
                     "honeypot-suspect"
-                    if self.config.honeypot_mode
+                    if honeypot_mode
                     else "fingerprint-block",
                     f"{fingerprint_id} made {count} holds in window",
                 )
@@ -221,21 +238,14 @@ class MitigationController(Process):
             ]:
                 if not judge(fingerprint).is_bot:
                     continue
-                if self._handle_suspect(fingerprint_id):
+                if block_or_route(
+                    self.blocks, self.honeypot, honeypot_mode, fingerprint_id
+                ):
                     self._act(
                         "artifact-block",
                         f"{fingerprint_id} trips automation artifacts",
                     )
             self._artifact_cursor = len(arrivals)
-
-    def _handle_suspect(self, fingerprint_id: str) -> bool:
-        """Block or honeypot one fingerprint; False if already handled."""
-        if self.config.honeypot_mode:
-            if fingerprint_id in self.honeypot._suspect_fingerprints:
-                return False
-            self.honeypot.add_suspect_fingerprint(fingerprint_id)
-            return True
-        return self.blocks.block_fingerprint_id(fingerprint_id) is not None
 
     # -- SMS branch ------------------------------------------------------------------
 

@@ -32,8 +32,12 @@ class HoneypotManager:
 
     # -- suspect management -------------------------------------------------
 
-    def add_suspect_fingerprint(self, fingerprint_id: str) -> None:
+    def add_suspect_fingerprint(self, fingerprint_id: str) -> bool:
+        """Route ``fingerprint_id`` here; False if it already was."""
+        if fingerprint_id in self._suspect_fingerprints:
+            return False
         self._suspect_fingerprints.add(fingerprint_id)
+        return True
 
     def add_suspect_ip(self, ip_address: str) -> None:
         self._suspect_ips.add(ip_address)

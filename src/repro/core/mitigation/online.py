@@ -7,21 +7,24 @@ crosses the bot threshold, and deploys the block (or honeypot routing)
 immediately — the paper's defenses all fired on live traffic, and
 time-to-first-block is the metric the streaming scenario headline pins.
 
-Only *entity* subjects (``fp:<fingerprint_id>``) are actionable: a
-session verdict arrives after its client has gone idle, so it is
-recorded but cannot be turned into a useful edge rule.
+Only *entity* subjects (those :func:`~repro.core.detection.subjects.
+fingerprint_of` parses) are actionable: a session verdict arrives
+after its client has gone idle, so it is recorded but cannot be turned
+into a useful edge rule.  Entity and campaign convictions act through
+the same :func:`~repro.core.mitigation.controller.block_or_route` the
+periodic controller uses.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
-from ...core.detection.verdict import Verdict
 from ...web.application import WebApplication
-from ..mitigation.blocking import BlockRuleManager
-from ..mitigation.controller import MitigationAction
-from ..mitigation.honeypot import HoneypotManager
-from ...stream.adapters import FP_SUBJECT_PREFIX
+from ..detection.subjects import fingerprint_of
+from ..detection.verdict import Verdict
+from .blocking import BlockRuleManager
+from .controller import MitigationAction, block_or_route
+from .honeypot import HoneypotManager
 
 if TYPE_CHECKING:  # typing only: keep core free of a runtime graph dep
     from ...graph.campaigns import Campaign
@@ -49,35 +52,21 @@ class OnlineVerdictSink:
 
     def handle(self, verdict: Verdict, now: float) -> None:
         """One fused bot verdict from the stream pipeline."""
-        if not verdict.subject_id.startswith(FP_SUBJECT_PREFIX):
+        fingerprint_id = fingerprint_of(verdict.subject_id)
+        if fingerprint_id is None:
             self.session_verdicts_ignored += 1
             return
-        if (
-            self.max_actions is not None
-            and len(self.timeline) >= self.max_actions
+        if self._at_capacity() or not block_or_route(
+            self.blocks, self.honeypot, self.honeypot_mode, fingerprint_id
         ):
             return
-        fingerprint_id = verdict.subject_id[len(FP_SUBJECT_PREFIX):]
-        if self.honeypot_mode:
-            if fingerprint_id in self.honeypot._suspect_fingerprints:
-                return
-            self.honeypot.add_suspect_fingerprint(fingerprint_id)
-            kind = "stream-honeypot-suspect"
-        else:
-            if self.blocks.block_fingerprint_id(fingerprint_id) is None:
-                return
-            kind = "stream-fingerprint-block"
-        if self.first_block_time is None:
-            self.first_block_time = now
-        self.timeline.append(
-            MitigationAction(
-                time=now,
-                kind=kind,
-                detail=(
-                    f"{fingerprint_id} fused score "
-                    f"{verdict.score:.3f} ({', '.join(verdict.reasons)})"
-                ),
-            )
+        self._record(
+            now,
+            "stream-honeypot-suspect"
+            if self.honeypot_mode
+            else "stream-fingerprint-block",
+            f"{fingerprint_id} fused score "
+            f"{verdict.score:.3f} ({', '.join(verdict.reasons)})",
         )
 
     def handle_campaign(self, campaign: "Campaign", now: float) -> None:
@@ -89,40 +78,37 @@ class OnlineVerdictSink:
         fingerprints at once, rather than waiting for each to earn an
         individual conviction.
         """
-        if (
-            self.max_actions is not None
-            and len(self.timeline) >= self.max_actions
-        ):
+        if self._at_capacity():
             return
-        acted = []
-        for fingerprint_id in campaign.fingerprint_ids:
-            if self.honeypot_mode:
-                if fingerprint_id in self.honeypot._suspect_fingerprints:
-                    continue
-                self.honeypot.add_suspect_fingerprint(fingerprint_id)
-            else:
-                if self.blocks.block_fingerprint_id(fingerprint_id) is None:
-                    continue
-            acted.append(fingerprint_id)
+        acted = [
+            fingerprint_id
+            for fingerprint_id in campaign.fingerprint_ids
+            if block_or_route(
+                self.blocks, self.honeypot, self.honeypot_mode, fingerprint_id
+            )
+        ]
         if not acted:
             return
-        if self.first_block_time is None:
-            self.first_block_time = now
-        kind = (
+        self._record(
+            now,
             "stream-campaign-honeypot"
             if self.honeypot_mode
-            else "stream-campaign-block"
+            else "stream-campaign-block",
+            f"{campaign.campaign_id} risk {campaign.risk:.3f}: "
+            f"{len(acted)} fingerprint(s) ({', '.join(sorted(acted))})",
         )
+
+    def _at_capacity(self) -> bool:
+        return (
+            self.max_actions is not None
+            and len(self.timeline) >= self.max_actions
+        )
+
+    def _record(self, now: float, kind: str, detail: str) -> None:
+        if self.first_block_time is None:
+            self.first_block_time = now
         self.timeline.append(
-            MitigationAction(
-                time=now,
-                kind=kind,
-                detail=(
-                    f"{campaign.campaign_id} risk {campaign.risk:.3f}: "
-                    f"{len(acted)} fingerprint(s) "
-                    f"({', '.join(sorted(acted))})"
-                ),
-            )
+            MitigationAction(time=now, kind=kind, detail=detail)
         )
 
     @property

@@ -10,9 +10,9 @@ graph and amplifies weak per-entity risk over it:
 
 * :mod:`~repro.graph.entities` — typed node ids (session, fingerprint,
   IP, subnet, phone, booking reference, passenger-name key, flight);
-* :mod:`~repro.graph.unionfind` — the dense disjoint-set shared with
-  :mod:`repro.core.detection.rotation`, and the array component
-  labelling the graph uses;
+* :mod:`~repro.graph.unionfind` — array component labelling, used by
+  the graph and (as :func:`~repro.graph.unionfind.key_groups`) by the
+  record linkers in :mod:`repro.core.detection`;
 * :mod:`~repro.graph.builder` — :class:`EntityGraph` (interned nodes
   and columnar edges) plus the incremental :class:`GraphBuilder`
   (bounded transient state via :class:`~repro.stream.store.KeyedStore`);
@@ -53,7 +53,7 @@ from .entities import (
 )
 from .propagation import PropagationConfig, PropagationResult, propagate
 from .stream import GraphStreamAdapter
-from .unionfind import UnionFind
+from .unionfind import key_groups
 
 __all__ = [
     "BOOKING_REF",
@@ -78,8 +78,8 @@ __all__ = [
     "PropagationResult",
     "SESSION",
     "SUBNET",
-    "UnionFind",
     "build_batch_graph",
     "extract_campaigns",
+    "key_groups",
     "propagate",
 ]

@@ -22,9 +22,9 @@ from itertools import chain
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..booking.reservation import BookingRecord
+from ..core.detection.subjects import fingerprint_of
 from ..core.detection.verdict import Verdict
 from ..sms.gateway import SmsRecord
-from ..stream.adapters import FP_SUBJECT_PREFIX
 from ..web.logs import Session
 from ..web.request import BOARDING_PASS_SMS, HOLD
 from .builder import (
@@ -209,8 +209,9 @@ def seed_from_verdicts(
 ) -> List[EntityId]:
     """Map existing detector verdicts onto graph-node seeds.
 
-    Session-subject verdicts seed session nodes; ``fp:``-namespaced
-    entity verdicts seed fingerprint nodes.  Campaign-graph verdicts
+    Session-subject verdicts seed session nodes; entity verdicts
+    (:func:`~repro.core.detection.subjects.fingerprint_of` parses them)
+    seed fingerprint nodes.  Campaign-graph verdicts
     are skipped so re-seeding from a previous round cannot self-amplify.
     Returns the nodes the verdicts were folded into.
     """
@@ -221,12 +222,12 @@ def seed_from_verdicts(
         weight = config.seed_weights.get(
             verdict.detector, config.default_seed_weight
         )
-        if verdict.subject_id.startswith(FP_SUBJECT_PREFIX):
-            node = fingerprint_node(
-                verdict.subject_id[len(FP_SUBJECT_PREFIX):]
-            )
-        else:
-            node = session_node(verdict.subject_id)
+        fingerprint_id = fingerprint_of(verdict.subject_id)
+        node = (
+            session_node(verdict.subject_id)
+            if fingerprint_id is None
+            else fingerprint_node(fingerprint_id)
+        )
         accumulate_seed(seeds, node, verdict.score, weight)
         seeded.append(node)
     return seeded

@@ -21,15 +21,16 @@ left out of pickles, and the first refresh after a restore recomputes
 every component.  The dirty set is kept only when periodic refreshes
 are on.
 
-When a campaign clears the risk threshold the adapter emits one
-``fp:<fingerprint_id>`` entity verdict per not-yet-convicted member
-fingerprint — the cluster-level conviction.  Those flow through the
-pipeline's fusion into :class:`~repro.core.mitigation.online.
-OnlineVerdictSink` exactly like velocity convictions, so the sink
-blocks the *whole cluster* while the campaign is still running; a
-``campaign_sink`` callback additionally receives each newly convicted
-:class:`~repro.graph.campaigns.Campaign` for campaign-scale actions
-(:meth:`OnlineVerdictSink.handle_campaign`).
+When a campaign clears the risk threshold the adapter emits one entity
+verdict per not-yet-convicted member fingerprint, through the shared
+:func:`~repro.core.detection.subjects.convict_once` — the cluster-level
+conviction.  Those flow through the pipeline's fusion into
+:class:`~repro.core.mitigation.online.OnlineVerdictSink` exactly like
+velocity convictions, so the sink blocks the *whole cluster* while the
+campaign is still running; a
+``campaign_sink`` callback additionally receives each campaign that
+convicts at least one new fingerprint, once per such conviction, for
+campaign-scale actions (:meth:`OnlineVerdictSink.handle_campaign`).
 
 End-of-stream, the adapter runs one final global analysis over the
 complete graph.  The final analysis is *exactly* the batch
@@ -55,8 +56,9 @@ from typing import (
 
 import numpy as np
 
+from ..core.detection.subjects import convict_once
 from ..core.detection.verdict import Verdict
-from ..stream.adapters import StreamAdapter, entity_subject
+from ..stream.adapters import StreamAdapter
 from ..stream.feed import RecordFeed
 from ..web.logs import LogEntry, Session
 from .builder import GraphBuilder
@@ -165,7 +167,8 @@ class GraphStreamAdapter(StreamAdapter):
         #: last refresh.  Adjacency changes are not tracked here: the
         #: incremental compile already knows them (``resorted``).
         self._dirty: Set[EntityId] = set()
-        self._convicted_fingerprints: set = set()
+        #: Fingerprints convicted so far (each is convicted once).
+        self.convicted: Set[str] = set()
         self._sessions_since_refresh = 0
         #: The graph's CSR view as of the last refresh: a later view
         #: derived from it re-sorted exactly the nodes changed since.
@@ -271,21 +274,37 @@ class GraphStreamAdapter(StreamAdapter):
                 self._components = None
             resorted = compiled.resorted
             self._compiled = compiled
-        if not final:
-            return self._convict(self._refresh_components(resorted), now)
-        # The final pass is global; its compile is not linked into the
-        # component cache, which therefore goes with the dirty set.
-        self._components = None
-        self._dirty.clear()
-        analysis = analyze(
-            graph,
-            merged_seeds(self._seeds, self.builder, self.config),
-            self.config,
-            obs=self.obs,
-            compiled=self._compiled,
-        )
-        self.final_analysis = analysis
-        return self._convict(analysis.campaign_verdicts, now)
+        if final:
+            # The final pass is global; its compile is not linked into
+            # the component cache, which therefore goes with the dirty
+            # set.
+            self._components = None
+            self._dirty.clear()
+            self.final_analysis = analyze(
+                graph,
+                merged_seeds(self._seeds, self.builder, self.config),
+                self.config,
+                obs=self.obs,
+                compiled=self._compiled,
+            )
+            campaign_verdicts = self.final_analysis.campaign_verdicts
+        else:
+            campaign_verdicts = self._refresh_components(resorted)
+        # Convict the not-yet-convicted fingerprints of every
+        # bot-positive campaign, in campaign order.
+        verdicts: List[Verdict] = []
+        for campaign_verdict in campaign_verdicts:
+            verdict = campaign_verdict.verdict
+            if not verdict.is_bot:
+                continue
+            fresh = convict_once(
+                self.convicted, campaign_verdict.campaign.fingerprint_ids,
+                self.name, *verdict.reasons, score=verdict.score,
+            )
+            if fresh and self.campaign_sink is not None:
+                self.campaign_sink(campaign_verdict.campaign, now)
+            verdicts.extend(fresh)
+        return verdicts
 
     def _refresh_components(
         self, resorted: np.ndarray
@@ -334,43 +353,11 @@ class GraphStreamAdapter(StreamAdapter):
         cache.campaigns = refresh.campaigns
         return refresh.campaign_verdicts
 
-    def _convict(
-        self, campaign_verdicts: Sequence[CampaignVerdict], now: float
-    ) -> List[Verdict]:
-        """Entity verdicts for the not-yet-convicted fingerprints of
-        every bot-positive campaign, in campaign order."""
-        verdicts: List[Verdict] = []
-        for campaign_verdict in campaign_verdicts:
-            if not campaign_verdict.verdict.is_bot:
-                continue
-            campaign = campaign_verdict.campaign
-            fresh = [
-                fingerprint_id
-                for fingerprint_id in campaign.fingerprint_ids
-                if fingerprint_id not in self._convicted_fingerprints
-            ]
-            if not fresh:
-                continue
-            self._convicted_fingerprints.update(fresh)
-            if self.campaign_sink is not None:
-                self.campaign_sink(campaign, now)
-            for fingerprint_id in fresh:
-                verdicts.append(
-                    Verdict(
-                        subject_id=entity_subject(fingerprint_id),
-                        detector=self.name,
-                        score=campaign_verdict.verdict.score,
-                        is_bot=True,
-                        reasons=campaign_verdict.verdict.reasons,
-                    )
-                )
-        return verdicts
-
     # -- introspection -------------------------------------------------------
 
     @property
     def convicted_fingerprints(self) -> List[str]:
-        return sorted(self._convicted_fingerprints)
+        return sorted(self.convicted)
 
     @property
     def final_campaigns(self) -> List[Campaign]:

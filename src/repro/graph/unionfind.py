@@ -1,23 +1,20 @@
-"""Disjoint-set unions: a dense union-find and array component labels.
+"""Disjoint-set unions as array component labels.
 
-:class:`UnionFind` is the dense integer variant the identity linker in
-:mod:`repro.core.detection.rotation` has always used (it lives here so
-every graph consumer shares one implementation).  It keeps the classic
-invariants: path compression never changes which root represents a
-set, union is by size, and ``groups()`` is a deterministic partition
-of every index.
-
-:func:`merge_labels` is the vectorised form the entity graph uses: one
-label per node index, merged edge array by edge array.  It labels
-:meth:`~repro.graph.builder.EntityGraph.components` and keeps the
+:func:`merge_labels` is the one union-find of the package: one label
+per node index, merged edge array by edge array.  It labels
+:meth:`~repro.graph.builder.EntityGraph.components`, keeps the
 streaming adapter's component labels current as edges arrive
-(:class:`~repro.graph.stream.ComponentCache`).
+(:class:`~repro.graph.stream.ComponentCache`), and backs
+:func:`key_groups`, which groups records that share a key — the
+identity linker in :mod:`repro.core.detection.rotation` and the
+name-set permutation check in :mod:`repro.core.detection.
+passenger_details`.  The tests check :func:`key_groups` against the
+dense ``UnionFind`` oracle in ``tests/graph_oracle.py``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List
+from typing import Dict, Hashable, Iterable, List, Sequence
 
 import numpy as np
 
@@ -50,38 +47,31 @@ def merge_labels(
             labels = jumped
 
 
-class UnionFind:
-    """Disjoint-set union with path compression and union by size."""
+def key_groups(key_sets: Sequence[Iterable[Hashable]]) -> List[List[int]]:
+    """Group indices whose key sets share a key, transitively.
 
-    def __init__(self, size: int) -> None:
-        if size < 0:
-            raise ValueError(f"size must be >= 0: {size}")
-        self._parent = list(range(size))
-        self._size = [1] * size
-
-    def __len__(self) -> int:
-        return len(self._parent)
-
-    def find(self, item: int) -> int:
-        root = item
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[item] != root:
-            self._parent[item], item = root, self._parent[item]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        root_a, root_b = self.find(a), self.find(b)
-        if root_a == root_b:
-            return
-        if self._size[root_a] < self._size[root_b]:
-            root_a, root_b = root_b, root_a
-        self._parent[root_b] = root_a
-        self._size[root_a] += self._size[root_b]
-
-    def groups(self) -> List[List[int]]:
-        """Members of every disjoint set, smallest index first."""
-        by_root: Dict[int, List[int]] = defaultdict(list)
-        for item in range(len(self._parent)):
-            by_root[self.find(item)].append(item)
-        return sorted(by_root.values(), key=lambda grp: grp[0])
+    Index ``i`` stands for ``key_sets[i]``; two indices land in one
+    group when they share any key, directly or through a chain of
+    others.  Every index is in exactly one group; groups are ordered by
+    their smallest index and list their indices ascending.
+    """
+    first_with_key: Dict[Hashable, int] = {}
+    ends: List[int] = []
+    starts: List[int] = []
+    for index, keys in enumerate(key_sets):
+        for key in keys:
+            first = first_with_key.setdefault(key, index)
+            if first != index:
+                ends.append(first)
+                starts.append(index)
+    labels = merge_labels(
+        np.arange(len(key_sets), dtype=np.int64),
+        np.array(ends, dtype=np.int64),
+        np.array(starts, dtype=np.int64),
+    )
+    # Each label is its component's smallest index, so the first index
+    # seen under a label opens that label's group.
+    groups: Dict[int, List[int]] = {}
+    for index, label in enumerate(labels.tolist()):
+        groups.setdefault(label, []).append(index)
+    return list(groups.values())

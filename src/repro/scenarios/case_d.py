@@ -13,8 +13,8 @@ The defense is the **number-reputation family**
 reuse-window detection on the destination number — the one artifact the
 attacker cannot rotate away, because monetisation requires concentrating
 deliveries on numbers they pay rent on.  Wired streaming
-(:class:`~repro.stream.sms_records.NumberReputationAdapter` →
-fusion → :class:`~repro.core.mitigation.online.OnlineVerdictSink`), a
+(the scorer in a :class:`~repro.stream.sms_records.SmsRecordAdapter`
+→ fusion → :class:`~repro.core.mitigation.online.OnlineVerdictSink`), a
 conviction lands after ``reuse_threshold`` deliveries and blocks the
 identity mid-number.
 
@@ -31,7 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from ..analysis.evaluation import legit_collateral
 from ..common import LEGIT, OTP_ABUSER
+from ..core.detection.numbers import NumberReputationScorer
 from ..core.mitigation.online import OnlineVerdictSink
 from ..economics.ledger import Ledger, NUMBER_RENTAL
 from ..economics.reports import build_attacker_ledger
@@ -46,10 +48,9 @@ from ..sim.clock import DAY, HOUR
 from ..sms.countries import high_cost_codes
 from ..sms.gateway import OTP
 from ..sms.rental import NumberRentalService
-from ..stream import NumberReputationAdapter, RecordFeed, StreamReport
+from ..stream import RecordFeed, SmsRecordAdapter, StreamReport
 from ..traffic.otp_abuser import OtpAbuseBot, OtpAbuserConfig
 from ..traffic.sms_baseline import BaselineSmsConfig, BaselineSmsTraffic
-from ..web.request import BLOCKED
 from .streaming import build_stream_pipeline
 from .world import World, WorldConfig, build_world
 
@@ -149,16 +150,18 @@ def run_case_d(
     # -- record stream from the first entry) --------------------------
     pipeline = None
     sink: Optional[OnlineVerdictSink] = None
-    scorer_adapter: Optional[NumberReputationAdapter] = None
+    scorer: Optional[NumberReputationScorer] = None
     if config.variant == NUMBER_REPUTATION_DEFENSE:
         sink = OnlineVerdictSink(app)
-        scorer_adapter = NumberReputationAdapter(
-            feed=RecordFeed(world.sms.records),
+        scorer = NumberReputationScorer(
             reuse_threshold=config.reuse_threshold,
             reuse_window=config.reuse_window,
         )
         pipeline = build_stream_pipeline(
-            adapters=[scorer_adapter], sink=sink
+            adapters=[
+                SmsRecordAdapter(scorer, RecordFeed(world.sms.records))
+            ],
+            sink=sink,
         )
         pipeline.attach(app.log)
 
@@ -214,20 +217,8 @@ def run_case_d(
         for r in world.sms.records
         if r.kind == OTP and r.delivered and r.client.actor_class == LEGIT
     )
-    legit_blocked = 0
-    legit_fps: set = set()
-    for entry in app.log.iter_entries():
-        if entry.client.actor_class == LEGIT:
-            legit_fps.add(entry.client.fingerprint_id)
-            if entry.status == BLOCKED:
-                legit_blocked += 1
-    convicted = (
-        set(scorer_adapter.convicted_fingerprints)
-        if scorer_adapter is not None
-        else set()
-    )
-    legit_fp_rate = (
-        len(convicted & legit_fps) / len(legit_fps) if legit_fps else 0.0
+    legit_blocked, legit_fp_rate = legit_collateral(
+        app.log, scorer.convicted if scorer is not None else set()
     )
 
     ledger = build_attacker_ledger(
@@ -262,9 +253,7 @@ def run_case_d(
         ),
         online_actions=sink.actions_taken if sink is not None else 0,
         burned_numbers=(
-            len(scorer_adapter.scorer.flagged_numbers)
-            if scorer_adapter is not None
-            else 0
+            len(scorer.flagged_numbers) if scorer is not None else 0
         ),
         report=report,
         world=world,

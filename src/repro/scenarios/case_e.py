@@ -28,7 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from ..analysis.evaluation import legit_collateral
 from ..common import AMPLIFIER, LEGIT
+from ..core.detection.surge import DestinationSurgeScorer
 from ..core.mitigation.online import OnlineVerdictSink
 from ..economics.ledger import AMPLIFICATION_CONTRACT, Ledger
 from ..economics.reports import build_attacker_ledger
@@ -42,11 +44,11 @@ from ..identity.ip import ResidentialProxyPool
 from ..sim.clock import DAY, HOUR, MINUTE
 from ..sms.gateway import NOTIFICATION
 from ..sms.numbers import PhoneNumber, sample_number
-from ..stream import DestinationSurgeAdapter, RecordFeed, StreamReport
+from ..stream import RecordFeed, SmsRecordAdapter, StreamReport
 from ..traffic.amplifier import AmplifierBot, AmplifierConfig
 from ..traffic.sms_baseline import BaselineSmsConfig, BaselineSmsTraffic
 from ..web.ratelimit import RateLimitRule, key_by_destination
-from ..web.request import BLOCKED, NOTIFY
+from ..web.request import NOTIFY
 from .streaming import build_stream_pipeline
 from .world import World, WorldConfig, build_world
 
@@ -149,24 +151,26 @@ def run_case_e(
     # -- defense wiring ----------------------------------------------
     pipeline = None
     sink: Optional[OnlineVerdictSink] = None
-    surge_adapter: Optional[DestinationSurgeAdapter] = None
+    scorer: Optional[DestinationSurgeScorer] = None
     cap_installed_at: List[float] = []
     if config.variant == DESTINATION_SURGE_DEFENSE:
         sink = OnlineVerdictSink(app)
-        surge_adapter = DestinationSurgeAdapter(
-            feed=RecordFeed(world.sms.records),
+        scorer = DestinationSurgeScorer(
             window=config.surge_window,
             flood_threshold=config.flood_threshold,
         )
         pipeline = build_stream_pipeline(
-            adapters=[surge_adapter], sink=sink
+            adapters=[
+                SmsRecordAdapter(scorer, RecordFeed(world.sms.records))
+            ],
+            sink=sink,
         )
         pipeline.attach(app.log)
 
         def respond_to_surges() -> None:
             # The operational loop: sender blocks come from the sink
             # instantly; the destination cap is the responder's call.
-            if surge_adapter.scorer.surging_destinations:
+            if scorer.surging_destinations:
                 app.ratelimits.add_rule(
                     RateLimitRule(
                         rule_id=DESTINATION_CAP_RULE,
@@ -235,20 +239,8 @@ def run_case_e(
         and r.delivered
         and r.client.actor_class == LEGIT
     )
-    legit_blocked = 0
-    legit_fps: set = set()
-    for entry in app.log.iter_entries():
-        if entry.client.actor_class == LEGIT:
-            legit_fps.add(entry.client.fingerprint_id)
-            if entry.status == BLOCKED:
-                legit_blocked += 1
-    convicted = (
-        set(surge_adapter.convicted_fingerprints)
-        if surge_adapter is not None
-        else set()
-    )
-    legit_fp_rate = (
-        len(convicted & legit_fps) / len(legit_fps) if legit_fps else 0.0
+    legit_blocked, legit_fp_rate = legit_collateral(
+        app.log, scorer.convicted if scorer is not None else set()
     )
 
     # Victim numbers are not attacker-controlled, so no carrier
@@ -285,9 +277,7 @@ def run_case_e(
         ),
         online_actions=sink.actions_taken if sink is not None else 0,
         surge_events=(
-            len(surge_adapter.scorer.surge_events)
-            if surge_adapter is not None
-            else 0
+            len(scorer.surge_events) if scorer is not None else 0
         ),
         cap_installed_at=(
             cap_installed_at[0] if cap_installed_at else None

@@ -37,17 +37,14 @@ from ..adversary import (
     SeatSpinChannel,
     SmsPumpChannel,
 )
-from ..common import LEGIT
+from ..analysis.evaluation import legit_collateral
+from ..core.detection.numbers import NumberReputationScorer
+from ..core.detection.surge import DestinationSurgeScorer
 from ..core.mitigation.online import OnlineVerdictSink
 from ..sim.clock import DAY, HOUR, MINUTE
 from ..sms.countries import high_cost_codes
 from ..sms.numbers import sample_number
-from ..stream import (
-    DestinationSurgeAdapter,
-    HoldVelocityAdapter,
-    NumberReputationAdapter,
-    RecordFeed,
-)
+from ..stream import HoldVelocityAdapter, RecordFeed, SmsRecordAdapter
 from ..traffic.sms_baseline import BaselineSmsConfig, BaselineSmsTraffic
 from ..web.ratelimit import (
     RateLimitRule,
@@ -55,7 +52,7 @@ from ..web.ratelimit import (
     key_by_destination,
     key_by_profile,
 )
-from ..web.request import BLOCKED, BOARDING_PASS_SMS, NOTIFY
+from ..web.request import BOARDING_PASS_SMS, NOTIFY
 from .streaming import build_stream_pipeline
 from .world import FlightSpec, World, WorldConfig, build_world
 
@@ -218,7 +215,7 @@ def run_portfolio(
     # -- defense wiring -----------------------------------------------
     defense = config.defense
     pipelines = []
-    record_adapters = []
+    record_scorers = []
 
     if defense in (DEFENSE_CASE_A, DEFENSE_ALL):
         # Honeypot routing: convicted spinners keep "winning" shadow
@@ -257,36 +254,35 @@ def run_portfolio(
             )
         )
 
-    surge_adapter: Optional[DestinationSurgeAdapter] = None
-    if defense in (DEFENSE_CASE_D, DEFENSE_CASE_E, DEFENSE_ALL):
-        adapters = []
-        if defense in (DEFENSE_CASE_D, DEFENSE_ALL):
-            adapters.append(
-                NumberReputationAdapter(
-                    feed=RecordFeed(world.sms.records),
-                    reuse_threshold=config.reuse_threshold,
-                    reuse_window=config.reuse_window,
-                )
+    surge_scorer: Optional[DestinationSurgeScorer] = None
+    if defense in (DEFENSE_CASE_D, DEFENSE_ALL):
+        record_scorers.append(
+            NumberReputationScorer(
+                reuse_threshold=config.reuse_threshold,
+                reuse_window=config.reuse_window,
             )
-        if defense in (DEFENSE_CASE_E, DEFENSE_ALL):
-            surge_adapter = DestinationSurgeAdapter(
-                feed=RecordFeed(world.sms.records),
-                window=config.surge_window,
-                flood_threshold=config.flood_threshold,
-            )
-            adapters.append(surge_adapter)
-        record_adapters = adapters
+        )
+    if defense in (DEFENSE_CASE_E, DEFENSE_ALL):
+        surge_scorer = DestinationSurgeScorer(
+            window=config.surge_window,
+            flood_threshold=config.flood_threshold,
+        )
+        record_scorers.append(surge_scorer)
+    if record_scorers:
         record_pipeline = build_stream_pipeline(
-            adapters=adapters, sink=OnlineVerdictSink(app)
+            adapters=[
+                SmsRecordAdapter(scorer, RecordFeed(world.sms.records))
+                for scorer in record_scorers
+            ],
+            sink=OnlineVerdictSink(app),
         )
         record_pipeline.attach(app.log)
         pipelines.append(record_pipeline)
 
-    if surge_adapter is not None:
-        scorer = surge_adapter.scorer
+    if surge_scorer is not None:
 
         def respond_to_surges() -> None:
-            if scorer.surging_destinations:
+            if surge_scorer.surging_destinations:
                 app.ratelimits.add_rule(
                     RateLimitRule(
                         rule_id="notify-per-destination",
@@ -361,18 +357,9 @@ def run_portfolio(
         pipeline.finish()
 
     # -- harvest ------------------------------------------------------
-    legit_blocked = 0
-    legit_fps: set = set()
-    for entry in app.log.iter_entries():
-        if entry.client.actor_class == LEGIT:
-            legit_fps.add(entry.client.fingerprint_id)
-            if entry.status == BLOCKED:
-                legit_blocked += 1
-    convicted: set = set()
-    for adapter in record_adapters:
-        convicted.update(adapter.convicted_fingerprints)
-    legit_fp_rate = (
-        len(convicted & legit_fps) / len(legit_fps) if legit_fps else 0.0
+    legit_blocked, legit_fp_rate = legit_collateral(
+        app.log,
+        set().union(*(scorer.convicted for scorer in record_scorers)),
     )
 
     return PortfolioResult(

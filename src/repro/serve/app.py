@@ -12,8 +12,8 @@ Routes:
 ``GET``     ``/metrics``   Prometheus exposition of the obs registry
 ``GET``     ``/status``    durable seq, snapshot seq, counts
 ``GET``     ``/verdicts``  fused verdict per subject (``?bot=1`` filters)
-``GET``     ``/campaigns`` convicted campaigns so far
-``GET``     ``/entities``  convicted ``fp:`` entities so far
+``GET``     ``/campaigns`` one row per campaign conviction so far
+``GET``     ``/entities``  convicted fingerprint entities so far
 ``GET``     ``/analysis``  full final-analysis summary (after finish)
 ``POST``    ``/ingest``    ``{"events": [...], "seq": N?}`` — journal+apply
 ``POST``    ``/replay``    ``{"path", "offset"?, "limit"?}`` — trace replay
@@ -233,7 +233,7 @@ class ServeApp:
                 "events_processed": report.events_processed,
                 "sessions_closed": report.sessions_closed,
                 "campaigns_convicted": len(
-                    self.service.campaigns_view()
+                    self.service.campaign_log.records
                 ),
                 "entities_convicted": len(self.service.entities_view()),
                 "digest": self.service.analysis_digest(),

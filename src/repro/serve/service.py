@@ -24,6 +24,7 @@ import json
 import time as _time
 from typing import Dict, List, Optional, Tuple
 
+from ..core.detection.subjects import fingerprint_of
 from ..core.detection.verdict import Verdict
 from ..graph.campaigns import Campaign
 from ..graph.detector import GraphDetectorConfig
@@ -78,7 +79,8 @@ class RecordingSink:
 
 
 class CampaignLog:
-    """Picklable ``campaign_sink``: the convicted-campaign ledger."""
+    """Picklable ``campaign_sink``: the convicted-campaign ledger,
+    one ``(convicted_at, campaign)`` record per campaign conviction."""
 
     def __init__(self) -> None:
         self.records: List[Tuple[float, Campaign]] = []
@@ -382,16 +384,12 @@ class DetectionService:
         return [_verdict_dict(v) for v in self.pipeline.fusion.fused()]
 
     def campaigns_view(self) -> List[Dict[str, object]]:
-        """Convicted campaigns in first-conviction order.
-
-        A campaign re-convicts at later graph refreshes as it grows;
-        the view keeps the latest state under the original
-        ``convicted_at``, one row per campaign id.
-        """
-        by_id: Dict[str, Dict[str, object]] = {}
-        for convicted_at, campaign in self.campaign_log.records:
-            previous = by_id.get(campaign.campaign_id)
-            by_id[campaign.campaign_id] = {
+        """One row per :class:`CampaignLog` record, in conviction order:
+        the campaign as it convicted a new fingerprint, under the rank
+        name it had then.  A later refresh can give that name to
+        another campaign, so rows are never merged by name."""
+        return [
+            {
                 "campaign_id": campaign.campaign_id,
                 "risk": campaign.risk,
                 "first_seen": campaign.first_seen,
@@ -399,32 +397,29 @@ class DetectionService:
                 "sessions": campaign.session_count,
                 "fingerprints": list(campaign.fingerprint_ids),
                 "ips": list(campaign.ip_addresses),
-                "convicted_at": (
-                    previous["convicted_at"] if previous else convicted_at
-                ),
+                "convicted_at": convicted_at,
             }
-        return list(by_id.values())
+            for convicted_at, campaign in self.campaign_log.records
+        ]
 
     def entities_view(self) -> List[Dict[str, object]]:
-        """Convicted ``fp:`` entities (first conviction per
-        fingerprint), in conviction order."""
-        seen: set = set()
+        """Convicted fingerprint entities, in conviction order.
+
+        The pipeline hands each subject to the sink once, so every
+        entity record is a first conviction.
+        """
         out: List[Dict[str, object]] = []
         for convicted_at, verdict in self.sink.records:
-            if not verdict.subject_id.startswith("fp:"):
-                continue
-            fingerprint_id = verdict.subject_id[3:]
-            if fingerprint_id in seen:
-                continue
-            seen.add(fingerprint_id)
-            out.append(
-                {
-                    "fingerprint_id": fingerprint_id,
-                    "convicted_at": convicted_at,
-                    "detector": verdict.detector,
-                    "score": verdict.score,
-                }
-            )
+            fingerprint_id = fingerprint_of(verdict.subject_id)
+            if fingerprint_id is not None:
+                out.append(
+                    {
+                        "fingerprint_id": fingerprint_id,
+                        "convicted_at": convicted_at,
+                        "detector": verdict.detector,
+                        "score": verdict.score,
+                    }
+                )
         return out
 
     def status_view(self) -> Dict[str, object]:
@@ -435,7 +430,7 @@ class DetectionService:
             "checkpoint_interval": self.checkpoint_interval,
             "sessions_closed": self.pipeline.sessionizer.sessions_closed,
             "subjects_tracked": self.pipeline.fusion.subjects_tracked,
-            "campaigns_convicted": len(self.campaigns_view()),
+            "campaigns_convicted": len(self.campaign_log.records),
             "entities_convicted": len(self.entities_view()),
             "restored": self.restored,
             "journal_replayed": self.journal_replayed,

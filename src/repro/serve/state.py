@@ -54,7 +54,9 @@ unpickling into a silently different core.
 Alongside the authoritative blob+journal, checkpoints also write the
 queryable derived tables (``verdicts``, ``campaigns``, ``entities``)
 so an operator can inspect the last checkpointed detection state with
-plain SQL, while the server runs or after it stops.
+plain SQL, while the server runs or after it stops.  ``campaigns`` has
+one row per campaign conviction, keyed by its ``position`` in
+conviction order and stamped with ``convicted_at``.
 """
 
 from __future__ import annotations
@@ -72,8 +74,9 @@ from ..trace.format import TraceError, TraceReader, TraceWriter
 from ..web.logs import LogEntry
 
 #: Bumped when the on-disk schema changes (2: enveloped snapshots;
-#: 3: one RPTR record per journaled batch).
-SCHEMA_VERSION = 3
+#: 3: one RPTR record per journaled batch; 4: one ``campaigns`` row per
+#: conviction record, keyed by position, with ``convicted_at``).
+SCHEMA_VERSION = 4
 
 #: How long a write waits on another connection's lock (SQLite's
 #: ``busy_timeout``; Python's default ``timeout=5.0``).
@@ -110,7 +113,9 @@ CREATE TABLE IF NOT EXISTS verdicts (
     reasons    TEXT NOT NULL
 );
 CREATE TABLE IF NOT EXISTS campaigns (
-    campaign_id  TEXT PRIMARY KEY,
+    position     INTEGER PRIMARY KEY,
+    campaign_id  TEXT NOT NULL,
+    convicted_at REAL NOT NULL,
     risk         REAL NOT NULL,
     first_seen   REAL NOT NULL,
     last_seen    REAL NOT NULL,
@@ -426,14 +431,14 @@ class StateStore:
         )
         self._conn.execute("DELETE FROM campaigns")
         self._conn.executemany(
-            "INSERT INTO campaigns VALUES (?, ?, ?, ?, ?, ?)",
+            "INSERT INTO campaigns VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
             [
                 (
-                    c["campaign_id"], c["risk"], c["first_seen"],
-                    c["last_seen"], c["sessions"],
-                    json.dumps(c["fingerprints"]),
+                    position, c["campaign_id"], c["convicted_at"],
+                    c["risk"], c["first_seen"], c["last_seen"],
+                    c["sessions"], json.dumps(c["fingerprints"]),
                 )
-                for c in derived.get("campaigns", [])
+                for position, c in enumerate(derived.get("campaigns", []))
             ],
         )
         self._conn.execute("DELETE FROM entities")
@@ -462,12 +467,12 @@ class StateStore:
         ]
         campaigns = [
             {
-                "campaign_id": row[0], "risk": row[1],
-                "first_seen": row[2], "last_seen": row[3],
-                "sessions": row[4], "fingerprints": json.loads(row[5]),
+                "campaign_id": row[1], "convicted_at": row[2],
+                "risk": row[3], "first_seen": row[4], "last_seen": row[5],
+                "sessions": row[6], "fingerprints": json.loads(row[7]),
             }
             for row in self._conn.execute(
-                "SELECT * FROM campaigns ORDER BY campaign_id"
+                "SELECT * FROM campaigns ORDER BY position"
             )
         ]
         entities = [

@@ -13,36 +13,33 @@ they are emitted*, in bounded memory:
 * :mod:`~repro.stream.adapters` — incremental adapters feeding the
   existing detector families, plus fast-path entity detectors that can
   fire while the offending session is still open;
+* :class:`~repro.stream.sms_records.SmsRecordAdapter` — drains an SMS
+  record feed through a record scorer (number reputation, destination
+  surge);
 * :class:`~repro.stream.fusion.IncrementalFusion` — per-subject
   noisy-OR fusion updated one verdict at a time;
 * :class:`~repro.stream.pipeline.StreamPipeline` — ties it together
   and pushes convictions into the online mitigation sink mid-run.
 """
 
+from ..core.detection.subjects import entity_subject
 from .adapters import (
     HoldVelocityAdapter,
     SessionDetectorAdapter,
     SmsVelocityAdapter,
     StreamAdapter,
-    entity_subject,
 )
 from .feed import RecordFeed
 from .fusion import IncrementalFusion
 from .pipeline import StreamPipeline, StreamReport, batch_session_verdicts
 from .sessionizer import StreamSessionizer
-from .sms_records import (
-    DestinationSurgeAdapter,
-    NumberReputationAdapter,
-    SmsRecordAdapter,
-)
+from .sms_records import SmsRecordAdapter
 from .store import KeyedStore
 
 __all__ = [
-    "DestinationSurgeAdapter",
     "HoldVelocityAdapter",
     "IncrementalFusion",
     "KeyedStore",
-    "NumberReputationAdapter",
     "RecordFeed",
     "SessionDetectorAdapter",
     "SmsRecordAdapter",

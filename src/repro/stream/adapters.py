@@ -16,16 +16,18 @@ Two kinds of adapter ride the stream:
   arrive early enough for mid-attack mitigation, since a session only
   closes after its client has already gone idle (or rotated away).
 
-Entity subjects are namespaced (``fp:<fingerprint_id>``) so they never
-collide with session ids inside the fusion layer.
+Entity subjects are namespaced (:func:`~repro.core.detection.subjects.
+entity_subject`) so they never collide with session ids inside the
+fusion layer, and a fast path convicts each fingerprint once, through
+:func:`~repro.core.detection.subjects.convict_once`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Protocol
+from typing import Deque, Dict, Iterable, List, Protocol, Set
 
-from ..core.detection.subjects import FP_SUBJECT_PREFIX, entity_subject
+from ..core.detection.subjects import convict_once
 from ..core.detection.verdict import Verdict
 from ..web.logs import LogEntry, Session
 from ..web.request import BOARDING_PASS_SMS, HOLD
@@ -123,14 +125,14 @@ class _SlidingCounterAdapter(StreamAdapter):
         self._tallies: KeyedStore[str, Deque[float]] = KeyedStore(
             max_keys=max_clients
         )
-        self._convicted: set = set()
-        self.convictions = 0
+        #: Fingerprints convicted so far (each is convicted once).
+        self.convicted: Set[str] = set()
 
     def on_entry(self, entry: LogEntry, now: float) -> Iterable[Verdict]:
         if entry.path != self.path:
             return ()
         fingerprint_id = entry.client.fingerprint_id
-        if fingerprint_id in self._convicted:
+        if fingerprint_id in self.convicted:
             return ()
         # get_or_create is a touching access, so a fingerprint that
         # keeps sending events is never evicted as idle mid-window;
@@ -143,25 +145,20 @@ class _SlidingCounterAdapter(StreamAdapter):
             tally.popleft()
         if len(tally) < self.threshold:
             return ()
-        self._convicted.add(fingerprint_id)
         self._tallies.pop(fingerprint_id)
-        self.convictions += 1
-        return (
-            Verdict(
-                subject_id=entity_subject(fingerprint_id),
-                detector=self.name,
-                score=1.0,
-                is_bot=True,
-                reasons=(
-                    f"{self.reason}:{len(tally)}-in-{self.window:.0f}s",
-                ),
-            ),
+        return convict_once(
+            self.convicted, (fingerprint_id,), self.name,
+            f"{self.reason}:{len(tally)}-in-{self.window:.0f}s",
         )
 
     def evict_idle(self, now: float, idle_gap: float) -> None:
         # A tally idle past the detection window can never refill fast
         # enough to convict from its stale prefix; drop it.
         self._tallies.evict_idle(now, max(self.window, idle_gap))
+
+    @property
+    def convictions(self) -> int:
+        return len(self.convicted)
 
     @property
     def tracked_clients(self) -> int:

@@ -3,13 +3,14 @@
 Phone numbers never appear in the web log — a :class:`~repro.web.logs.
 LogEntry` records path and client, not request parameters — so the
 Case D/E families (number reputation, destination surge) cannot ride
-the entry stream directly.  Instead each adapter holds a
-:class:`~repro.stream.feed.RecordFeed` cursor over the live
-:class:`~repro.sms.gateway.SmsGateway` record list and drains the new
-tail on every log entry: the gateway appends the SMS record *before*
-the application logs the request, so a conviction triggered by request
-N is already fused (and actioned by the online sink) before request
-N+1 arrives.
+the entry stream directly.  Instead one :class:`SmsRecordAdapter`
+wraps the family's scorer — ``SmsRecordAdapter(NumberReputationScorer(
+...), feed)`` — and drains the new tail of a :class:`~repro.stream.
+feed.RecordFeed` cursor over the live :class:`~repro.sms.gateway.
+SmsGateway` record list through it on every log entry.  The gateway
+appends the SMS record *before* the application logs the request, so
+a conviction triggered by request N is already fused (and actioned by
+the online sink) before request N+1 arrives.
 
 Because the underlying scorers are pure functions of the record
 sequence, draining per entry versus feeding the finished log in one go
@@ -20,10 +21,8 @@ suite pins for both families.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, List, Optional
 
-from ..core.detection.numbers import NumberReputationScorer
-from ..core.detection.surge import DestinationSurgeScorer
 from ..core.detection.verdict import Verdict
 from ..web.logs import LogEntry
 from .adapters import StreamAdapter
@@ -31,7 +30,7 @@ from .feed import RecordFeed
 
 
 class SmsRecordAdapter(StreamAdapter):
-    """Base adapter: drains an SMS record feed through a scorer."""
+    """Drains an SMS record feed through a record scorer."""
 
     def __init__(self, scorer, feed: Optional[RecordFeed] = None) -> None:
         self.scorer = scorer
@@ -44,57 +43,14 @@ class SmsRecordAdapter(StreamAdapter):
         self.feed = feed
 
     def on_entry(self, entry: LogEntry, now: float) -> Iterable[Verdict]:
-        if self.feed is None:
-            return ()
-        verdicts = []
-        for record in self.feed.drain():
-            verdicts.extend(self.scorer.observe(record))
-        return verdicts
+        return self._drain()
 
     def end_of_stream(self) -> Iterable[Verdict]:
-        verdicts = []
+        return self._drain() + self.scorer.finish()
+
+    def _drain(self) -> List[Verdict]:
+        verdicts: List[Verdict] = []
         if self.feed is not None:
             for record in self.feed.drain():
                 verdicts.extend(self.scorer.observe(record))
-        verdicts.extend(self.scorer.finish())
         return verdicts
-
-    @property
-    def convicted_fingerprints(self):
-        return self.scorer.convicted_fingerprints
-
-
-class NumberReputationAdapter(SmsRecordAdapter):
-    """Case D fast path: OTP reuse-window + burned-number reputation."""
-
-    def __init__(
-        self,
-        feed: Optional[RecordFeed] = None,
-        reuse_threshold: int = 5,
-        reuse_window: float = 3600.0,
-    ) -> None:
-        super().__init__(
-            NumberReputationScorer(
-                reuse_threshold=reuse_threshold,
-                reuse_window=reuse_window,
-            ),
-            feed,
-        )
-
-
-class DestinationSurgeAdapter(SmsRecordAdapter):
-    """Case E fast path: per-destination notification flood/EWMA surge."""
-
-    def __init__(
-        self,
-        feed: Optional[RecordFeed] = None,
-        window: float = 600.0,
-        flood_threshold: int = 30,
-    ) -> None:
-        super().__init__(
-            DestinationSurgeScorer(
-                window=window,
-                flood_threshold=flood_threshold,
-            ),
-            feed,
-        )

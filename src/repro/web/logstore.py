@@ -8,7 +8,8 @@ blocks instead — one array per field — and materialises ``LogEntry``
 views only when a consumer actually iterates:
 
 * ``time`` — ``float64`` per row;
-* ``status`` — ``int16`` per row;
+* ``status`` — ``uint16`` per row (every status ``/ingest`` and RPTR
+  traces admit, 0..65535);
 * ``method`` / ``path`` / ``blocked_by`` / ``outcome`` — ``int32``
   ids into a shared string-interning table (request logs repeat a few
   dozen distinct strings millions of times);
@@ -52,7 +53,7 @@ class LogColumns:
     """
 
     time: np.ndarray        # (n,) float64
-    status: np.ndarray      # (n,) int16
+    status: np.ndarray      # (n,) uint16
     method: np.ndarray      # (n,) int32 — id into strings
     path: np.ndarray        # (n,) int32 — id into strings
     client: np.ndarray      # (n,) int32 — id into clients
@@ -86,7 +87,7 @@ class _Block:
 
     def __init__(self, rows: int) -> None:
         self.time = np.empty(rows, dtype=np.float64)
-        self.status = np.empty(rows, dtype=np.int16)
+        self.status = np.empty(rows, dtype=np.uint16)
         self.method = np.empty(rows, dtype=np.int32)
         self.path = np.empty(rows, dtype=np.int32)
         self.blocked_by = np.empty(rows, dtype=np.int32)
@@ -251,7 +252,7 @@ class ColumnarLogStore:
         if not self._blocks:
             empty = LogColumns(
                 time=np.empty(0, dtype=np.float64),
-                status=np.empty(0, dtype=np.int16),
+                status=np.empty(0, dtype=np.uint16),
                 method=np.empty(0, dtype=np.int32),
                 path=np.empty(0, dtype=np.int32),
                 client=np.empty(0, dtype=np.int32),

@@ -1,4 +1,5 @@
-"""The dict-of-dicts entity graph, kept as a test oracle.
+"""The dict-of-dicts entity graph and the dense union-find, kept as
+test oracles.
 
 :class:`DictEntityGraph` is the adjacency-dict form the columnar
 :class:`repro.graph.builder.EntityGraph` replaced: one neighbour dict
@@ -13,8 +14,13 @@ for one of these builds the oracle from the same records.
 nodes in insertion order, each node's neighbours sorted by id — which
 every derivation of :func:`repro.graph.propagation.compile_graph` must
 equal array for array.
+
+:class:`UnionFind` is the dense disjoint-set (path compression, union
+by size); ``tests/test_graph_unionfind.py`` checks
+:func:`repro.graph.unionfind.key_groups` against its ``groups()``.
 """
 
+from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -183,3 +189,40 @@ def cold_csr(graph: DictEntityGraph) -> Dict[str, object]:
         "weights": np.array(weights, dtype=np.float64),
         "degree": np.array(degree, dtype=np.float64),
     }
+
+
+class UnionFind:
+    """Disjoint-set union with path compression and union by size."""
+
+    def __init__(self, size: int) -> None:
+        if size < 0:
+            raise ValueError(f"size must be >= 0: {size}")
+        self._parent = list(range(size))
+        self._size = [1] * size
+
+    def __len__(self) -> int:
+        return len(self._parent)
+
+    def find(self, item: int) -> int:
+        root = item
+        while self._parent[root] != root:
+            root = self._parent[root]
+        while self._parent[item] != root:
+            self._parent[item], item = root, self._parent[item]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        root_a, root_b = self.find(a), self.find(b)
+        if root_a == root_b:
+            return
+        if self._size[root_a] < self._size[root_b]:
+            root_a, root_b = root_b, root_a
+        self._parent[root_b] = root_a
+        self._size[root_a] += self._size[root_b]
+
+    def groups(self) -> List[List[int]]:
+        """Members of every disjoint set, smallest index first."""
+        by_root: Dict[int, List[int]] = defaultdict(list)
+        for item in range(len(self._parent)):
+            by_root[self.find(item)].append(item)
+        return sorted(by_root.values(), key=lambda grp: grp[0])

@@ -98,6 +98,22 @@ class TestStreamCommands:
         assert "events/sec" in out
         assert "batch equivalence: OK" in out
 
+    def test_replay_compare_batch_with_status_above_int16(
+        self, capsys, tmp_path
+    ):
+        """A trace ``/ingest`` would accept (status up to 65535)
+        rebuilds into a batch log, so ``--compare-batch`` runs."""
+        from tests.serve_util import campaign_entries, make_entry, write_trace
+
+        entries = campaign_entries(rotations=2, legit_visitors=2)
+        entries.append(
+            make_entry(entries[-1].time + 1.0, fingerprint="fp-odd",
+                       status=40000)
+        )
+        trace = write_trace(str(tmp_path / "odd.rptr"), entries)
+        assert main(["replay", trace, "--compare-batch"]) == 0
+        assert "batch equivalence: OK" in capsys.readouterr().out
+
     def test_stream_ablation_never_blocks(self, capsys):
         assert main(["stream", "--no-streaming"]) == 0
         out = capsys.readouterr().out

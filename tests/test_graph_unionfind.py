@@ -1,15 +1,17 @@
-"""Property and unit tests for the dense disjoint-set structure.
+"""Property and unit tests for the disjoint-set structures.
 
-:class:`repro.graph.unionfind.UnionFind` backs the rotation linker, so
-its invariants are pinned property-style: the partition it reports
-must be exactly the transitive closure of the unions applied,
-independent of order and repetition, and path compression must never
-change it.
+The dense :class:`tests.graph_oracle.UnionFind` is the oracle
+:func:`repro.graph.unionfind.key_groups` (which backs the record
+linkers) is checked against, so its invariants are pinned
+property-style: the partition it reports must be exactly the
+transitive closure of the unions applied, independent of order and
+repetition, and path compression must never change it.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.graph.unionfind import UnionFind
+from repro.graph.unionfind import key_groups
+from tests.graph_oracle import UnionFind
 
 
 def _partition(uf: UnionFind) -> set:
@@ -85,3 +87,35 @@ class TestUnionFindProperties:
         groups = uf.groups()
         assert groups == [[0, 4], [1], [2], [3, 5]]
         assert len(uf) == 6
+
+
+def _oracle_key_groups(key_sets):
+    """The union-find loop the record linkers ran before ``key_groups``."""
+    union = UnionFind(len(key_sets))
+    first_with_key = {}
+    for index, keys in enumerate(key_sets):
+        for key in keys:
+            if key in first_with_key:
+                union.union(first_with_key[key], index)
+            else:
+                first_with_key[key] = index
+    return union.groups()
+
+
+class TestKeyGroups:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=12), max_size=4),
+            max_size=25,
+        )
+    )
+    def test_equals_union_find_oracle(self, key_sets):
+        """Same groups, same order (smallest index first), members
+        ascending."""
+        assert key_groups(key_sets) == _oracle_key_groups(key_sets)
+
+    def test_chains_and_singletons(self):
+        key_sets = [["x"], [], ["y", "x"], ["z"], ["y"], ["z", "z"]]
+        assert key_groups(key_sets) == [[0, 2, 4], [1], [3, 5]]
+        assert key_groups([]) == []

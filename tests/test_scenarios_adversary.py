@@ -39,7 +39,7 @@ from repro.scenarios.portfolio import (
 )
 from repro.sim.clock import HOUR
 from repro.sim.events import EventLoop
-from repro.stream import NumberReputationAdapter, RecordFeed
+from repro.stream import RecordFeed, SmsRecordAdapter
 
 
 # --------------------------------------------------------------------------
@@ -289,7 +289,7 @@ class TestRecordFamilyStreamEquivalence:
         batch = score_sms_records(
             records, NumberReputationScorer(reuse_threshold=5)
         )
-        adapter = NumberReputationAdapter(reuse_threshold=5)
+        adapter = SmsRecordAdapter(NumberReputationScorer(reuse_threshold=5))
         stream = self._incremental(records, adapter)
         assert stream == batch
         assert batch  # the unprotected campaign does trip the family
@@ -301,10 +301,8 @@ class TestRecordFamilyStreamEquivalence:
             window=600.0, flood_threshold=30
         )
         batch = score_sms_records(records, batch_scorer)
-        from repro.stream import DestinationSurgeAdapter
-
-        adapter = DestinationSurgeAdapter(
-            window=600.0, flood_threshold=30
+        adapter = SmsRecordAdapter(
+            DestinationSurgeScorer(window=600.0, flood_threshold=30)
         )
         stream = self._incremental(records, adapter)
         assert stream == batch

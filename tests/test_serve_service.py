@@ -360,6 +360,52 @@ class TestDetectionOutcomes:
         for records, start in zip(logs, before):
             assert {now for now, _ in records[start:]} <= {entries[-1].time}
 
+    def test_campaign_name_reused_keeps_both_convictions(self, tmp_path):
+        """Rank names move: operation A convicts as ``C001``, then the
+        larger operation B takes ``C001`` at a later refresh.  Both
+        conviction records are rows of the view, of the derived table
+        and of every count, and every convicted fingerprint is in one."""
+        entries = []
+        clock = 1_000.0
+        for operation, ip, rotations in (
+            ("a", "203.0.113.66", 3),
+            ("b", "203.0.113.77", 5),
+        ):
+            for rotation in range(rotations):
+                for _ in range(6):
+                    entries.append(
+                        make_entry(
+                            clock,
+                            ip=ip,
+                            fingerprint=f"fp-{operation}-{rotation}",
+                            path="/hold",
+                            method="POST",
+                            actor_class="seat_spinner",
+                        )
+                    )
+                    clock += 30.0
+                clock += 2_400.0
+        service = make_service(tmp_path, refresh_every=4, evict_every=8)
+        service.ingest(ingest_payload(entries))
+        service.finish()
+        records = service.campaign_log.records
+        view = service.campaigns_view()
+        assert [row["campaign_id"] for row in view] == ["C001", "C001"]
+        assert [row["fingerprints"] for row in view] == [
+            [f"fp-a-{i}" for i in range(3)],
+            [f"fp-b-{i}" for i in range(5)],
+        ]
+        assert [row["convicted_at"] for row in view] == [
+            now for now, _ in records
+        ]
+        table = service.store.read_derived()["campaigns"]
+        assert table == [
+            {key: row[key] for key in table[0]} for row in view
+        ]
+        assert service.status_view()["campaigns_convicted"] == len(records)
+        covered = {fp for row in view for fp in row["fingerprints"]}
+        assert set(service.graph.convicted_fingerprints) <= covered
+
     def test_legit_fingerprints_not_convicted(self, tmp_path):
         service = make_service(tmp_path)
         service.ingest(ingest_payload(campaign_entries()))

@@ -199,6 +199,16 @@ class TestStateStore:
         with pytest.raises(StateStoreError, match="schema version"):
             StateStore(path)
 
+    def test_v3_database_rejected(self, tmp_path):
+        """Version 3 kept one ``campaigns`` row per campaign id; its
+        databases are refused, not read as per-conviction rows."""
+        path = str(tmp_path / "s.db")
+        with StateStore(path) as store:
+            store.set_meta("schema_version", "3")
+            store.commit()
+        with pytest.raises(StateStoreError, match="schema version"):
+            StateStore(path)
+
     def test_derived_tables_roundtrip(self, tmp_path):
         derived = {
             "verdicts": [
@@ -213,6 +223,7 @@ class TestStateStore:
             "campaigns": [
                 {
                     "campaign_id": "C1",
+                    "convicted_at": 1.5,
                     "risk": 0.8,
                     "first_seen": 1.0,
                     "last_seen": 2.0,
@@ -237,4 +248,5 @@ class TestStateStore:
         assert out["verdicts"][0]["subject_id"] == "fp:a"
         assert out["verdicts"][0]["is_bot"] is True
         assert out["campaigns"][0]["fingerprints"] == ["a", "b"]
+        assert out["campaigns"][0]["convicted_at"] == 1.5
         assert out["entities"][0]["fingerprint_id"] == "a"

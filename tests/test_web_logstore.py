@@ -185,6 +185,19 @@ class TestWebLogBackends:
         assert len(log) == 2
         assert log.entries_between(0.5, 1.5) == [second]
 
+    def test_status_above_int16_round_trips(self):
+        """``/ingest`` and RPTR traces admit any status up to 65535;
+        the status column holds all of them."""
+        who = client()
+        log = WebLog()
+        log.append_fields(0.0, "GET", "/s", 40000, who)
+        log.append(
+            LogEntry(time=1.0, method="GET", path="/s", status=65535,
+                     client=who)
+        )
+        assert [e.status for e in log.iter_entries()] == [40000, 65535]
+        assert log.columns().status.tolist() == [40000, 65535]
+
     def test_observer_sees_materialised_entry_from_append_fields(self):
         log = WebLog()
         seen = []
