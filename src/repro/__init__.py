@@ -8,8 +8,11 @@ the full detection/mitigation stack it evaluates.
 
 Quick start::
 
-    from repro.scenarios import build_world, WorldConfig
+    from repro.scenarios.world import WorldConfig, build_world
     world = build_world(WorldConfig(seed=7))
+
+Most package ``__init__``s hold only a docstring and import nothing,
+so import each name from the module that defines it.
 
 Subpackages
 -----------
@@ -23,34 +26,10 @@ Subpackages
 ``repro.economics``  attacker/defender ledgers and deterrence analysis
 ``repro.analysis``   distributions, evaluation, report rendering
 ``repro.scenarios``  pre-wired Case A/B/C and benchmark scenarios
+``repro.stream``     online sessionizer, adapters and fusion pipeline
+``repro.graph``      campaign entity graph and propagation
+``repro.serve``      the persistent HTTP detection service
 ``repro.runner``     parallel sweep/replication orchestrator
 """
 
-from . import (
-    analysis,
-    booking,
-    common,
-    core,
-    economics,
-    identity,
-    sim,
-    sms,
-    traffic,
-    web,
-)
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "analysis",
-    "booking",
-    "common",
-    "core",
-    "economics",
-    "identity",
-    "sim",
-    "sms",
-    "traffic",
-    "web",
-    "__version__",
-]

@@ -1,57 +1,1 @@
 """Analysis helpers: distributions, evaluation, report rendering."""
-
-from .aggregate import (
-    SummaryStats,
-    aggregate_metrics,
-    mean_ci,
-    t_quantile,
-)
-from .distributions import (
-    nip_counts,
-    nip_shares,
-    share_of,
-    weekly_nip_table,
-)
-from .evaluation import (
-    BinaryEvaluation,
-    CampaignEvaluation,
-    CampaignGroundTruth,
-    campaign_recall_from_verdicts,
-    evaluate_campaigns,
-    evaluate_verdicts,
-    false_positive_sessions,
-    recall_by_class,
-    session_actor,
-    true_campaigns,
-)
-from .reports import (
-    format_percent,
-    render_distribution,
-    render_table,
-    render_weekly_nip,
-)
-
-__all__ = [
-    "SummaryStats",
-    "aggregate_metrics",
-    "mean_ci",
-    "t_quantile",
-    "nip_counts",
-    "nip_shares",
-    "share_of",
-    "weekly_nip_table",
-    "BinaryEvaluation",
-    "CampaignEvaluation",
-    "CampaignGroundTruth",
-    "campaign_recall_from_verdicts",
-    "evaluate_campaigns",
-    "evaluate_verdicts",
-    "false_positive_sessions",
-    "recall_by_class",
-    "session_actor",
-    "true_campaigns",
-    "format_percent",
-    "render_distribution",
-    "render_table",
-    "render_weekly_nip",
-]

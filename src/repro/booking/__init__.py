@@ -8,80 +8,3 @@ studies target: flights with finite seat inventory
 generators (:mod:`repro.booking.passengers`) and dynamic load-factor
 pricing (:mod:`repro.booking.pricing`).
 """
-
-from .flight import Flight, InventoryError, SeatInventory
-from .holds import ACTIVE, CANCELLED, CONFIRMED, EXPIRED, Hold, HoldStore
-from .passengers import (
-    Passenger,
-    edit_distance,
-    gibberish_score,
-    misspell,
-    sample_birthdate,
-    sample_genuine_party,
-    sample_genuine_passenger,
-    sample_gibberish_passenger,
-)
-from .pricing import PricingEngine
-from .seatmap import (
-    AISLE,
-    ANY,
-    MIDDLE,
-    MIDDLE_BLOCK,
-    PREFERENCES,
-    Seat,
-    SeatMap,
-    SeatMapError,
-    TOGETHER,
-    WINDOW,
-    WINDOW_AISLE,
-)
-from .reservation import (
-    BookingRecord,
-    HoldResult,
-    REJECT_DEPARTED,
-    REJECT_INVALID_PARTY,
-    REJECT_NIP_CAP,
-    REJECT_NO_INVENTORY,
-    REJECT_UNKNOWN_FLIGHT,
-    ReservationSystem,
-)
-
-__all__ = [
-    "Flight",
-    "InventoryError",
-    "SeatInventory",
-    "ACTIVE",
-    "CANCELLED",
-    "CONFIRMED",
-    "EXPIRED",
-    "Hold",
-    "HoldStore",
-    "Passenger",
-    "edit_distance",
-    "gibberish_score",
-    "misspell",
-    "sample_birthdate",
-    "sample_genuine_party",
-    "sample_genuine_passenger",
-    "sample_gibberish_passenger",
-    "PricingEngine",
-    "AISLE",
-    "ANY",
-    "MIDDLE",
-    "MIDDLE_BLOCK",
-    "PREFERENCES",
-    "Seat",
-    "SeatMap",
-    "SeatMapError",
-    "TOGETHER",
-    "WINDOW",
-    "WINDOW_AISLE",
-    "BookingRecord",
-    "HoldResult",
-    "REJECT_DEPARTED",
-    "REJECT_INVALID_PARTY",
-    "REJECT_NIP_CAP",
-    "REJECT_NO_INVENTORY",
-    "REJECT_UNKNOWN_FLIGHT",
-    "ReservationSystem",
-]

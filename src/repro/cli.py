@@ -702,7 +702,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from .scenarios.streaming import build_stream_pipeline
+    from .stream.pipeline import build_stream_pipeline
     from .trace import TraceError, TraceReader, replay_trace
 
     try:
@@ -730,8 +730,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if args.compare_batch:
         from collections import Counter
 
-        from .scenarios.streaming import default_stream_adapters
-        from .stream import batch_session_verdicts
+        from .stream.pipeline import (
+            batch_session_verdicts,
+            default_stream_adapters,
+        )
         from .trace import rebuild_log
 
         detectors = [

@@ -6,7 +6,3 @@ functional abuse.
 * :mod:`repro.core.mitigation` — deployable countermeasures and the
   closed-loop mitigation controller.
 """
-
-from . import detection, mitigation
-
-__all__ = ["detection", "mitigation"]

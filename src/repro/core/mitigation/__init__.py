@@ -10,40 +10,3 @@
 * :mod:`~repro.core.mitigation.online` — streaming verdict intake that
   deploys mitigations mid-simulation.
 """
-
-from .blocking import BlockRuleManager, RuleEffectiveness
-from .controller import (
-    ControllerConfig,
-    MitigationAction,
-    MitigationController,
-)
-from .honeypot import HoneypotManager
-from .online import OnlineVerdictSink
-from .policies import (
-    CaptchaPolicy,
-    FeatureRestrictionPolicy,
-    HoldTtlPolicy,
-    MitigationPolicy,
-    NipCapPolicy,
-    RateLimitPolicy,
-    SmsFeatureTogglePolicy,
-    loyalty_members_only,
-)
-
-__all__ = [
-    "BlockRuleManager",
-    "RuleEffectiveness",
-    "ControllerConfig",
-    "MitigationAction",
-    "MitigationController",
-    "HoneypotManager",
-    "OnlineVerdictSink",
-    "CaptchaPolicy",
-    "FeatureRestrictionPolicy",
-    "HoldTtlPolicy",
-    "MitigationPolicy",
-    "NipCapPolicy",
-    "RateLimitPolicy",
-    "SmsFeatureTogglePolicy",
-    "loyalty_members_only",
-]

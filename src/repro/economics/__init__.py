@@ -1,35 +1,1 @@
 """Attacker/defender economics (Section V's deterrence analysis)."""
-
-from .ledger import (
-    CAPTCHA_COSTS,
-    INFRASTRUCTURE,
-    Ledger,
-    LedgerEntry,
-    LOST_SEAT_REVENUE,
-    PROXY_COSTS,
-    SMS_DELIVERY_COSTS,
-    SMS_REVENUE_SHARE,
-    TICKET_COSTS,
-)
-from .reports import (
-    SeatDisplacement,
-    attacker_seat_seconds,
-    build_attacker_ledger,
-    build_defender_ledger,
-)
-
-__all__ = [
-    "CAPTCHA_COSTS",
-    "INFRASTRUCTURE",
-    "Ledger",
-    "LedgerEntry",
-    "LOST_SEAT_REVENUE",
-    "PROXY_COSTS",
-    "SMS_DELIVERY_COSTS",
-    "SMS_REVENUE_SHARE",
-    "TICKET_COSTS",
-    "SeatDisplacement",
-    "attacker_seat_seconds",
-    "build_attacker_ledger",
-    "build_defender_ledger",
-]

@@ -39,13 +39,12 @@ from typing import (
     Optional,
     Sequence,
     Set,
+    TYPE_CHECKING,
     Tuple,
 )
 
 import numpy as np
 
-from ..booking.reservation import BookingRecord
-from ..sms.gateway import SmsRecord
 from ..stream.store import KeyedStore
 from ..web.logs import LogEntry, Session
 from .entities import (
@@ -60,6 +59,10 @@ from .entities import (
     subnet_node,
 )
 from .unionfind import merge_labels
+
+if TYPE_CHECKING:
+    from ..booking.reservation import BookingRecord
+    from ..sms.gateway import SmsRecord
 
 #: Edge trust weights by link type.  Strong links are identities the
 #: attacker must actively share (booking reference, recurring passenger

@@ -19,12 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from ..booking.reservation import BookingRecord
 from ..core.detection.subjects import fingerprint_of
 from ..core.detection.verdict import Verdict
-from ..sms.gateway import SmsRecord
 from ..web.logs import Session
 from ..web.request import BOARDING_PASS_SMS, HOLD
 from .builder import (
@@ -58,6 +64,10 @@ from .propagation import (
     compile_graph,
     propagate,
 )
+
+if TYPE_CHECKING:
+    from ..booking.reservation import BookingRecord
+    from ..sms.gateway import SmsRecord
 
 
 @dataclass

@@ -10,76 +10,3 @@ and everything an attacker can do to manipulate those observations:
 * datacenter vs residential IP pools (:mod:`repro.identity.ip`),
 * CAPTCHA and solver-service model (:mod:`repro.identity.captcha`).
 """
-
-from .biometrics import (
-    BiometricDetector,
-    BiometricThresholds,
-    BotMotionModel,
-    HumanMotionModel,
-    LINEAR,
-    MousePoint,
-    MouseTrajectory,
-    NO_MOUSE,
-    REPLAY,
-    SYNTHETIC_CURVE,
-    TrajectoryFeatures,
-    trajectory_features,
-)
-from .captcha import CaptchaGateModel, CaptchaOutcome
-from .fingerprint import (
-    DESKTOP,
-    MOBILE,
-    Fingerprint,
-    FingerprintPopulation,
-    automation_artifacts,
-    consistency_check,
-)
-from .forge import (
-    MIMICRY,
-    NAIVE_SPOOF,
-    RAW_HEADLESS,
-    BotIdentity,
-    FingerprintForge,
-    RotationPolicy,
-)
-from .ip import (
-    DatacenterPool,
-    HomeIpAssigner,
-    IpAddress,
-    ResidentialProxyPool,
-    is_datacenter,
-)
-
-__all__ = [
-    "BiometricDetector",
-    "BiometricThresholds",
-    "BotMotionModel",
-    "HumanMotionModel",
-    "LINEAR",
-    "MousePoint",
-    "MouseTrajectory",
-    "NO_MOUSE",
-    "REPLAY",
-    "SYNTHETIC_CURVE",
-    "TrajectoryFeatures",
-    "trajectory_features",
-    "CaptchaGateModel",
-    "CaptchaOutcome",
-    "DESKTOP",
-    "MOBILE",
-    "Fingerprint",
-    "FingerprintPopulation",
-    "automation_artifacts",
-    "consistency_check",
-    "MIMICRY",
-    "NAIVE_SPOOF",
-    "RAW_HEADLESS",
-    "BotIdentity",
-    "FingerprintForge",
-    "RotationPolicy",
-    "DatacenterPool",
-    "HomeIpAssigner",
-    "IpAddress",
-    "ResidentialProxyPool",
-    "is_datacenter",
-]

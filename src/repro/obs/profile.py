@@ -104,7 +104,7 @@ def instrument_world(
         return None
     # Imported lazily: repro.stream pulls in the detector stack, which
     # the un-tapped path (and the overhead benchmark) never needs.
-    from ..scenarios.streaming import build_stream_pipeline
+    from ..stream.pipeline import build_stream_pipeline
     from ..web.logs import DEFAULT_IDLE_GAP
 
     pipeline = build_stream_pipeline(

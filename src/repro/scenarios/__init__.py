@@ -16,100 +16,3 @@
 * :mod:`~repro.scenarios.detectors` — detector-family comparison
   (Section III).
 """
-
-from .behavioural import (
-    BehaviouralConfig,
-    BehaviouralResult,
-    BehaviouralRun,
-    run_behavioural_stack,
-)
-from .case_a import CaseAConfig, CaseAResult, TARGET_FLIGHT, run_case_a
-from .case_b import (
-    AIRLINE_B_FLIGHT,
-    AIRLINE_C_FLIGHT,
-    CaseBConfig,
-    CaseBResult,
-    run_case_b,
-)
-from .case_c import (
-    CaseCConfig,
-    CaseCResult,
-    PATH_LIMIT,
-    PER_REF,
-    TABLE1_ORDER,
-    TABLE1_SURGES,
-    UNPROTECTED,
-    case_c_attack_totals,
-    case_c_attack_weights,
-    case_c_baseline_weekly,
-    run_case_c,
-)
-from .case_d import CaseDConfig, CaseDResult, run_case_d
-from .case_e import CaseEConfig, CaseEResult, run_case_e
-from .detectors import (
-    DetectorComparisonConfig,
-    DetectorComparisonResult,
-    DetectorRun,
-    run_detector_comparison,
-)
-from .portfolio import (
-    DEFENSES,
-    PortfolioConfig,
-    PortfolioResult,
-    SINGLE_DEFENSES,
-    run_portfolio,
-)
-from .world import (
-    FlightSpec,
-    World,
-    WorldConfig,
-    build_world,
-    default_flight_schedule,
-)
-
-__all__ = [
-    "BehaviouralConfig",
-    "BehaviouralResult",
-    "BehaviouralRun",
-    "run_behavioural_stack",
-    "CaseAConfig",
-    "CaseAResult",
-    "TARGET_FLIGHT",
-    "run_case_a",
-    "AIRLINE_B_FLIGHT",
-    "AIRLINE_C_FLIGHT",
-    "CaseBConfig",
-    "CaseBResult",
-    "run_case_b",
-    "CaseCConfig",
-    "CaseCResult",
-    "PATH_LIMIT",
-    "PER_REF",
-    "TABLE1_ORDER",
-    "TABLE1_SURGES",
-    "UNPROTECTED",
-    "case_c_attack_totals",
-    "case_c_attack_weights",
-    "case_c_baseline_weekly",
-    "run_case_c",
-    "CaseDConfig",
-    "CaseDResult",
-    "run_case_d",
-    "CaseEConfig",
-    "CaseEResult",
-    "run_case_e",
-    "DEFENSES",
-    "PortfolioConfig",
-    "PortfolioResult",
-    "SINGLE_DEFENSES",
-    "run_portfolio",
-    "DetectorComparisonConfig",
-    "DetectorComparisonResult",
-    "DetectorRun",
-    "run_detector_comparison",
-    "FlightSpec",
-    "World",
-    "WorldConfig",
-    "build_world",
-    "default_flight_schedule",
-]

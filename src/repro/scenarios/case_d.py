@@ -49,9 +49,9 @@ from ..sms.countries import high_cost_codes
 from ..sms.gateway import OTP
 from ..sms.rental import NumberRentalService
 from ..stream import RecordFeed, SmsRecordAdapter, StreamReport
+from ..stream.pipeline import build_stream_pipeline
 from ..traffic.otp_abuser import OtpAbuseBot, OtpAbuserConfig
 from ..traffic.sms_baseline import BaselineSmsConfig, BaselineSmsTraffic
-from .streaming import build_stream_pipeline
 from .world import World, WorldConfig, build_world
 
 # Protection variants.

@@ -45,11 +45,11 @@ from ..sim.clock import DAY, HOUR, MINUTE
 from ..sms.gateway import NOTIFICATION
 from ..sms.numbers import PhoneNumber, sample_number
 from ..stream import RecordFeed, SmsRecordAdapter, StreamReport
+from ..stream.pipeline import build_stream_pipeline
 from ..traffic.amplifier import AmplifierBot, AmplifierConfig
 from ..traffic.sms_baseline import BaselineSmsConfig, BaselineSmsTraffic
 from ..web.ratelimit import RateLimitRule, key_by_destination
 from ..web.request import NOTIFY
-from .streaming import build_stream_pipeline
 from .world import World, WorldConfig, build_world
 
 # Protection variants.

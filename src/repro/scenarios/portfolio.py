@@ -45,6 +45,7 @@ from ..sim.clock import DAY, HOUR, MINUTE
 from ..sms.countries import high_cost_codes
 from ..sms.numbers import sample_number
 from ..stream import HoldVelocityAdapter, RecordFeed, SmsRecordAdapter
+from ..stream.pipeline import build_stream_pipeline
 from ..traffic.sms_baseline import BaselineSmsConfig, BaselineSmsTraffic
 from ..web.ratelimit import (
     RateLimitRule,
@@ -53,7 +54,6 @@ from ..web.ratelimit import (
     key_by_profile,
 )
 from ..web.request import BOARDING_PASS_SMS, NOTIFY
-from .streaming import build_stream_pipeline
 from .world import FlightSpec, World, WorldConfig, build_world
 
 SPIN_FLIGHT = "PORT-SPIN"

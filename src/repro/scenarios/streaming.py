@@ -15,95 +15,29 @@ two the periodic controller cannot improve past its polling interval:
   flight, streaming on vs off.
 
 Case A can also be captured to a :mod:`repro.trace` file for offline
-replay (``capture_case_a``).
+replay (``capture_case_a``).  The standard pipeline these variants
+start from, :func:`~repro.stream.pipeline.build_stream_pipeline`, lives
+in :mod:`repro.stream.pipeline` and is importable from here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..core.detection.fusion import DEFAULT_WEIGHTS, FusionDetector
 from ..core.detection.volume import VolumeDetector
 from ..core.mitigation.online import OnlineVerdictSink
 from ..sim.clock import DAY, HOUR
-from ..stream import (
-    HoldVelocityAdapter,
-    SessionDetectorAdapter,
-    SmsVelocityAdapter,
-    StreamAdapter,
+from ..stream.adapters import HoldVelocityAdapter, SessionDetectorAdapter
+from ..stream.pipeline import (
     StreamPipeline,
     StreamReport,
+    build_stream_pipeline,
 )
 from ..trace.capture import TraceCapture
 from ..web.logs import DEFAULT_IDLE_GAP
 from .case_a import CaseAConfig, CaseAResult, run_case_a
 from .world import World
-
-#: Fusion trust weights for the streaming fast paths: a sliding-window
-#: velocity conviction is as precise as the controller's frequency rule
-#: it mirrors, so it gets the volume-threshold trust level.
-STREAM_WEIGHTS: Dict[str, float] = dict(
-    DEFAULT_WEIGHTS, **{"hold-velocity": 0.9, "sms-velocity": 0.9}
-)
-
-
-def default_stream_adapters(
-    hold_velocity_threshold: int = 5,
-    hold_velocity_window: float = 6 * HOUR,
-    sms_velocity_threshold: int = 20,
-    sms_velocity_window: float = 1 * HOUR,
-    learned_model_path: Optional[str] = None,
-) -> List[StreamAdapter]:
-    """The standard adapter set: batch volume detection on closed
-    sessions plus both per-fingerprint velocity fast paths.
-
-    ``learned_model_path`` (an RPML file from ``repro train``) adds the
-    trained session-sequence arm as a fourth adapter; its verdicts are
-    batch-equivalent because the model's standardiser and weights are
-    frozen at train time, so judging each block of closed sessions
-    matches judging them all at once, up to float round-off in the
-    matrix products.
-    """
-    adapters: List[StreamAdapter] = [
-        SessionDetectorAdapter(VolumeDetector()),
-        HoldVelocityAdapter(
-            threshold=hold_velocity_threshold,
-            window=hold_velocity_window,
-        ),
-        SmsVelocityAdapter(
-            threshold=sms_velocity_threshold,
-            window=sms_velocity_window,
-        ),
-    ]
-    if learned_model_path is not None:
-        from ..ml.detector import LearnedSessionDetector
-
-        detector, _ = LearnedSessionDetector.from_file(
-            learned_model_path
-        )
-        adapters.append(SessionDetectorAdapter(detector))
-    return adapters
-
-
-def build_stream_pipeline(
-    adapters: Optional[Sequence[StreamAdapter]] = None,
-    sink=None,
-    idle_gap: float = DEFAULT_IDLE_GAP,
-    evict_every: int = 256,
-) -> StreamPipeline:
-    """A pipeline with the standard adapters and streaming weights."""
-    return StreamPipeline(
-        adapters=(
-            list(adapters)
-            if adapters is not None
-            else default_stream_adapters()
-        ),
-        fusion=FusionDetector(weights=dict(STREAM_WEIGHTS)),
-        sink=sink,
-        idle_gap=idle_gap,
-        evict_every=evict_every,
-    )
 
 
 @dataclass

@@ -20,40 +20,3 @@ Layers, bottom up:
   (``repro serve`` lands here);
 * :mod:`~repro.serve.client` — stdlib client for tests/benchmarks/CI.
 """
-
-from .codec import (
-    CodecError,
-    entry_from_dict,
-    entry_to_dict,
-    parse_events,
-)
-from .client import ServeClient, ServeClientError
-from .server import DetectionServer, run_server
-from .service import (
-    DEFAULT_CHECKPOINT_INTERVAL,
-    DEFAULT_REFRESH_EVERY,
-    DetectionService,
-    SeqConflict,
-    ServiceFinished,
-    ingest_payload,
-)
-from .state import StateStore, StateStoreError
-
-__all__ = [
-    "CodecError",
-    "entry_from_dict",
-    "entry_to_dict",
-    "parse_events",
-    "ServeClient",
-    "ServeClientError",
-    "DetectionServer",
-    "run_server",
-    "DEFAULT_CHECKPOINT_INTERVAL",
-    "DEFAULT_REFRESH_EVERY",
-    "DetectionService",
-    "SeqConflict",
-    "ServiceFinished",
-    "ingest_payload",
-    "StateStore",
-    "StateStoreError",
-]

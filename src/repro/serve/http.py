@@ -102,13 +102,26 @@ class HttpResponse:
         return head.encode("ascii") + self.body
 
 
+async def _readline(reader: asyncio.StreamReader) -> bytes:
+    """One line; :class:`BadRequest` if it overruns the reader's limit.
+
+    ``StreamReader.readline`` reports the overrun as ``ValueError``
+    (after dropping the buffered part of the line), not as
+    ``LimitOverrunError``.
+    """
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise BadRequest("request or header line too long")
+
+
 async def read_request(
     reader: asyncio.StreamReader,
 ) -> Optional[HttpRequest]:
     """Read one request; ``None`` on clean EOF before a request line."""
     try:
-        request_line = await reader.readline()
-    except (ConnectionResetError, asyncio.LimitOverrunError):
+        request_line = await _readline(reader)
+    except ConnectionResetError:
         return None
     if not request_line:
         return None
@@ -121,7 +134,7 @@ async def read_request(
     headers: Dict[str, str] = {}
     header_bytes = 0
     while True:
-        line = await reader.readline()
+        line = await _readline(reader)
         header_bytes += len(line)
         if header_bytes > MAX_HEADER_BYTES:
             raise BadRequest("headers too large")

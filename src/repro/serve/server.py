@@ -15,8 +15,9 @@ On startup the server prints one machine-parseable line::
 
 which is how tests and the CI smoke job discover the real port when
 launched with ``--port 0``. ``SIGINT``/``SIGTERM`` and ``POST
-/shutdown`` all trigger the same graceful path: checkpoint, stop
-accepting, close the store. A ``SIGKILL`` skips all of that — which
+/shutdown`` all trigger the same graceful path: stop accepting, close
+the open connections and wait for their handlers, checkpoint, close
+the store. A ``SIGKILL`` skips all of that — which
 is exactly the case the snapshot+journal design exists for.
 """
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 import asyncio
 import signal
 import sys
-from typing import Optional
+from typing import Dict, Optional
 
 from ..obs.core import ObsRegistry
 from .app import ServeApp
@@ -41,6 +42,10 @@ from .service import (
     DetectionService,
 )
 from .state import StateStore
+
+#: Seconds a shutdown waits for open connections to flush and close
+#: before it aborts the rest.
+CLOSE_GRACE_S = 5.0
 
 
 class DetectionServer:
@@ -76,6 +81,8 @@ class DetectionServer:
         )
         self._server: Optional[asyncio.base_events.Server] = None
         self._shutdown: Optional[asyncio.Event] = None
+        #: Open connections: each handler task and its writer.
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -126,6 +133,9 @@ class DetectionServer:
     async def _close(self) -> None:
         if self._server is not None:
             self._server.close()
+            # Connections first: from Python 3.12 ``wait_closed`` also
+            # waits for every open connection.
+            await self._close_connections()
             await self._server.wait_closed()
         if not self.service.finished:
             self.service.checkpoint()
@@ -135,6 +145,27 @@ class DetectionServer:
             f"{self.service.events_ingested} (checkpointed)"
         )
 
+    async def _close_connections(self) -> None:
+        """Close every open connection and wait for its handler, so none
+        is left pending when the caller closes the loop.
+
+        An idle handler reads EOF and returns.  A close waits for
+        unsent bytes, which a peer that stopped reading never takes,
+        so connections still open after :data:`CLOSE_GRACE_S` are
+        aborted.
+        """
+        connections = dict(self._connections)
+        if not connections:
+            return
+        for writer in connections.values():
+            writer.close()
+        _, stalled = await asyncio.wait(
+            list(connections), timeout=CLOSE_GRACE_S
+        )
+        for task in stalled:
+            connections[task].transport.abort()
+        await asyncio.gather(*stalled, return_exceptions=True)
+
     # -- connection handling ---------------------------------------------------
 
     async def _handle_connection(
@@ -142,6 +173,8 @@ class DetectionServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -178,6 +211,7 @@ class DetectionServer:
                 await writer.wait_closed()
             except ConnectionError:
                 pass
+            del self._connections[task]
 
     def _log(self, message: str) -> None:
         if not self.quiet:

@@ -10,7 +10,7 @@ core every ``checkpoint_interval`` events.
 
 Everything in the core is deliberately plain picklable Python — the
 sink records verdicts instead of touching a live
-:class:`~repro.web.WebApplication`, the campaign sink is a log, and
+:class:`~repro.web.application.WebApplication`, the campaign sink is a log, and
 ``obs`` instrumentation lives on the *service*, never inside the
 pickled core — so a snapshot is one ``pickle.dumps`` with no
 detach/reattach dance, and a restored core is bit-identical to the
@@ -29,7 +29,7 @@ from ..core.detection.verdict import Verdict
 from ..graph.campaigns import Campaign
 from ..graph.detector import GraphDetectorConfig
 from ..graph.stream import GraphStreamAdapter
-from ..scenarios.streaming import build_stream_pipeline
+from ..stream.pipeline import build_stream_pipeline
 from ..stream.feed import RecordFeed
 from ..stream.pipeline import StreamPipeline, StreamReport
 from ..trace.replay import read_entries

@@ -10,23 +10,3 @@ Provides the deterministic foundations every other subpackage builds on:
 What the world records (counters, gauges, simulated-clock series) goes
 into a :class:`repro.obs.ObsRegistry`, the repo's one metrics registry.
 """
-
-from .clock import Clock, DAY, HOUR, MINUTE, SECOND, WEEK, format_duration
-from .events import EventHandle, EventLoop
-from .process import Process
-from .rng import RngRegistry, derive_seed
-
-__all__ = [
-    "Clock",
-    "DAY",
-    "HOUR",
-    "MINUTE",
-    "SECOND",
-    "WEEK",
-    "format_duration",
-    "EventHandle",
-    "EventLoop",
-    "Process",
-    "RngRegistry",
-    "derive_seed",
-]

@@ -7,46 +7,3 @@ phone numbers (:mod:`repro.sms.numbers`) and the operator/carrier
 revenue-share chain that makes SMS Pumping profitable
 (:mod:`repro.sms.telco`).
 """
-
-from .countries import (
-    COUNTRIES,
-    Country,
-    all_codes,
-    get_country,
-    high_cost_codes,
-    legit_weights,
-)
-from .gateway import (
-    BOARDING_PASS,
-    KINDS,
-    NOTIFICATION,
-    OTP,
-    REJECT_FEATURE_DISABLED,
-    REJECT_QUOTA_EXHAUSTED,
-    SmsGateway,
-    SmsRecord,
-)
-from .numbers import PhoneNumber, sample_number
-from .telco import LocalCarrier, Settlement, TelcoNetwork
-
-__all__ = [
-    "COUNTRIES",
-    "Country",
-    "all_codes",
-    "get_country",
-    "high_cost_codes",
-    "legit_weights",
-    "BOARDING_PASS",
-    "KINDS",
-    "NOTIFICATION",
-    "OTP",
-    "REJECT_FEATURE_DISABLED",
-    "REJECT_QUOTA_EXHAUSTED",
-    "SmsGateway",
-    "SmsRecord",
-    "PhoneNumber",
-    "sample_number",
-    "LocalCarrier",
-    "Settlement",
-    "TelcoNetwork",
-]

@@ -22,7 +22,6 @@ they are emitted*, in bounded memory:
   and pushes convictions into the online mitigation sink mid-run.
 """
 
-from ..core.detection.subjects import entity_subject
 from .adapters import (
     HoldVelocityAdapter,
     SessionDetectorAdapter,
@@ -49,5 +48,4 @@ __all__ = [
     "StreamReport",
     "StreamSessionizer",
     "batch_session_verdicts",
-    "entity_subject",
 ]

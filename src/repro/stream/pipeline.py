@@ -22,19 +22,32 @@ progress, which is what lets mitigation act mid-attack.
 End-of-stream, :meth:`finish` flushes the sessionizer and returns a
 :class:`StreamReport` whose session verdicts are identical to the batch
 pipeline's on the same log (see :func:`batch_session_verdicts`).
+
+:func:`build_stream_pipeline` wires the standard adapter set
+(:func:`default_stream_adapters`) and fusion weights
+(:data:`STREAM_WEIGHTS`); the detection service, the profiler and the
+stream-wired scenarios all start from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, List, Optional, Protocol, Sequence
+from typing import Callable, Dict, List, Optional, Protocol, Sequence
 
-from ..core.detection.fusion import FusionDetector
+from ..core.detection.fusion import DEFAULT_WEIGHTS, FusionDetector
 from ..core.detection.session_index import SessionIndex
 from ..core.detection.verdict import Verdict
+from ..core.detection.volume import VolumeDetector
+from ..sim.clock import HOUR
 from ..web.logs import DEFAULT_IDLE_GAP, LogEntry, Session, WebLog
-from .adapters import IndexJudge, SessionDetectorAdapter, StreamAdapter
+from .adapters import (
+    HoldVelocityAdapter,
+    IndexJudge,
+    SessionDetectorAdapter,
+    SmsVelocityAdapter,
+    StreamAdapter,
+)
 from .fusion import IncrementalFusion
 from .sessionizer import StreamSessionizer
 
@@ -266,3 +279,69 @@ def batch_session_verdicts(
     for detector in detectors:
         verdicts.extend(detector.judge_index(index))
     return verdicts
+
+
+#: Fusion trust weights for the streaming fast paths: a sliding-window
+#: velocity conviction is as precise as the controller's frequency rule
+#: it mirrors, so it gets the volume-threshold trust level.
+STREAM_WEIGHTS: Dict[str, float] = dict(
+    DEFAULT_WEIGHTS, **{"hold-velocity": 0.9, "sms-velocity": 0.9}
+)
+
+
+def default_stream_adapters(
+    hold_velocity_threshold: int = 5,
+    hold_velocity_window: float = 6 * HOUR,
+    sms_velocity_threshold: int = 20,
+    sms_velocity_window: float = 1 * HOUR,
+    learned_model_path: Optional[str] = None,
+) -> List[StreamAdapter]:
+    """The standard adapter set: batch volume detection on closed
+    sessions plus both per-fingerprint velocity fast paths.
+
+    ``learned_model_path`` (an RPML file from ``repro train``) adds the
+    trained session-sequence arm as a fourth adapter; its verdicts are
+    batch-equivalent because the model's standardiser and weights are
+    frozen at train time, so judging each block of closed sessions
+    matches judging them all at once, up to float round-off in the
+    matrix products.
+    """
+    adapters: List[StreamAdapter] = [
+        SessionDetectorAdapter(VolumeDetector()),
+        HoldVelocityAdapter(
+            threshold=hold_velocity_threshold,
+            window=hold_velocity_window,
+        ),
+        SmsVelocityAdapter(
+            threshold=sms_velocity_threshold,
+            window=sms_velocity_window,
+        ),
+    ]
+    if learned_model_path is not None:
+        from ..ml.detector import LearnedSessionDetector
+
+        detector, _ = LearnedSessionDetector.from_file(
+            learned_model_path
+        )
+        adapters.append(SessionDetectorAdapter(detector))
+    return adapters
+
+
+def build_stream_pipeline(
+    adapters: Optional[Sequence[StreamAdapter]] = None,
+    sink=None,
+    idle_gap: float = DEFAULT_IDLE_GAP,
+    evict_every: int = 256,
+) -> StreamPipeline:
+    """A pipeline with the standard adapters and streaming weights."""
+    return StreamPipeline(
+        adapters=(
+            list(adapters)
+            if adapters is not None
+            else default_stream_adapters()
+        ),
+        fusion=FusionDetector(weights=dict(STREAM_WEIGHTS)),
+        sink=sink,
+        idle_gap=idle_gap,
+        evict_every=evict_every,
+    )

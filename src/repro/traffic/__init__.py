@@ -7,45 +7,3 @@
 * :mod:`repro.traffic.sms_pumper` — advanced SMS Pumping bot (Case C),
 * :mod:`repro.traffic.scraper` — classic scraping baseline.
 """
-
-from .clients import make_client
-from .evasive_scraper import EvasiveScraperBot, EvasiveScraperConfig
-from .legitimate import (
-    AVERAGE_WEEK_NIP_MIXTURE,
-    LegitimateConfig,
-    LegitimatePopulation,
-)
-from .manual_spinner import ManualSeatSpinner, ManualSpinnerConfig
-from .scraper import ScraperBot, ScraperConfig
-from .seat_spinner import (
-    FIXED_NAME_ROTATING_DOB,
-    GIBBERISH,
-    PLAUSIBLE,
-    SeatSpinnerBot,
-    SeatSpinnerConfig,
-)
-from .sms_baseline import BaselineSmsConfig, BaselineSmsTraffic
-from .sms_pumper import DEFAULT_TARGET_WEIGHTS, SmsPumperBot, SmsPumperConfig
-
-__all__ = [
-    "make_client",
-    "EvasiveScraperBot",
-    "EvasiveScraperConfig",
-    "AVERAGE_WEEK_NIP_MIXTURE",
-    "LegitimateConfig",
-    "LegitimatePopulation",
-    "ManualSeatSpinner",
-    "ManualSpinnerConfig",
-    "ScraperBot",
-    "ScraperConfig",
-    "FIXED_NAME_ROTATING_DOB",
-    "GIBBERISH",
-    "PLAUSIBLE",
-    "SeatSpinnerBot",
-    "SeatSpinnerConfig",
-    "BaselineSmsConfig",
-    "BaselineSmsTraffic",
-    "DEFAULT_TARGET_WEIGHTS",
-    "SmsPumperBot",
-    "SmsPumperConfig",
-]

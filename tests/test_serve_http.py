@@ -8,10 +8,13 @@ path).
 """
 
 import asyncio
+import socket
 import threading
+import time
 
 import pytest
 
+from repro.serve import server as server_module
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.http import HttpRequest, HttpResponse
 from repro.serve.server import DetectionServer
@@ -54,6 +57,29 @@ def served(tmp_path):
         server.request_shutdown()
     thread.join(15)
     assert not thread.is_alive()
+
+
+def read_response(sock: socket.socket) -> bytes:
+    """One whole response (head and ``Content-Length`` body) off a raw
+    socket; whatever arrived before EOF if the peer closes first."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return data
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = 0
+    for line in head.split(b"\r\n")[1:]:
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            length = int(value)
+    while len(body) < length:
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        body += chunk
+    return head + b"\r\n\r\n" + body
 
 
 class TestEndpoints:
@@ -265,6 +291,133 @@ class TestErrorMapping:
             client.ingest(ingest_payload([make_entry(2.0)]))
         assert exc_info.value.status == 409
         assert exc_info.value.payload["finished"] is True
+
+
+class TestRawWire:
+    @pytest.mark.parametrize("raw", [
+        b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000
+        + b"\r\n\r\n",
+    ], ids=["request-line", "header-line"])
+    def test_over_long_line_400_and_close(self, served, raw):
+        """A line past the reader's 64 KiB limit is answered, not
+        dropped: 400 with ``Connection: close``, then EOF."""
+        server, client = served
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock:
+            sock.sendall(raw)
+            reply = read_response(sock)
+            assert reply.startswith(b"HTTP/1.1 400 ")
+            assert b"\r\nConnection: close\r\n" in reply
+            assert b"too long" in reply
+            assert sock.recv(1) == b""
+        assert client.healthz()["status"] == "ok"
+
+
+def serve_on_fresh_loop(server):
+    """Drive ``server.serve()`` with ``run_until_complete`` on a new
+    event loop in a thread, then close the loop; ``result["pending"]``
+    holds the tasks still on the loop when ``serve()`` returned.
+    Returns ``(thread, result)`` once the server is bound."""
+    result = {}
+    bound = threading.Event()
+
+    def run():
+        loop = asyncio.new_event_loop()
+        result["loop"] = loop
+        task = loop.create_task(server.serve())
+        loop.call_soon(bound.set)
+        try:
+            loop.run_until_complete(task)
+            result["pending"] = asyncio.all_tasks(loop)
+        finally:
+            loop.close()
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    assert bound.wait(15), "server never started"
+    deadline = time.monotonic() + 15
+    while server.port == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return thread, result
+
+
+SHUTDOWN = b"POST /shutdown HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
+
+
+class TestShutdown:
+    def test_shutdown_closes_open_connections(self, tmp_path):
+        """``serve()`` returns with no handler task left on the loop,
+        and a keep-alive client idle at shutdown reads EOF."""
+        server = DetectionServer(
+            str(tmp_path / "serve.db"), port=0, quiet=True
+        )
+        thread, result = serve_on_fresh_loop(server)
+        address = ("127.0.0.1", server.port)
+        try:
+            with socket.create_connection(address, timeout=10) as idle, \
+                    socket.create_connection(address, timeout=10) as last:
+                idle.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+                assert read_response(idle).startswith(b"HTTP/1.1 200 ")
+                last.sendall(SHUTDOWN)
+                assert read_response(last).startswith(b"HTTP/1.1 200 ")
+                assert idle.recv(1) == b""
+                assert last.recv(1) == b""
+            thread.join(15)
+        finally:
+            if thread.is_alive():  # a failed check: stop the server
+                result["loop"].call_soon_threadsafe(server.request_shutdown)
+                thread.join(15)
+        assert not thread.is_alive()
+        assert not result["pending"]
+
+    def test_shutdown_aborts_a_peer_that_stopped_reading(
+        self, tmp_path, monkeypatch
+    ):
+        """A peer that pipelines requests and never reads the replies
+        leaves its handler blocked on a full send buffer; shutdown
+        aborts that connection after the grace period instead of
+        waiting on it for ever."""
+        monkeypatch.setattr(
+            server_module, "CLOSE_GRACE_S", 0.2, raising=False
+        )
+        server = DetectionServer(
+            str(tmp_path / "serve.db"), port=0, quiet=True
+        )
+        thread, result = serve_on_fresh_loop(server)
+        address = ("127.0.0.1", server.port)
+        stalled = socket.socket()
+        try:
+            stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            stalled.connect(address)
+            stalled.setblocking(False)
+            batch = b"GET /healthz HTTP/1.1\r\n\r\n" * 1000
+            pending = memoryview(batch)
+            deadline = time.monotonic() + 30
+            progress = time.monotonic()
+            # No progress for a second: the server stopped reading,
+            # because its handler is blocked writing replies.
+            while time.monotonic() - progress < 1.0:
+                assert time.monotonic() < deadline, "never stalled"
+                try:
+                    sent = stalled.send(pending)
+                except BlockingIOError:
+                    time.sleep(0.01)
+                    continue
+                progress = time.monotonic()
+                pending = pending[sent:] or memoryview(batch)
+            with socket.create_connection(address, timeout=10) as last:
+                last.sendall(SHUTDOWN)
+                assert read_response(last).startswith(b"HTTP/1.1 200 ")
+            thread.join(15)
+        finally:
+            if thread.is_alive():  # a failed check: stop the server
+                result["loop"].call_soon_threadsafe(server.request_shutdown)
+                thread.join(15)
+            stalled.close()
+        assert not thread.is_alive()
+        assert not result["pending"]
 
 
 class TestHttpPrimitives:

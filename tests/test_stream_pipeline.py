@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common import ClientRef, LEGIT
 from repro.core.detection.fusion import FusionDetector
+from repro.core.detection.subjects import entity_subject
 from repro.core.detection.verdict import Verdict
 from repro.core.detection.volume import VolumeDetector
 from repro.core.mitigation.online import OnlineVerdictSink
@@ -23,7 +24,6 @@ from repro.stream import (
     StreamAdapter,
     StreamPipeline,
     batch_session_verdicts,
-    entity_subject,
 )
 from repro.web.logs import LogEntry
 from repro.web.request import HOLD
