@@ -28,13 +28,17 @@ def kmeans(
     """Lloyd's algorithm with k-means++ seeding.
 
     Returns ``(labels, centroids)``.  Deterministic given the generator.
+    With fewer distinct rows than ``k`` there are only as many clusters
+    as distinct rows, and the surplus ones get no members and a NaN
+    centroid: re-seeding them would move points back and forth forever.
     """
     n_samples = data.shape[0]
     if k < 1 or k > n_samples:
         raise ValueError(f"k must be in [1, {n_samples}]: {k}")
+    centroids = np.full((k, data.shape[1]), np.nan)
+    k = min(k, len(np.unique(data, axis=0)))
 
     # k-means++ seeding.
-    centroids = np.empty((k, data.shape[1]))
     first = int(rng.integers(n_samples))
     centroids[0] = data[first]
     for index in range(1, k):
@@ -54,7 +58,7 @@ def kmeans(
 
     labels = np.zeros(n_samples, dtype=int)
     for iteration in range(max_iterations):
-        distances = ((data[:, None, :] - centroids[None, :, :]) ** 2).sum(
+        distances = ((data[:, None, :] - centroids[None, :k, :]) ** 2).sum(
             axis=2
         )
         new_labels = distances.argmin(axis=1)

@@ -1,4 +1,5 @@
-"""Wire codec: :class:`~repro.web.logs.LogEntry` ⇄ JSON-able dicts.
+"""Wire codec: :class:`~repro.web.logs.LogEntry` ⇄ JSON-able dicts,
+and each ingest batch's journal record.
 
 The ingest endpoint and the query responses speak one flat field set —
 exactly the eleven strings plus three scalars the RPTR trace format
@@ -6,19 +7,26 @@ exactly the eleven strings plus three scalars the RPTR trace format
 encoding at rest.  :func:`entry_from_dict` takes each field only in
 its own JSON type — a number for ``time``, an integer for ``status``,
 a bool for ``ip_residential``, a string for the rest — rather than
-coercing it, and refuses what an RPTR record cannot hold (a status
-outside the u16, a string over :data:`~repro.trace.format.
-MAX_STRING_BYTES` UTF-8 bytes or not encodable at all), so a batch
-that parses always journals what was sent.
+coercing it, and refuses a field outside that set, so a misspelt
+optional field cannot pass for its default.  :func:`parse_events`
+then checks time order and encodes the batch's journal record, so
+what a record cannot hold (a status outside the u16, a string UTF-8
+cannot encode or that is too long) is refused by the one
+:class:`~repro.trace.format.TraceWriter` that writes it.  Each
+refusal is a :class:`CodecError` (a 400) raised before any journal
+work.  Identical events are accepted as separate events: a seat
+spinner's same-instant ``/hold`` burst is a run of identical requests,
+and the burst is the attack.  A resent batch is caught by ``seq``.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..common import ClientRef
-from ..trace.format import MAX_STATUS, MAX_STRING_BYTES
+from ..trace.format import TraceError, TraceWriter
 from ..web.logs import LogEntry
 
 _REQUIRED = ("time", "method", "path", "status", "ip_address",
@@ -31,6 +39,7 @@ _TEXT_NAMES = (
     "fingerprint_id", "user_agent", "profile_id", "actor", "actor_class",
 )
 _TEXT_DEFAULTS = (None, None, "", "", None, "", None, "", "", "", "legit")
+_FIELDS = frozenset(("time", "status", "ip_residential") + _TEXT_NAMES)
 
 
 class CodecError(ValueError):
@@ -73,6 +82,9 @@ def entry_from_dict(data: Mapping[str, object]) -> LogEntry:
     missing = [name for name in _REQUIRED if name not in data]
     if missing:
         raise CodecError(f"event missing required fields: {missing}")
+    if not _FIELDS.issuperset(data):
+        unknown = sorted(set(data) - _FIELDS)
+        raise CodecError(f"event has unknown fields: {unknown}")
     # Exact type() tests: JSON true/false parse as bool, an int
     # subclass, and are neither a number nor an integer here.
     time = data["time"]
@@ -94,50 +106,27 @@ def entry_from_dict(data: Mapping[str, object]) -> LogEntry:
     (method, path, blocked_by, outcome, ip_address, ip_country,
      fingerprint_id, user_agent, profile_id, actor, actor_class) = texts
     try:
-        entry = LogEntry(
-            time=float(time),
-            method=method,
-            path=path,
-            status=status,
-            client=ClientRef(
-                ip_address=ip_address,
-                ip_country=ip_country,
-                ip_residential=residential,
-                fingerprint_id=fingerprint_id,
-                user_agent=user_agent,
-                profile_id=profile_id,
-                actor=actor,
-                actor_class=actor_class,
-            ),
-            blocked_by=blocked_by,
-            outcome=outcome,
-        )
-        _check_recordable(entry)
-    except (OverflowError, ValueError) as error:
-        # float() of an integer past the double range, or a string
-        # the UTF-8 encoder refuses.
-        raise CodecError(f"bad event field: {error}")
-    return entry
-
-
-def _check_recordable(entry: LogEntry) -> None:
-    """Refuse what the journal's RPTR record cannot hold."""
-    if not 0 <= entry.status <= MAX_STATUS:
-        raise CodecError(f"status {entry.status} outside 0..{MAX_STATUS}")
-    client = entry.client
-    texts = (
-        entry.method, entry.path, entry.blocked_by, entry.outcome,
-        client.ip_address, client.ip_country, client.fingerprint_id,
-        client.user_agent, client.profile_id, client.actor,
-        client.actor_class,
+        time = float(time)
+    except OverflowError as error:  # an integer past the double range
+        raise CodecError(f"field 'time': {error}")
+    return LogEntry(
+        time=time,
+        method=method,
+        path=path,
+        status=status,
+        client=ClientRef(
+            ip_address=ip_address,
+            ip_country=ip_country,
+            ip_residential=residential,
+            fingerprint_id=fingerprint_id,
+            user_agent=user_agent,
+            profile_id=profile_id,
+            actor=actor,
+            actor_class=actor_class,
+        ),
+        blocked_by=blocked_by,
+        outcome=outcome,
     )
-    for text in texts:
-        size = len(text.encode("utf-8"))  # a lone surrogate raises here
-        if size > MAX_STRING_BYTES:
-            raise CodecError(
-                f"string field of {size} UTF-8 bytes "
-                f"(at most {MAX_STRING_BYTES})"
-            )
 
 
 def check_order(
@@ -162,13 +151,31 @@ def check_order(
         previous = entry.time
 
 
+def encode_record(entries: Tuple[LogEntry, ...], first_seq: int) -> bytes:
+    """The journal record of ``entries`` as seqs ``first_seq`` on: one
+    RPTR trace with ``{"first_seq": first_seq}`` as its metadata.  An
+    entry the RPTR writer refuses raises :class:`CodecError` naming
+    its index."""
+    buffer = io.BytesIO()
+    writer = TraceWriter(buffer, meta={"first_seq": first_seq})
+    for entry in entries:
+        try:
+            writer.write(entry)
+        except TraceError as error:
+            raise CodecError(f"event {writer.entries_written}: {error}")
+    writer.close()
+    return buffer.getvalue()
+
+
 def parse_events(
-    payload: object, last_time: Optional[float]
-) -> Tuple[LogEntry, ...]:
-    """Validate a full ingest batch up front: the shape of every
-    event, then :func:`check_order` against ``last_time``."""
+    payload: object, last_time: Optional[float], first_seq: int
+) -> Tuple[Tuple[LogEntry, ...], bytes]:
+    """Validate a full ingest batch up front and encode it as seqs
+    ``first_seq`` on: the shape of every event, :func:`check_order`
+    against ``last_time``, then :func:`encode_record`.  Returns the
+    entries and their journal record."""
     if not isinstance(payload, Sequence) or isinstance(payload, (str, bytes)):
         raise CodecError("events must be a list of event objects")
     entries = tuple(entry_from_dict(item) for item in payload)
     check_order(entries, last_time)
-    return entries
+    return entries, encode_record(entries, first_seq)

@@ -34,7 +34,7 @@ from ..stream.feed import RecordFeed
 from ..stream.pipeline import StreamPipeline, StreamReport
 from ..trace.replay import read_entries
 from ..web.logs import LogEntry
-from .codec import check_order, entry_to_dict, parse_events
+from .codec import check_order, encode_record, entry_to_dict, parse_events
 from .state import StateStore, StateStoreError
 
 #: Default events between checkpoints (the CLI flag overrides).
@@ -143,13 +143,14 @@ class DetectionService:
 
     Write protocol per batch: validate everything up front (shape in
     :func:`~repro.serve.codec.parse_events`, time order in
-    :func:`~repro.serve.codec.check_order` for ingest and replay
-    alike), journal + commit, then apply to the pipeline — so no
-    acknowledged event can be lost and no half-applied batch can
-    diverge memory from disk.  A failed journal commit is rolled back
-    and raises :class:`~repro.serve.state.StateStoreError` before
-    anything is applied, so the same batch can be resent with the same
-    ``seq``.
+    :func:`~repro.serve.codec.check_order` and what a record can hold
+    in :func:`~repro.serve.codec.encode_record`, for ingest and replay
+    alike), journal the encoded record + commit, then apply to the
+    pipeline — so no acknowledged event can be lost and no
+    half-applied batch can diverge memory from disk.  A failed
+    journal commit is rolled back and raises
+    :class:`~repro.serve.state.StateStoreError` before anything is
+    applied, so the same batch can be resent with the same ``seq``.
     """
 
     def __init__(
@@ -273,9 +274,11 @@ class DetectionService:
         # not as a confusing out-of-order error.
         if seq is not None and seq != self._seq:
             raise SeqConflict(expected=self._seq, got=seq)
-        entries = parse_events(payload, self.last_time())
+        entries, record = parse_events(
+            payload, self.last_time(), self._seq + 1
+        )
         if entries:
-            self._apply(entries)
+            self._apply(entries, record)
         return len(entries)
 
     def replay_file(
@@ -295,7 +298,8 @@ class DetectionService:
         keeps the server path within 2x of direct replay.  The trace is
         read through once before any of it is journaled, so a torn or
         corrupt trace raises before the first batch, and each batch is
-        order-checked as :func:`parse_events` checks an ingest batch.
+        order-checked and encoded as :func:`parse_events` does an
+        ingest batch.
         """
         if self.finished:
             raise ServiceFinished("service already finished")
@@ -315,24 +319,27 @@ class DetectionService:
             pending.append(entry)
             applied += 1
             if len(pending) >= batch:
-                check_order(pending, self.last_time())
-                self._apply(tuple(pending))
+                self._apply_replayed(pending)
                 pending.clear()
         if pending:
-            check_order(pending, self.last_time())
-            self._apply(tuple(pending))
+            self._apply_replayed(pending)
         return {
             "replayed": applied,
             "skipped": skipped,
             "events_ingested": self._seq,
         }
 
-    def _apply(self, entries: Tuple[LogEntry, ...]) -> None:
+    def _apply_replayed(self, pending: List[LogEntry]) -> None:
+        entries = tuple(pending)
+        check_order(entries, self.last_time())
+        self._apply(entries, encode_record(entries, self._seq + 1))
+
+    def _apply(self, entries: Tuple[LogEntry, ...], record: bytes) -> None:
         """Journal-then-apply one batch of entries already checked for
-        order: an entry the pipeline would refuse must never reach the
-        journal, or every restore would replay it into the same
-        refusal."""
-        self.store.append_events(self._seq + 1, entries)
+        order, and ``record``, their journal record: an entry the
+        pipeline would refuse must never reach the journal, or every
+        restore would replay it into the same refusal."""
+        self.store.append_events(self._seq + 1, entries, record)
         pipeline = self.pipeline
         for entry in entries:
             pipeline.process(entry)

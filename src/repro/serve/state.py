@@ -38,7 +38,8 @@ A journal row is ``(first_seq, count, record)``: the batch's events
 are seqs ``first_seq .. first_seq + count - 1`` and ``record`` is one
 complete RPTR trace of them (:mod:`repro.trace.format`: its own string
 table, a footer with the entry count and a CRC32), with
-``{"first_seq": first_seq}`` as its metadata, so restore decodes
+``{"first_seq": first_seq}`` as its metadata.  The store keeps the
+bytes the codec encoded when the batch was parsed, and restore decodes
 through the same :class:`~repro.trace.format.TraceReader` as ``repro
 replay`` and ``POST /replay``.  A record that fails to
 decode (bad CRC, truncated, unsupported), whose count or metadata
@@ -70,7 +71,7 @@ import struct
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..trace.format import TraceError, TraceReader, TraceWriter
+from ..trace.format import TraceError, TraceReader
 from ..web.logs import LogEntry
 
 #: Bumped when the on-disk schema changes (2: enveloped snapshots;
@@ -230,21 +231,18 @@ class StateStore:
     # -- journal --------------------------------------------------------------
 
     def append_events(
-        self, first_seq: int, entries: Tuple[LogEntry, ...]
+        self, first_seq: int, entries: Tuple[LogEntry, ...], record: bytes
     ) -> None:
         """Journal ``entries`` as seq ``first_seq..first_seq+n-1``: one
-        row holding one RPTR record, committed."""
+        row holding ``record``, their RPTR record as the codec encoded
+        it (:func:`~repro.serve.codec.encode_record`), committed."""
         if not entries:
             return
-        buffer = io.BytesIO()
-        with TraceWriter(buffer, meta={"first_seq": first_seq}) as writer:
-            for entry in entries:
-                writer.write(entry)
         with self._transaction("journal append"):
             self._conn.execute(
                 "INSERT INTO journal (first_seq, count, record) "
                 "VALUES (?, ?, ?)",
-                (first_seq, len(entries), buffer.getvalue()),
+                (first_seq, len(entries), record),
             )
 
     def commit(self) -> None:

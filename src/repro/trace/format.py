@@ -26,10 +26,13 @@ A trace is a file (written by ``repro stream --capture``, read by
 journal stores each acknowledged ingest batch as one complete trace in
 a SQLite blob.  Writer and reader therefore take a path or an open
 binary stream, so every trace, on disk or in the journal, is read by
-the one :class:`TraceReader`.  A string field
-holds at most :data:`MAX_STRING_BYTES` UTF-8 bytes and a status at
-most :data:`MAX_STATUS`; the serve codec refuses larger values at the
-door, so journaling a validated batch cannot fail.
+the one :class:`TraceReader`.
+
+:class:`TraceWriter` alone judges what a record can hold: a status in
+``0..MAX_STATUS``, strings UTF-8 encodes in at most
+:data:`MAX_STRING_BYTES` bytes.  It refuses anything else with a
+:class:`TraceError` before emitting or registering any of the entry,
+so the writer and its trace stay valid after a refusal.
 """
 
 from __future__ import annotations
@@ -60,6 +63,9 @@ _VERSION_STRUCT = struct.Struct("<H")
 MAX_STATUS = 0xFFFF
 MAX_STRING_BYTES = 0xFFFF
 
+_STRING_KIND = bytes([_KIND_STRING])
+_ENTRY_KIND = bytes([_KIND_ENTRY])
+
 #: A trace's location: a filesystem path or an open binary stream.
 Target = Union[str, "os.PathLike[str]", BinaryIO]
 
@@ -79,6 +85,21 @@ class TraceError(Exception):
 
 class TraceCorruption(TraceError):
     """The file violates the format: bad magic/CRC, truncation, ..."""
+
+
+def _utf8(text: str) -> bytes:
+    """``text`` as the UTF-8 bytes of a string record, or
+    :class:`TraceError` if it has none or too many."""
+    try:
+        blob = text.encode("utf-8")
+    except UnicodeEncodeError as error:
+        raise TraceError(f"string not encodable as UTF-8: {error}")
+    if len(blob) > MAX_STRING_BYTES:
+        raise TraceError(
+            f"string of {len(blob)} UTF-8 bytes "
+            f"(at most {MAX_STRING_BYTES})"
+        )
+    return blob
 
 
 class TraceWriter:
@@ -117,52 +138,48 @@ class TraceWriter:
         self._crc = zlib.crc32(payload, self._crc)
         self._handle.write(payload)
 
-    def _intern(self, text: str) -> int:
-        string_id = self._strings.get(text)
-        if string_id is None:
-            string_id = len(self._strings)
-            self._strings[text] = string_id
-            blob = text.encode("utf-8")
-            if len(blob) > MAX_STRING_BYTES:
-                raise TraceError(
-                    f"string too long for trace format: {len(blob)} bytes"
-                )
-            self._emit(
-                bytes([_KIND_STRING])
-                + _STRING_HEAD.pack(string_id, len(blob))
-                + blob
-            )
-        return string_id
-
     def write(self, entry: LogEntry) -> None:
+        """Append one entry, or raise :class:`TraceError` and leave the
+        writer as it was if the format cannot hold the entry."""
         if self._handle is None:
             raise TraceError("trace writer is closed")
+        status = entry.status
+        if not 0 <= status <= MAX_STATUS:
+            raise TraceError(f"status {status} outside 0..{MAX_STATUS}")
         client = entry.client
-        ids = [
-            self._intern(text)
-            for text in (
-                entry.method,
-                entry.path,
-                entry.blocked_by,
-                entry.outcome,
-                client.ip_address,
-                client.ip_country,
-                client.fingerprint_id,
-                client.user_agent,
-                client.profile_id,
-                client.actor,
-                client.actor_class,
-            )
-        ]
-        self._emit(
-            bytes([_KIND_ENTRY])
-            + _ENTRY_STRUCT.pack(
-                entry.time,
-                entry.status,
-                1 if client.ip_residential else 0,
-                *ids,
-            )
+        texts = (
+            entry.method,
+            entry.path,
+            entry.blocked_by,
+            entry.outcome,
+            client.ip_address,
+            client.ip_country,
+            client.fingerprint_id,
+            client.user_agent,
+            client.profile_id,
+            client.actor,
+            client.actor_class,
         )
+        strings = self._strings
+        ids = list(map(strings.get, texts))
+        # Strings this entry defines, in order of first use: checked
+        # and numbered here, registered only once the entry packs.
+        fresh: Dict[str, Tuple[int, bytes]] = {}
+        if None in ids:
+            for index, text in enumerate(texts):
+                if ids[index] is None:
+                    if text not in fresh:
+                        fresh[text] = (len(strings) + len(fresh), _utf8(text))
+                    ids[index] = fresh[text][0]
+        payload = _ENTRY_STRUCT.pack(
+            entry.time, status, 1 if client.ip_residential else 0, *ids
+        )
+        for text, (string_id, blob) in fresh.items():
+            strings[text] = string_id
+            self._emit(
+                _STRING_KIND + _STRING_HEAD.pack(string_id, len(blob)) + blob
+            )
+        self._emit(_ENTRY_KIND + payload)
         self.entries_written += 1
 
     def close(self) -> None:

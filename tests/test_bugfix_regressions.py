@@ -31,7 +31,8 @@ from repro.common import ClientRef, LEGIT, SCRAPER
 from repro.core.detection.features import FEATURE_NAMES
 from repro.core.detection.session_index import SessionIndex
 from repro.core.detection.verdict import Verdict
-from repro.ml import LogisticHead, MLPHead, Standardiser
+from repro.ml.models import LogisticHead, MLPHead
+from repro.ml.standardize import Standardiser
 from repro.web.logs import LogEntry, Session
 from repro.web.request import SEARCH
 from tests.feature_oracle import build_dataset, extract_features

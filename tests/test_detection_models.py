@@ -216,6 +216,27 @@ class TestKmeans:
         assert set(labels) == {labels[0]}
         assert np.allclose(centroids[labels[0]], 1.0)
 
+    def test_fewer_distinct_rows_than_k_converges(self):
+        """Regression: Case C's session matrix has two distinct rows.
+        With k = 4, a member mean a rounding error off its rows gave
+        the re-seed a positive distance every round, so two empty
+        clusters pulled points back and forth until the iteration cap
+        and the labels depended on ``max_iterations``.  Two distinct
+        rows now make two clusters; the other two stay empty."""
+        rows = np.random.default_rng(0).normal(size=(2, 3))
+        data = np.repeat(rows, [53, 7], axis=0)
+        labels, centroids = kmeans(
+            data, 4, np.random.default_rng(0), max_iterations=100
+        )
+        longer, _ = kmeans(
+            data, 4, np.random.default_rng(0), max_iterations=101
+        )
+        assert np.array_equal(labels, longer)
+        assert sorted(np.bincount(labels, minlength=4)) == [0, 0, 7, 53]
+        assert len(set(labels[:53])) == len(set(labels[53:])) == 1
+        assert centroids.shape == (4, 3)
+        assert np.isnan(centroids[2:]).all()
+
 
 class TestClusteringDetector:
     def test_flags_extreme_cluster(self):

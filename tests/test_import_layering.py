@@ -81,6 +81,13 @@ def test_case_a_loads_no_other_case():
     assert within(loaded_by("repro.scenarios.case_a"), NOT_IN_CASE_A) == []
 
 
+def test_clustering_loads_only_the_standardiser_of_ml():
+    loaded = loaded_by("repro.core.detection.clustering")
+    assert within(loaded, ("repro.ml",)) == [
+        "repro.ml", "repro.ml.standardize"
+    ]
+
+
 def test_each_package_imports_first():
     """Every package ``__init__``, the server and the CLI import as the
     first ``repro`` import: a cycle that eager ``__init__`` imports

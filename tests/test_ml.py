@@ -6,23 +6,24 @@ import pytest
 from repro.common import ClientRef, LEGIT, SCRAPER
 from repro.core.detection.features import FEATURE_NAMES
 from repro.core.detection.session_index import SessionIndex
-from repro.ml import (
+from repro.ml.data import (
+    MAX_SEQUENCE_LENGTH,
+    PAD_TOKEN,
+    VOCAB_SIZE,
     Dataset,
-    LearnedSessionDetector,
-    LogisticHead,
-    MLPHead,
-    SequenceEncoder,
-    Standardiser,
-    TrainConfig,
     build_dataset_columnar,
-    load_model,
-    save_model,
+)
+from repro.ml.detector import LearnedSessionDetector
+from repro.ml.encoder import SequenceEncoder
+from repro.ml.io import ModelFormatError, load_model, save_model
+from repro.ml.models import LogisticHead, MLPHead
+from repro.ml.standardize import Standardiser
+from repro.ml.train import (
+    TrainConfig,
+    calibrate_threshold,
     train_model,
     weights_digest,
 )
-from repro.ml.data import MAX_SEQUENCE_LENGTH, PAD_TOKEN, VOCAB_SIZE
-from repro.ml.io import ModelFormatError
-from repro.ml.train import calibrate_threshold
 from repro.stream import SessionDetectorAdapter, StreamPipeline
 from repro.web.logs import LogEntry, Session
 from repro.web.logs import WebLog

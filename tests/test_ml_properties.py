@@ -13,12 +13,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.ml import (
+from repro.ml.io import load_model, save_model
+from repro.ml.train import (
     TrainConfig,
     config_hash,
     dataset_digest,
-    load_model,
-    save_model,
     train_model,
     weights_digest,
 )

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.serve.codec import encode_record
 from repro.serve.service import DetectionService, ingest_payload
 from repro.serve.state import (
     _ENVELOPE,
@@ -58,7 +59,7 @@ class TestDurabilitySettings:
         path = tmp_path / "s.db"
         entries = tuple(campaign_entries())
         with StateStore(str(path)) as store:
-            store.append_events(1, entries)
+            store.append_events(1, entries, encode_record(entries, 1))
             assert wal_bytes(path) > 0
             store.write_snapshot(len(entries), {"k": 1}, created_at=0.0)
             assert wal_bytes(path) == 0
@@ -389,7 +390,7 @@ class TestJournalRecords:
         flipping any one bit of a record stops the replay."""
         entries = tuple(campaign_entries(rotations=1, legit_visitors=1))[:3]
         with StateStore(str(tmp_path / "s.db")) as store:
-            store.append_events(1, entries)
+            store.append_events(1, entries, encode_record(entries, 1))
             record = store._conn.execute(
                 "SELECT record FROM journal"
             ).fetchone()[0]

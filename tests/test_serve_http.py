@@ -198,6 +198,38 @@ class TestErrorMapping:
         assert exc_info.value.status == 400
         assert server.service.events_ingested == 0
 
+    def test_unknown_field_400_nothing_applied(self, served):
+        server, client = served
+        events = ingest_payload([make_entry(1.0), make_entry(2.0)])
+        events[1]["user_agnet"] = "UA-typo"
+        with pytest.raises(ServeClientError) as exc_info:
+            client.ingest(events)
+        assert exc_info.value.status == 400
+        assert "unknown fields" in exc_info.value.payload["error"]
+        assert server.service.events_ingested == 0
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("status", 70_000),
+            ("user_agent", "a" * 70_000),
+            ("path", "/search\ud800"),
+        ],
+        ids=["status-past-u16", "string-too-long", "lone-surrogate"],
+    )
+    def test_unrecordable_field_400_nothing_journaled(
+        self, served, name, value
+    ):
+        server, client = served
+        events = ingest_payload([make_entry(1.0), make_entry(2.0)])
+        events[1][name] = value
+        with pytest.raises(ServeClientError) as exc_info:
+            client.ingest(events)
+        assert exc_info.value.status == 400
+        assert exc_info.value.payload["error"].startswith("event 1: ")
+        assert server.service.events_ingested == 0
+        assert server.store.durable_seq() == 0
+
     def test_seq_conflict_409_carries_count(self, served):
         _, client = served
         events = ingest_payload([make_entry(1.0), make_entry(2.0)])

@@ -1,6 +1,8 @@
 """Tests for repro.serve.service: journal-first application,
 checkpoint/restore equivalence, campaign conviction, digests."""
 
+import hashlib
+
 import pytest
 
 from repro.graph.detector import GraphDetectorConfig
@@ -48,6 +50,21 @@ class TestIngest:
         with pytest.raises(SeqConflict) as exc_info:
             service.ingest(events, seq=0)  # client retries blindly
         assert exc_info.value.expected == 2
+
+    def test_identical_events_accepted_as_two(self, tmp_path):
+        """A same-instant burst of identical requests is real traffic
+        (a seat spinner's /hold burst): both events are journaled and
+        both are counted."""
+        service = make_service(tmp_path)
+        events = ingest_payload([make_entry(5.0, path="/hold")] * 2)
+        assert events[0] == events[1]
+        assert service.ingest(events, seq=0) == 2
+        assert service.events_ingested == 2
+        assert service.store.journal_rows() == 2
+        assert [entry for _, entry in service.store.journal_tail(0)] == [
+            make_entry(5.0, path="/hold")
+        ] * 2
+        assert service.finish().events_processed == 2
 
     def test_bad_batch_rejected_before_any_side_effect(self, tmp_path):
         service = make_service(tmp_path)
@@ -179,6 +196,43 @@ class TestReplayFile:
         restored = make_service(tmp_path)
         assert restored.journal_replayed == 2
         assert restored.events_ingested == 2
+
+
+class TestJournalAtRest:
+    """The SHA-256 of every journal record, pinned: the bytes at rest
+    are the format's contract with every database already written."""
+
+    @staticmethod
+    def record_digests(service):
+        return [
+            (first_seq, hashlib.sha256(record).hexdigest())
+            for first_seq, record in service.store._conn.execute(
+                "SELECT first_seq, record FROM journal ORDER BY first_seq"
+            )
+        ]
+
+    def test_ingested_records_pinned(self, tmp_path):
+        service = make_service(tmp_path)
+        events = ingest_payload(campaign_entries())
+        for start in range(0, len(events), 64):
+            service.ingest(events[start:start + 64], seq=start)
+        assert self.record_digests(service) == [
+            (1, "8645ee4544f2064fb957ddda063d8aa3"
+                "e3cf3501f6ad4e925faa490fdac86989"),
+        ]
+
+    def test_replayed_records_pinned(self, tmp_path):
+        trace = write_trace(tmp_path / "t.rptr", campaign_entries())
+        service = make_service(tmp_path)
+        service.replay_file(trace, batch=16)
+        assert self.record_digests(service) == [
+            (1, "f4eb8e1de91d4f80f5789d895d8aabd3"
+                "079a95b09f6e03d1bb048bd990ba7a4c"),
+            (17, "13b75ab238ecc77c6c45def6372d3554"
+                 "22fcad0ba10d5da2de32e8cb1abe9c38"),
+            (33, "0eb207c51e765fefa4ccf6d441e0afe1"
+                 "3db7ffbc9250e8b1d5531ec5c866e544"),
+        ]
 
 
 class TestRecoveryEquivalence:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.serve.codec import (
     CodecError,
+    encode_record,
     entry_from_dict,
     entry_to_dict,
     parse_events,
@@ -22,6 +23,14 @@ class TestCodec:
         data = entry_to_dict(make_entry(1.0))
         del data["fingerprint_id"]
         with pytest.raises(CodecError, match="fingerprint_id"):
+            entry_from_dict(data)
+
+    def test_unknown_field_rejected(self):
+        data = entry_to_dict(make_entry(1.0))
+        data["user_agnet"] = "UA-typo"
+        with pytest.raises(
+            CodecError, match=r"unknown fields: \['user_agnet'\]"
+        ):
             entry_from_dict(data)
 
     def test_non_object_event_rejected(self):
@@ -46,21 +55,22 @@ class TestCodec:
     def test_status_outside_u16_rejected(self, status):
         data = entry_to_dict(make_entry(1.0, status=status))
         with pytest.raises(CodecError, match="status"):
-            entry_from_dict(data)
+            parse_events([data], None, 1)
 
     def test_string_over_65535_utf8_bytes_rejected(self):
         data = entry_to_dict(make_entry(1.0))
         data["user_agent"] = "é" * 32_768  # 65,536 UTF-8 bytes
         with pytest.raises(CodecError, match="65536 UTF-8 bytes"):
-            entry_from_dict(data)
+            parse_events([data], None, 1)
         data["user_agent"] = "é" * 32_767 + "a"  # 65,535: fits
-        assert entry_from_dict(data).client.user_agent == data["user_agent"]
+        (entry,), _ = parse_events([data], None, 1)
+        assert entry.client.user_agent == data["user_agent"]
 
     def test_unencodable_string_rejected(self):
         data = entry_to_dict(make_entry(1.0))
         data["path"] = "/search\ud800"  # a lone surrogate, as JSON can carry
         with pytest.raises(CodecError, match="surrogate"):
-            entry_from_dict(data)
+            parse_events([data], None, 1)
 
     @pytest.mark.parametrize("time_", ["5.0", True, None, [1.0]])
     def test_time_not_a_json_number_rejected(self, time_):
@@ -110,11 +120,11 @@ class TestCodec:
     def test_parse_events_rejects_non_finite_time(self, time_):
         events = [entry_to_dict(make_entry(time_))]
         with pytest.raises(CodecError, match="has time"):
-            parse_events(events, None)
+            parse_events(events, None, 1)
 
     def test_parse_events_rejects_non_list(self):
         with pytest.raises(CodecError, match="list"):
-            parse_events({"time": 1.0}, None)
+            parse_events({"time": 1.0}, None, 1)
 
     def test_parse_events_rejects_out_of_order_within_batch(self):
         events = [
@@ -122,20 +132,21 @@ class TestCodec:
             entry_to_dict(make_entry(1.0)),
         ]
         with pytest.raises(CodecError, match="time-ordered"):
-            parse_events(events, None)
+            parse_events(events, None, 1)
 
     def test_parse_events_rejects_before_last_time(self):
         events = [entry_to_dict(make_entry(5.0))]
         with pytest.raises(CodecError, match="time-ordered"):
-            parse_events(events, 10.0)
-        assert len(parse_events(events, 5.0)) == 1  # equal is fine
+            parse_events(events, 10.0, 1)
+        entries, _ = parse_events(events, 5.0, 1)
+        assert len(entries) == 1  # equal is fine
 
 
 class TestStateStore:
     def test_journal_roundtrip(self, tmp_path):
         entries = tuple(campaign_entries(rotations=1, legit_visitors=0))
         with StateStore(str(tmp_path / "s.db")) as store:
-            store.append_events(1, entries)
+            store.append_events(1, entries, encode_record(entries, 1))
             tail = store.journal_tail(0)
             assert [seq for seq, _ in tail] == list(
                 range(1, len(entries) + 1)
@@ -146,7 +157,7 @@ class TestStateStore:
     def test_journal_tail_respects_after_seq(self, tmp_path):
         entries = tuple(campaign_entries(rotations=1, legit_visitors=0))
         with StateStore(str(tmp_path / "s.db")) as store:
-            store.append_events(1, entries)
+            store.append_events(1, entries, encode_record(entries, 1))
             tail = store.journal_tail(len(entries) - 2)
             assert [seq for seq, _ in tail] == [
                 len(entries) - 1, len(entries)
@@ -155,7 +166,7 @@ class TestStateStore:
     def test_snapshot_roundtrip_and_journal_truncation(self, tmp_path):
         entries = tuple(campaign_entries(rotations=1, legit_visitors=0))
         with StateStore(str(tmp_path / "s.db")) as store:
-            store.append_events(1, entries)
+            store.append_events(1, entries, encode_record(entries, 1))
             payload = {"state": [1.5, "two", (3,)]}
             store.write_snapshot(4, payload, created_at=123.0)
             assert store.snapshot_seq() == 4
@@ -185,7 +196,7 @@ class TestStateStore:
         path = str(tmp_path / "s.db")
         entries = tuple(campaign_entries(rotations=1, legit_visitors=0))
         with StateStore(path) as store:
-            store.append_events(1, entries)
+            store.append_events(1, entries, encode_record(entries, 1))
             store.write_snapshot(2, {"k": 1}, created_at=0.0)
         with StateStore(path) as store:
             assert store.load_snapshot() == (2, {"k": 1})

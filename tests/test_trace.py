@@ -1,5 +1,6 @@
 """Tests for repro.trace: format roundtrip, corruption, capture, replay."""
 
+import io
 import struct
 
 import pytest
@@ -96,8 +97,6 @@ class TestRoundtrip:
         assert log.entries() == entries
 
     def test_stream_roundtrip_leaves_the_stream_open(self):
-        import io
-
         entries = sample_entries()
         buffer = io.BytesIO()
         with TraceWriter(buffer, meta={"first_seq": 1}) as writer:
@@ -124,6 +123,52 @@ class TestRoundtrip:
         writer.close()  # idempotent
         with pytest.raises(TraceError):
             writer.write(make_entry(1.0))
+
+
+class TestWriterRefusals:
+    """The writer judges what a record can hold: every refusal is a
+    :class:`TraceError`, raised before any part of the entry is
+    emitted or registered."""
+
+    REFUSED = {
+        "status-negative": dict(status=-1),
+        "status-past-u16": dict(status=70_000),
+        "string-too-long": dict(outcome="é" * 32_768),
+        "lone-surrogate": dict(outcome="held\ud800"),
+    }
+    MESSAGES = {
+        "status-negative": "status -1 outside 0..65535",
+        "status-past-u16": "status 70000 outside 0..65535",
+        "string-too-long": "string of 65536 UTF-8 bytes",
+        "lone-surrogate": "surrogate",
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_refusal_is_typed_and_leaves_the_writer_unchanged(self, case):
+        # New strings come before the refused field, so a writer that
+        # registered them first would number or emit them half-way.
+        bad = make_entry(2.0, ip="9.9.9.9", fingerprint="fp-new",
+                         **self.REFUSED[case])
+        buffer = io.BytesIO()
+        with TraceWriter(buffer) as writer:
+            writer.write(make_entry(1.0))
+            before = (buffer.tell(), writer._crc, writer.distinct_strings)
+            with pytest.raises(TraceError, match=self.MESSAGES[case]):
+                writer.write(bad)
+            assert (buffer.tell(), writer._crc,
+                    writer.distinct_strings) == before
+            assert writer.entries_written == 1
+            writer.write(make_entry(3.0, ip="9.9.9.9", fingerprint="fp2"))
+        with TraceReader(io.BytesIO(buffer.getvalue())) as reader:
+            assert list(reader) == [
+                make_entry(1.0),
+                make_entry(3.0, ip="9.9.9.9", fingerprint="fp2"),
+            ]
+
+    def test_longest_string_fits(self, tmp_path):
+        entry = make_entry(1.0, outcome="é" * 32_767 + "a")
+        path = write_trace(tmp_path / "t.rptr", [entry])
+        assert list(read_entries(path)) == [entry]
 
 
 class TestCorruption:
