@@ -26,12 +26,7 @@ graph and amplifies weak per-entity risk over it:
   :class:`~repro.stream.pipeline.StreamPipeline`.
 """
 
-from .builder import (
-    EntityGraph,
-    GraphBuilder,
-    GraphBuilderConfig,
-    build_batch_graph,
-)
+from .builder import EntityGraph, GraphBuilder, GraphBuilderConfig
 from .campaigns import (
     CAMPAIGN_DETECTOR,
     Campaign,
@@ -78,7 +73,6 @@ __all__ = [
     "PropagationResult",
     "SESSION",
     "SUBNET",
-    "build_batch_graph",
     "extract_campaigns",
     "key_groups",
     "propagate",

@@ -12,8 +12,10 @@ from these columns (:func:`repro.graph.propagation.compile_graph`).
 :class:`GraphBuilder` turns raw records into graph structure one
 observation at a time:
 
-* web-log entries / closed sessions — session ↔ fingerprint ↔ IP
-  (↔ /24 subnet), the links *within* a rotation epoch;
+* closed sessions — session ↔ fingerprint ↔ IP (↔ /24 subnet), the
+  links *within* a rotation epoch.  Sessions are keyed by IP +
+  fingerprint, so a session's close carries every identity link its
+  entries could: batch and stream learn them at the same call;
 * booking records — fingerprint ↔ target flight and, gated on
   recurrence, fingerprint ↔ passenger-name key: the side-channel that
   survives Case A/B identity rotation;
@@ -46,7 +48,7 @@ from typing import (
 import numpy as np
 
 from ..stream.store import KeyedStore
-from ..web.logs import LogEntry, Session
+from ..web.logs import Session
 from .entities import (
     EntityId,
     booking_ref_node,
@@ -352,21 +354,16 @@ class GraphBuilder:
     """Feeds records into an :class:`EntityGraph`, incrementally.
 
     The same instance serves batch construction (feed everything, read
-    ``graph``) and streaming (one ``observe_*`` call per record as it
-    lands) — both produce the identical graph for the same record set,
-    in any interleaving, because every link rule is a pure function of
-    the records seen so far and edge insertion is idempotent.
+    ``graph``) and streaming (one ``observe_*`` call per closed session
+    or record as it lands) — both produce the identical graph for the
+    same record set, in any interleaving, because every link rule is a
+    pure function of the records seen so far and edge insertion is
+    idempotent.
     """
 
-    def __init__(
-        self,
-        config: Optional[GraphBuilderConfig] = None,
-        obs: Optional[object] = None,
-    ) -> None:
+    def __init__(self, config: Optional[GraphBuilderConfig] = None) -> None:
         self.config = config or GraphBuilderConfig()
         self.graph = EntityGraph()
-        #: Optional duck-typed :class:`repro.obs.ObsRegistry`.
-        self.obs = obs
         self._names: KeyedStore[str, _NameState] = KeyedStore(
             max_keys=self.config.max_pending_names
         )
@@ -382,22 +379,8 @@ class GraphBuilder:
         self.sessions_observed = 0
         self.bookings_observed = 0
         self.sms_observed = 0
-        self.entries_observed = 0
 
     # -- observations --------------------------------------------------------
-
-    def observe_entry(self, entry: LogEntry, now: float) -> None:
-        """Link the entry's fingerprint and IP (intra-epoch identity)."""
-        self.entries_observed += 1
-        fp = fingerprint_node(entry.client.fingerprint_id)
-        ip = ip_node(entry.client.ip_address)
-        self.graph.add_edge(fp, ip, EDGE_FINGERPRINT_IP, time=entry.time)
-        if self.config.include_subnets:
-            self.graph.add_edge(
-                ip, subnet_node(entry.client.ip_address),
-                EDGE_IP_SUBNET, time=entry.time,
-            )
-        self._update_gauges()
 
     def observe_session(self, session: Session) -> None:
         """Add a closed session and its identity edges."""
@@ -417,7 +400,6 @@ class GraphBuilder:
                 ip, subnet_node(session.ip_address),
                 EDGE_IP_SUBNET, time=session.start,
             )
-        self._update_gauges()
 
     def observe_booking(self, record: BookingRecord) -> None:
         """Link the booking's client to its flight and passenger names."""
@@ -432,7 +414,6 @@ class GraphBuilder:
             )
         for key in sorted({p.name_key for p in record.passengers}):
             self._observe_name(key, record.client.fingerprint_id, record.time)
-        self._update_gauges()
 
     def observe_sms(self, record: SmsRecord) -> None:
         """Link the send's client to its phone number and booking ref."""
@@ -456,7 +437,6 @@ class GraphBuilder:
                 fp, booking_ref_node(record.booking_ref),
                 EDGE_FINGERPRINT_REF, time=record.time,
             )
-        self._update_gauges()
 
     # -- name-recurrence gating ----------------------------------------------
 
@@ -518,25 +498,3 @@ class GraphBuilder:
         for record in sms:
             self.observe_sms(record)
         return self
-
-    def _update_gauges(self) -> None:
-        obs = self.obs
-        if obs is None:
-            return
-        obs.set_gauge("graph.nodes", float(self.graph.node_count))
-        obs.set_gauge("graph.edges", float(self.graph.edge_count))
-
-
-def build_batch_graph(
-    sessions: Sequence[Session] = (),
-    bookings: Sequence[BookingRecord] = (),
-    sms: Sequence[SmsRecord] = (),
-    config: Optional[GraphBuilderConfig] = None,
-    obs: Optional[object] = None,
-) -> EntityGraph:
-    """One-shot batch construction (the reference the stream matches)."""
-    return (
-        GraphBuilder(config, obs=obs)
-        .observe_all(sessions=sessions, bookings=bookings, sms=sms)
-        .graph
-    )

@@ -386,7 +386,7 @@ class GraphDetector:
         """One verdict per session; campaign members carry their
         amplified score, everyone else scores zero."""
         sessions = list(sessions)
-        builder = GraphBuilder(self.config.builder, obs=self.obs)
+        builder = GraphBuilder(self.config.builder)
         builder.observe_all(sessions=sessions, bookings=bookings, sms=sms)
 
         seeds: Dict[EntityId, float] = {}

@@ -217,6 +217,8 @@ def compile_graph(
     equal a cold derivation's exactly.  The result's ``resorted`` lists
     the re-sorted nodes, so a streaming caller learns what changed
     without tracking it twice.
+    Each derivation sets the ``graph.nodes``/``graph.edges`` gauges
+    (undirected edges) on ``obs``.
     """
     previous = graph._view
     if previous is not None and previous.version == graph.version:
@@ -321,6 +323,8 @@ def compile_graph(
         obs.increment("graph.compile.nodes", float(n))
         obs.increment("graph.compile.edges", float(compiled.edge_count))
         obs.increment("graph.compile.resorted", float(dirty.shape[0]))
+        obs.set_gauge("graph.nodes", float(n))
+        obs.set_gauge("graph.edges", float(graph.edge_count))
     return compiled
 
 

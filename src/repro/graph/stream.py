@@ -1,9 +1,12 @@
 """Streaming graph detection: the incremental builder on the pipeline.
 
 :class:`GraphStreamAdapter` rides
-:class:`~repro.stream.pipeline.StreamPipeline` like any other adapter:
-closed sessions grow the graph, booking/SMS records arrive through
-:class:`RecordFeed` cursors over the live substrate logs, and every
+:class:`~repro.stream.pipeline.StreamPipeline` like any other adapter.
+It grows the graph through the batch detector's own calls: a closed
+session brings its identity edges (session, fingerprint, IP, /24
+subnet) through ``observe_session``, and booking/SMS records arrive
+through :class:`RecordFeed` cursors over the live substrate logs,
+drained on every entry.  An open session adds nothing yet.  Every
 ``refresh_every`` closed sessions the adapter re-analyses the graph
 built *so far*.
 
@@ -44,6 +47,7 @@ component as long as the slowest one needs); the final pass does not.
 
 from __future__ import annotations
 
+import math
 from typing import (
     Callable,
     Dict,
@@ -161,7 +165,7 @@ class GraphStreamAdapter(StreamAdapter):
         #: output can never self-amplify through a feed.
         self.seed_feeds = list(seed_feeds or [])
         self.obs = obs
-        self.builder = GraphBuilder(self.config.builder, obs=obs)
+        self.builder = GraphBuilder(self.config.builder)
         self._seeds: Dict[EntityId, float] = {}
         #: Nodes whose merged seed or session span changed since the
         #: last refresh.  Adjacency changes are not tracked here: the
@@ -192,7 +196,6 @@ class GraphStreamAdapter(StreamAdapter):
     # -- stream hooks --------------------------------------------------------
 
     def on_entry(self, entry: LogEntry, now: float) -> Iterable[Verdict]:
-        self.builder.observe_entry(entry, now)
         self._drain_feeds()
         return ()
 
@@ -215,15 +218,11 @@ class GraphStreamAdapter(StreamAdapter):
 
     def end_of_stream(self) -> Iterable[Verdict]:
         self._drain_feeds()
-        last = max(
-            (t for t in (
-                self.builder.graph.last_seen(node)
-                for node in self.builder.graph.nodes()
-            ) if t is not None),
-            default=0.0,
+        # Untouched nodes hold -inf; a graph without spans ends at 0.0.
+        last = max(self.builder.graph._last, default=-math.inf)
+        return self._refresh(
+            last if last != -math.inf else 0.0, final=True
         )
-        verdicts = self._refresh(last, final=True)
-        return verdicts
 
     def evict_idle(self, now: float, idle_gap: float) -> None:
         self.builder.evict_idle_names(now, idle_gap)

@@ -16,14 +16,16 @@ Routes:
 ``GET``     ``/entities``  convicted fingerprint entities so far
 ``GET``     ``/analysis``  full final-analysis summary (after finish)
 ``POST``    ``/ingest``    ``{"events": [...], "seq": N?}`` — journal+apply
-``POST``    ``/replay``    ``{"path", "offset"?, "limit"?}`` — trace replay
+``POST``    ``/replay``    ``{"path", "offset"?, "limit"?, "batch"?}`` (RPTR)
 ``POST``    ``/snapshot``  force a checkpoint now
 ``POST``    ``/finish``    end-of-stream: final analysis + digest
 ``POST``    ``/shutdown``  checkpoint and stop the server
 ==========  =============  ================================================
 
-Error mapping: malformed JSON / bad events / out-of-order or
-non-finite times / a corrupt or unsupported trace → 400; ingest seq
+Error mapping: malformed JSON / bad events / a ``seq``, ``offset``,
+``limit`` or ``batch`` that is not an integer (``true`` and ``2.0`` are
+not) / a ``batch`` below 1 / out-of-order or non-finite times / a
+corrupt or unsupported trace → 400; ingest seq
 mismatch and ingest-after-finish → 409 (with the authoritative
 ``events_ingested`` so clients resync); unknown path → 404; wrong
 method → 405.
@@ -50,6 +52,20 @@ from .service import DetectionService, SeqConflict, ServiceFinished
 from .state import StateStoreError
 
 Handler = Callable[[HttpRequest], HttpResponse]
+
+
+def _integer(
+    payload: Dict[str, object], key: str, default: Optional[int]
+) -> Optional[int]:
+    """``payload[key]``, or ``default`` when absent; anything but an
+    ``int`` is refused (``bool`` is a subclass, so the test is exact).
+    A key whose default is ``None`` may also be ``null``."""
+    value = payload.get(key, default)
+    if value is None and default is None:
+        return None
+    if type(value) is not int:
+        raise BadRequest(f'"{key}" must be an integer, got {value!r}')
+    return value
 
 
 class ServeApp:
@@ -191,9 +207,7 @@ class ServeApp:
         payload = request.json()
         if not isinstance(payload, dict) or "events" not in payload:
             raise BadRequest('body must be {"events": [...], "seq"?: N}')
-        seq = payload.get("seq")
-        if seq is not None and not isinstance(seq, int):
-            raise BadRequest(f'"seq" must be an integer, got {seq!r}')
+        seq = _integer(payload, "seq", None)
         applied = self.service.ingest(payload["events"], seq=seq)
         return HttpResponse.json(
             {
@@ -208,12 +222,11 @@ class ServeApp:
             raise BadRequest(
                 'body must be {"path": "...", "offset"?: N, "limit"?: N}'
             )
-        limit = payload.get("limit")
         result = self.service.replay_file(
             str(payload["path"]),
-            offset=int(payload.get("offset", 0)),
-            limit=int(limit) if limit is not None else None,
-            batch=int(payload.get("batch", 512)),
+            offset=_integer(payload, "offset", 0),
+            limit=_integer(payload, "limit", None),
+            batch=_integer(payload, "batch", 512),
         )
         return HttpResponse.json(result)
 

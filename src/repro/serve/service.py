@@ -305,6 +305,8 @@ class DetectionService:
             raise ServiceFinished("service already finished")
         if offset < 0:
             raise ValueError(f"offset must be >= 0: {offset}")
+        if batch < 1:
+            raise ValueError(f"batch must be >= 1: {batch}")
         for _ in read_entries(path):
             pass  # a CRC pass first: no unverified entry is journaled
         applied = 0

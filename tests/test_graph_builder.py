@@ -19,7 +19,6 @@ from repro.graph.builder import (
     EntityGraph,
     GraphBuilder,
     GraphBuilderConfig,
-    build_batch_graph,
 )
 from repro.graph.entities import (
     EntityId,
@@ -174,21 +173,18 @@ class TestGraphBuilder:
 
     def test_feed_order_does_not_change_the_graph(self):
         sessions, bookings, sms = self._records()
-        forward = build_batch_graph(
+        forward = GraphBuilder().observe_all(
             sessions=sessions, bookings=bookings, sms=sms
-        )
-        backward = build_batch_graph(
+        ).graph
+        backward = GraphBuilder().observe_all(
             sessions=list(reversed(sessions)),
             bookings=list(reversed(bookings)),
             sms=list(reversed(sms)),
-        )
-        # Entry-by-entry streaming before the session close, too.
+        ).graph
         streamed = GraphBuilder()
         for record in sms:
             streamed.observe_sms(record)
         for session in sessions:
-            for entry in session.entries:
-                streamed.observe_entry(entry, entry.time)
             streamed.observe_session(session)
         for record in bookings:
             streamed.observe_booking(record)

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.detection.verdict import Verdict
 from repro.core.mitigation.online import OnlineVerdictSink
+from repro.graph.builder import GraphBuilder
 from repro.graph.campaigns import CAMPAIGN_DETECTOR
 from repro.graph.detector import GraphDetector, GraphDetectorConfig
 from repro.graph.stream import GraphStreamAdapter
@@ -110,6 +111,11 @@ class TestStreamingEqualsBatch:
             streaming.graph.snapshot()
             == batch.last_analysis.graph.snapshot()
         )
+        # Down to the spans: both learn identity edges when sessions
+        # close, so every node is first and last seen at the same times.
+        assert streaming.graph.snapshot(
+            include_spans=True
+        ) == batch.last_analysis.graph.snapshot(include_spans=True)
         # Bit-identical scores: same graph, same seeds, same sweep.
         assert (
             streaming.propagation.scores
@@ -122,6 +128,20 @@ class TestStreamingEqualsBatch:
             (c.campaign_id, c.members, c.risk)
             for c in batch.last_analysis.campaigns
         ]
+
+    def test_identity_edges_arrive_when_the_session_closes(self):
+        """An open session's entries add nothing to the graph; its
+        close adds exactly what the batch build adds for it."""
+        session = make_session("s1", "f1", "10.0.0.1", [0.0, 30.0])
+        adapter = GraphStreamAdapter(config=_config())
+        for entry in session.entries:
+            adapter.on_entry(entry, entry.time)
+        assert adapter.builder.graph.node_count == 0
+        adapter.on_session_closed(session, session.end)
+        batch = GraphBuilder().observe_all(sessions=[session]).graph
+        assert adapter.builder.graph.snapshot(
+            include_spans=True
+        ) == batch.snapshot(include_spans=True)
 
     def test_periodic_refresh_does_not_change_final_analysis(self):
         lazy, _ = _run_stream(refresh_every=None)

@@ -31,12 +31,7 @@ from repro.graph.propagation import (
 )
 from tests.graph_oracle import DictEntityGraph, cold_csr, neighbor_weights
 from tests.propagation_oracle import propagate_dict
-from tests.test_graph_builder import (
-    make_booking,
-    make_entry,
-    make_session,
-    make_sms,
-)
+from tests.test_graph_builder import make_booking, make_session, make_sms
 
 _KINDS = ("s", "fp", "ip", "ref")
 
@@ -217,6 +212,12 @@ class TestCompiledGraphLifecycle:
             compiled.edge_count
         )
         assert registry.timers("graph.compile")
+        assert registry.gauge("graph.nodes") == float(graph.node_count)
+        assert registry.gauge("graph.edges") == float(graph.edge_count)
+        graph.add_edge(_node(0, 0), _node(2, 0), 0.7)
+        compile_graph(graph, obs=registry)
+        assert registry.gauge("graph.nodes") == float(graph.node_count)
+        assert registry.gauge("graph.edges") == float(graph.edge_count)
 
 
 class TestConfigEquivalenceAcrossSweeps:
@@ -391,7 +392,6 @@ _TIME = st.integers(0, 50).map(float)
 #: edges repeat, plus direct weight raises, derivations and restores.
 _FEED = st.lists(
     st.one_of(
-        st.tuples(st.just("entry"), _FP, _IPS, _TIME),
         st.tuples(
             st.just("session"), st.integers(0, 5), _FP, _IPS, _TIME,
             st.integers(0, 3),
@@ -417,10 +417,7 @@ _FEED = st.lists(
 
 def _feed(builder: GraphBuilder, step) -> None:
     kind = step[0]
-    if kind == "entry":
-        _, fp, ip, time = step
-        builder.observe_entry(make_entry(time, fp, ip), time)
-    elif kind == "session":
+    if kind == "session":
         _, sid, fp, ip, time, length = step
         builder.observe_session(make_session(
             f"s{sid}", fp, ip, [time + 10.0 * k for k in range(length + 1)]

@@ -309,6 +309,51 @@ class TestErrorMapping:
             client.replay("/no/such/trace.rptr")
         assert exc_info.value.status == 400
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            (name, value)
+            for name in ("offset", "limit", "batch")
+            for value in (None, [1], True, 2.9, "3")
+            # ``"limit": null`` is valid: no limit.
+            if (name, value) != ("limit", None)
+        ],
+    )
+    def test_mistyped_replay_number_400_nothing_applied(
+        self, served, tmp_path, name, value
+    ):
+        server, client = served
+        trace = write_trace(tmp_path / "t.rptr", campaign_entries())
+        with pytest.raises(ServeClientError) as exc_info:
+            client.post("/replay", {"path": trace, name: value})
+        assert exc_info.value.status == 400
+        assert f'"{name}" must be an integer' in (
+            exc_info.value.payload["error"]
+        )
+        assert server.service.events_ingested == 0
+
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_replay_batch_below_one_400(self, served, tmp_path, batch):
+        server, client = served
+        trace = write_trace(tmp_path / "t.rptr", campaign_entries())
+        with pytest.raises(ServeClientError) as exc_info:
+            client.post("/replay", {"path": trace, "batch": batch})
+        assert exc_info.value.status == 400
+        assert server.service.events_ingested == 0
+
+    @pytest.mark.parametrize(
+        "seq", [True, 0.0, "0", [0]],
+        ids=["bool", "float", "string", "list"],
+    )
+    def test_mistyped_ingest_seq_400_nothing_applied(self, served, seq):
+        server, client = served
+        events = ingest_payload([make_entry(1.0)])
+        with pytest.raises(ServeClientError) as exc_info:
+            client.post("/ingest", {"events": events, "seq": seq})
+        assert exc_info.value.status == 400
+        assert '"seq" must be an integer' in exc_info.value.payload["error"]
+        assert server.service.events_ingested == 0
+
     def test_analysis_before_finish_409(self, served):
         _, client = served
         with pytest.raises(ServeClientError) as exc_info:

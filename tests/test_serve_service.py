@@ -2,6 +2,7 @@
 checkpoint/restore equivalence, campaign conviction, digests."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -25,6 +26,33 @@ def make_service(tmp_path, name="s.db", **kwargs):
     return DetectionService(
         StateStore(str(tmp_path / name)), **kwargs
     )
+
+
+def two_operations():
+    """Operation A rotates 3 fingerprints over one IP, then the larger
+    operation B rotates 5 over another; every rotation's ``/hold``
+    burst is its own session."""
+    entries = []
+    clock = 1_000.0
+    for operation, ip, rotations in (
+        ("a", "203.0.113.66", 3),
+        ("b", "203.0.113.77", 5),
+    ):
+        for rotation in range(rotations):
+            for _ in range(6):
+                entries.append(
+                    make_entry(
+                        clock,
+                        ip=ip,
+                        fingerprint=f"fp-{operation}-{rotation}",
+                        path="/hold",
+                        method="POST",
+                        actor_class="seat_spinner",
+                    )
+                )
+                clock += 30.0
+            clock += 2_400.0
+    return entries
 
 
 class TestIngest:
@@ -394,6 +422,52 @@ class TestDetectionOutcomes:
         service.ingest(ingest_payload(campaign_entries()))
         assert len(service.campaigns_view()) >= 1
 
+    @staticmethod
+    def conviction_digest(service):
+        """SHA-256 over every sink and campaign-log record, with its
+        ``convicted_at`` time and ``repr``-exact floats."""
+        records = {
+            "sink": [
+                [now, v.subject_id, v.detector, v.score, v.is_bot,
+                 list(v.reasons)]
+                for now, v in service.sink.records
+            ],
+            "campaigns": [
+                [now, c.campaign_id, [list(m) for m in c.members],
+                 c.risk, c.first_seen, c.last_seen]
+                for now, c in service.campaign_log.records
+            ],
+        }
+        canonical = json.dumps(records, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    @pytest.mark.parametrize("fixture, during, after", [
+        (campaign_entries,
+         "e4c5d4adae934201494b0fa6b3f6220c"
+         "1e82432f9ab10479a5674bbb3096264e",
+         "e4c5d4adae934201494b0fa6b3f6220c"
+         "1e82432f9ab10479a5674bbb3096264e"),
+        (two_operations,
+         "b00cc9cd4a5ec814642593c09654ae04"
+         "6145967d6a72290e4a6f1346478093b8",
+         "d42daee37d41d0f389c516739250e410"
+         "255fa2682da3ccffc5ea4c4b4507dfd9"),
+    ])
+    def test_mid_stream_convictions_pinned(
+        self, tmp_path, fixture, during, after
+    ):
+        """Refreshing after every closed session, the convictions made
+        during ingest and after finish, pinned down to their times and
+        risks.  A rotated fingerprint joins its campaign when its
+        session closes: ``two_operations`` ends inside the last
+        rotation's session, so finish convicts that fingerprint."""
+        service = make_service(tmp_path, refresh_every=1, evict_every=8)
+        service.ingest(ingest_payload(fixture()))
+        assert service.campaign_log.records, "no conviction before finish"
+        assert self.conviction_digest(service) == during
+        service.finish()
+        assert self.conviction_digest(service) == after
+
     def test_convictions_stamped_with_the_triggering_event_time(self):
         """A conviction made while an event is processed carries that
         event's time — the stream time of the session close that
@@ -419,28 +493,8 @@ class TestDetectionOutcomes:
         larger operation B takes ``C001`` at a later refresh.  Both
         conviction records are rows of the view, of the derived table
         and of every count, and every convicted fingerprint is in one."""
-        entries = []
-        clock = 1_000.0
-        for operation, ip, rotations in (
-            ("a", "203.0.113.66", 3),
-            ("b", "203.0.113.77", 5),
-        ):
-            for rotation in range(rotations):
-                for _ in range(6):
-                    entries.append(
-                        make_entry(
-                            clock,
-                            ip=ip,
-                            fingerprint=f"fp-{operation}-{rotation}",
-                            path="/hold",
-                            method="POST",
-                            actor_class="seat_spinner",
-                        )
-                    )
-                    clock += 30.0
-                clock += 2_400.0
         service = make_service(tmp_path, refresh_every=4, evict_every=8)
-        service.ingest(ingest_payload(entries))
+        service.ingest(ingest_payload(two_operations()))
         service.finish()
         records = service.campaign_log.records
         view = service.campaigns_view()
