@@ -24,8 +24,9 @@ Routes:
 
 Error mapping: malformed JSON / bad events / a ``seq``, ``offset``,
 ``limit`` or ``batch`` that is not an integer (``true`` and ``2.0`` are
-not) / a ``batch`` below 1 / out-of-order or non-finite times / a
-corrupt or unsupported trace → 400; ingest seq
+not) / a negative ``offset`` or ``limit`` / a ``batch`` below 1 / a
+replay ``path`` that is not a string / out-of-order or non-finite
+times / a corrupt or unsupported trace → 400; ingest seq
 mismatch and ingest-after-finish → 409 (with the authoritative
 ``events_ingested`` so clients resync); unknown path → 404; wrong
 method → 405.
@@ -222,8 +223,11 @@ class ServeApp:
             raise BadRequest(
                 'body must be {"path": "...", "offset"?: N, "limit"?: N}'
             )
+        path = payload["path"]
+        if type(path) is not str:
+            raise BadRequest(f'"path" must be a string, got {path!r}')
         result = self.service.replay_file(
-            str(payload["path"]),
+            path,
             offset=_integer(payload, "offset", 0),
             limit=_integer(payload, "limit", None),
             batch=_integer(payload, "batch", 512),

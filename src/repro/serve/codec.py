@@ -17,29 +17,41 @@ refusal is a :class:`CodecError` (a 400) raised before any journal
 work.  Identical events are accepted as separate events: a seat
 spinner's same-instant ``/hold`` burst is a run of identical requests,
 and the burst is the attack.  A resent batch is caught by ``seq``.
-"""
+
+One read per event: :func:`parse_events` reads each event dict's
+fields once, into the event's entry and its row (the arguments of
+:meth:`~repro.trace.format.TraceWriter.write_row`), and the writer
+encodes each row once: the strings the entry defines and the entry
+itself go out as one buffer.  The three stages still run in order over
+the whole batch — every event's shape, then time order, then what a
+record can hold — so a batch with faults in more than one stage is
+refused for the earliest stage."""
 
 from __future__ import annotations
 
 import io
 import math
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from collections.abc import Mapping, Sequence
+from operator import itemgetter
+from typing import Dict, Iterable, Optional, Tuple
 
-from ..common import ClientRef
-from ..trace.format import TraceError, TraceWriter
+from ..common import LEGIT, ClientRef
+from ..trace.format import Row, TraceError, TraceWriter, entry_row
 from ..web.logs import LogEntry
 
 _REQUIRED = ("time", "method", "path", "status", "ip_address",
              "fingerprint_id")
+_REQUIRED_SET = frozenset(_REQUIRED)
 
-#: The eleven string fields and their defaults (``None`` for a
-#: required field).
+#: The eleven string fields, in RPTR record order.
 _TEXT_NAMES = (
     "method", "path", "blocked_by", "outcome", "ip_address", "ip_country",
     "fingerprint_id", "user_agent", "profile_id", "actor", "actor_class",
 )
-_TEXT_DEFAULTS = (None, None, "", "", None, "", None, "", "", "", "legit")
 _FIELDS = frozenset(("time", "status", "ip_residential") + _TEXT_NAMES)
+
+_entry_of = itemgetter(0)
+_row_of = itemgetter(1)
 
 
 class CodecError(ValueError):
@@ -73,17 +85,20 @@ def entry_to_dict(entry: LogEntry) -> Dict[str, object]:
     }
 
 
-def entry_from_dict(data: Mapping[str, object]) -> LogEntry:
-    """Parse one flat event dict; raises :class:`CodecError` on bad
-    shape so the ingest endpoint can reject the batch *before* any of
-    it touches pipeline or journal."""
-    if not isinstance(data, Mapping):
+def _decode(data: object) -> Tuple[LogEntry, Row]:
+    """One event dict as its entry and its :meth:`TraceWriter.write_row`
+    arguments, each field read once; raises :class:`CodecError` on bad
+    shape."""
+    # ``type() is dict`` first: every JSON object is one, and the ABC
+    # check costs several times as much.
+    if type(data) is not dict and not isinstance(data, Mapping):
         raise CodecError(f"event must be an object, got {type(data).__name__}")
-    missing = [name for name in _REQUIRED if name not in data]
-    if missing:
+    keys = data.keys()
+    if not keys >= _REQUIRED_SET:
+        missing = [name for name in _REQUIRED if name not in keys]
         raise CodecError(f"event missing required fields: {missing}")
-    if not _FIELDS.issuperset(data):
-        unknown = sorted(set(data) - _FIELDS)
+    if not keys <= _FIELDS:
+        unknown = sorted(set(keys) - _FIELDS)
         raise CodecError(f"event has unknown fields: {unknown}")
     # Exact type() tests: JSON true/false parse as bool, an int
     # subclass, and are neither a number nor an integer here.
@@ -96,37 +111,59 @@ def entry_from_dict(data: Mapping[str, object]) -> LogEntry:
     residential = data.get("ip_residential", False)
     if type(residential) is not bool:
         raise _mistyped("ip_residential", residential, "a bool")
-    texts = list(map(data.get, _TEXT_NAMES, _TEXT_DEFAULTS))
-    if set(map(type, texts)) != {str}:
-        name, text = next(
-            (name, text) for name, text in zip(_TEXT_NAMES, texts)
-            if type(text) is not str
-        )
-        raise _mistyped(name, text, "a string")
+    # In _TEXT_NAMES order; the required ones are known to be present.
+    texts = (
+        data["method"],
+        data["path"],
+        data.get("blocked_by", ""),
+        data.get("outcome", ""),
+        data["ip_address"],
+        data.get("ip_country", ""),
+        data["fingerprint_id"],
+        data.get("user_agent", ""),
+        data.get("profile_id", ""),
+        data.get("actor", ""),
+        data.get("actor_class", LEGIT),
+    )
+    for text in texts:
+        if type(text) is not str:
+            name, text = next(
+                (name, text) for name, text in zip(_TEXT_NAMES, texts)
+                if type(text) is not str
+            )
+            raise _mistyped(name, text, "a string")
     (method, path, blocked_by, outcome, ip_address, ip_country,
      fingerprint_id, user_agent, profile_id, actor, actor_class) = texts
     try:
         time = float(time)
     except OverflowError as error:  # an integer past the double range
         raise CodecError(f"field 'time': {error}")
-    return LogEntry(
-        time=time,
-        method=method,
-        path=path,
-        status=status,
-        client=ClientRef(
-            ip_address=ip_address,
-            ip_country=ip_country,
-            ip_residential=residential,
-            fingerprint_id=fingerprint_id,
-            user_agent=user_agent,
-            profile_id=profile_id,
-            actor=actor,
-            actor_class=actor_class,
+    entry = LogEntry(
+        time,
+        method,
+        path,
+        status,
+        ClientRef(
+            ip_address,
+            ip_country,
+            residential,
+            fingerprint_id,
+            user_agent,
+            profile_id,
+            actor,
+            actor_class,
         ),
-        blocked_by=blocked_by,
-        outcome=outcome,
+        blocked_by,
+        outcome,
     )
+    return entry, (time, status, residential, texts)
+
+
+def entry_from_dict(data: Mapping[str, object]) -> LogEntry:
+    """Parse one flat event dict; raises :class:`CodecError` on bad
+    shape so the ingest endpoint can reject the batch *before* any of
+    it touches pipeline or journal."""
+    return _decode(data)[0]
 
 
 def check_order(
@@ -151,20 +188,26 @@ def check_order(
         previous = entry.time
 
 
-def encode_record(entries: Tuple[LogEntry, ...], first_seq: int) -> bytes:
-    """The journal record of ``entries`` as seqs ``first_seq`` on: one
-    RPTR trace with ``{"first_seq": first_seq}`` as its metadata.  An
-    entry the RPTR writer refuses raises :class:`CodecError` naming
-    its index."""
+def _encode(rows: Iterable[Row], first_seq: int) -> bytes:
+    """The journal record of ``rows`` (:meth:`TraceWriter.write_row`
+    arguments) as seqs ``first_seq`` on: one RPTR trace with
+    ``{"first_seq": first_seq}`` as its metadata.  A row the RPTR
+    writer refuses raises :class:`CodecError` naming its index."""
     buffer = io.BytesIO()
     writer = TraceWriter(buffer, meta={"first_seq": first_seq})
-    for entry in entries:
+    write_row = writer.write_row
+    for row in rows:
         try:
-            writer.write(entry)
+            write_row(*row)
         except TraceError as error:
             raise CodecError(f"event {writer.entries_written}: {error}")
     writer.close()
     return buffer.getvalue()
+
+
+def encode_record(entries: Sequence[LogEntry], first_seq: int) -> bytes:
+    """The journal record of ``entries`` as seqs ``first_seq`` on."""
+    return _encode(map(entry_row, entries), first_seq)
 
 
 def parse_events(
@@ -172,10 +215,11 @@ def parse_events(
 ) -> Tuple[Tuple[LogEntry, ...], bytes]:
     """Validate a full ingest batch up front and encode it as seqs
     ``first_seq`` on: the shape of every event, :func:`check_order`
-    against ``last_time``, then :func:`encode_record`.  Returns the
-    entries and their journal record."""
+    against ``last_time``, then what an RPTR record can hold.  Returns
+    the entries and their journal record."""
     if not isinstance(payload, Sequence) or isinstance(payload, (str, bytes)):
         raise CodecError("events must be a list of event objects")
-    entries = tuple(entry_from_dict(item) for item in payload)
+    decoded = list(map(_decode, payload))
+    entries = tuple(map(_entry_of, decoded))
     check_order(entries, last_time)
-    return entries, encode_record(entries, first_seq)
+    return entries, _encode(map(_row_of, decoded), first_seq)

@@ -144,7 +144,7 @@ class DetectionService:
     Write protocol per batch: validate everything up front (shape in
     :func:`~repro.serve.codec.parse_events`, time order in
     :func:`~repro.serve.codec.check_order` and what a record can hold
-    in :func:`~repro.serve.codec.encode_record`, for ingest and replay
+    in the RPTR writer that encodes the record, for ingest and replay
     alike), journal the encoded record + commit, then apply to the
     pipeline — so no acknowledged event can be lost and no
     half-applied batch can diverge memory from disk.  A failed
@@ -305,6 +305,8 @@ class DetectionService:
             raise ServiceFinished("service already finished")
         if offset < 0:
             raise ValueError(f"offset must be >= 0: {offset}")
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be >= 0: {limit}")
         if batch < 1:
             raise ValueError(f"batch must be >= 1: {batch}")
         for _ in read_entries(path):

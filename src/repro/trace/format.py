@@ -31,8 +31,10 @@ the one :class:`TraceReader`.
 :class:`TraceWriter` alone judges what a record can hold: a status in
 ``0..MAX_STATUS``, strings UTF-8 encodes in at most
 :data:`MAX_STRING_BYTES` bytes.  It refuses anything else with a
-:class:`TraceError` before emitting or registering any of the entry,
-so the writer and its trace stay valid after a refusal.
+:class:`TraceError` and leaves the writer as it was — nothing of the
+entry written, none of its strings kept — so the writer and its trace
+stay valid after a refusal.  An entry goes out as one buffer: the
+definitions of the strings it uses first, then the entry record.
 """
 
 from __future__ import annotations
@@ -63,8 +65,15 @@ _VERSION_STRUCT = struct.Struct("<H")
 MAX_STATUS = 0xFFFF
 MAX_STRING_BYTES = 0xFFFF
 
-_STRING_KIND = bytes([_KIND_STRING])
-_ENTRY_KIND = bytes([_KIND_ENTRY])
+#: A string definition and a log entry, each with its kind byte.
+_STRING_RECORD = struct.Struct("<BIH")
+_ENTRY_RECORD = struct.Struct("<BdHB11I")
+
+#: An entry's eleven strings, in record order.
+Texts = Tuple[str, ...]
+#: An entry as :meth:`TraceWriter.write_row` takes it: time, status,
+#: residential and the eleven strings.
+Row = Tuple[float, int, bool, Texts]
 
 #: A trace's location: a filesystem path or an open binary stream.
 Target = Union[str, "os.PathLike[str]", BinaryIO]
@@ -87,19 +96,63 @@ class TraceCorruption(TraceError):
     """The file violates the format: bad magic/CRC, truncation, ..."""
 
 
-def _utf8(text: str) -> bytes:
-    """``text`` as the UTF-8 bytes of a string record, or
-    :class:`TraceError` if it has none or too many."""
-    try:
-        blob = text.encode("utf-8")
-    except UnicodeEncodeError as error:
-        raise TraceError(f"string not encodable as UTF-8: {error}")
-    if len(blob) > MAX_STRING_BYTES:
-        raise TraceError(
-            f"string of {len(blob)} UTF-8 bytes "
-            f"(at most {MAX_STRING_BYTES})"
+class _StringIds(dict):
+    """Each string's id in one trace.  Looking up a string not yet
+    defined checks that a string record can hold it, numbers it next
+    and queues its definition record in :attr:`pending`, where the
+    entry that first uses it picks it up."""
+
+    __slots__ = ("pending",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.pending: List[bytes] = []
+
+    def __missing__(self, text: str) -> int:
+        try:
+            blob = text.encode("utf-8")
+        except UnicodeEncodeError as error:
+            raise TraceError(f"string not encodable as UTF-8: {error}")
+        size = len(blob)
+        if size > MAX_STRING_BYTES:
+            raise TraceError(
+                f"string of {size} UTF-8 bytes (at most {MAX_STRING_BYTES})"
+            )
+        string_id = self[text] = len(self)
+        self.pending += (
+            _STRING_RECORD.pack(_KIND_STRING, string_id, size), blob
         )
-    return blob
+        return string_id
+
+    def forget(self, count: int) -> None:
+        """Drop every string numbered from ``count`` on, newest first,
+        and their queued records."""
+        while len(self) > count:
+            self.popitem()
+        self.pending.clear()
+
+
+def entry_row(entry: LogEntry) -> Row:
+    """``entry`` as the arguments of :meth:`TraceWriter.write_row`."""
+    client = entry.client
+    return (
+        entry.time,
+        entry.status,
+        client.ip_residential,
+        (
+            entry.method,
+            entry.path,
+            entry.blocked_by,
+            entry.outcome,
+            client.ip_address,
+            client.ip_country,
+            client.fingerprint_id,
+            client.user_agent,
+            client.profile_id,
+            client.actor,
+            client.actor_class,
+        ),
+    )
 
 
 class TraceWriter:
@@ -118,14 +171,16 @@ class TraceWriter:
         self.meta = dict(meta or {})
         self.path, handle, self._owned = _open(target, "wb")
         self._handle: Optional[BinaryIO] = handle
-        self._strings: Dict[str, int] = {}
+        self._strings = _StringIds()
         self._crc = 0
         self.entries_written = 0
         meta_blob = json.dumps(self.meta, sort_keys=True).encode("utf-8")
-        self._handle.write(TRACE_MAGIC)
-        self._handle.write(_VERSION_STRUCT.pack(TRACE_VERSION))
-        self._handle.write(_META_LEN.pack(len(meta_blob)))
-        self._handle.write(meta_blob)
+        self._handle.write(
+            TRACE_MAGIC
+            + _VERSION_STRUCT.pack(TRACE_VERSION)
+            + _META_LEN.pack(len(meta_blob))
+            + meta_blob
+        )
 
     def __enter__(self) -> "TraceWriter":
         return self
@@ -133,53 +188,41 @@ class TraceWriter:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    def _emit(self, payload: bytes) -> None:
-        assert self._handle is not None
-        self._crc = zlib.crc32(payload, self._crc)
-        self._handle.write(payload)
-
     def write(self, entry: LogEntry) -> None:
         """Append one entry, or raise :class:`TraceError` and leave the
         writer as it was if the format cannot hold the entry."""
-        if self._handle is None:
+        self.write_row(*entry_row(entry))
+
+    def write_row(
+        self, time: float, status: int, residential: bool, texts: Texts
+    ) -> None:
+        """Append the entry whose fields are ``time``, ``status``,
+        ``residential`` and the eleven strings ``texts`` (in
+        :func:`entry_row` order), or raise :class:`TraceError` and leave
+        the writer as it was if the format cannot hold it.  The strings
+        the entry defines and the entry itself go out as one buffer."""
+        handle = self._handle
+        if handle is None:
             raise TraceError("trace writer is closed")
-        status = entry.status
         if not 0 <= status <= MAX_STATUS:
             raise TraceError(f"status {status} outside 0..{MAX_STATUS}")
-        client = entry.client
-        texts = (
-            entry.method,
-            entry.path,
-            entry.blocked_by,
-            entry.outcome,
-            client.ip_address,
-            client.ip_country,
-            client.fingerprint_id,
-            client.user_agent,
-            client.profile_id,
-            client.actor,
-            client.actor_class,
-        )
         strings = self._strings
-        ids = list(map(strings.get, texts))
-        # Strings this entry defines, in order of first use: checked
-        # and numbered here, registered only once the entry packs.
-        fresh: Dict[str, Tuple[int, bytes]] = {}
-        if None in ids:
-            for index, text in enumerate(texts):
-                if ids[index] is None:
-                    if text not in fresh:
-                        fresh[text] = (len(strings) + len(fresh), _utf8(text))
-                    ids[index] = fresh[text][0]
-        payload = _ENTRY_STRUCT.pack(
-            entry.time, status, 1 if client.ip_residential else 0, *ids
-        )
-        for text, (string_id, blob) in fresh.items():
-            strings[text] = string_id
-            self._emit(
-                _STRING_KIND + _STRING_HEAD.pack(string_id, len(blob)) + blob
+        defined = len(strings)
+        try:
+            record = _ENTRY_RECORD.pack(
+                _KIND_ENTRY, time, status, 1 if residential else 0,
+                *map(strings.__getitem__, texts),
             )
-        self._emit(_ENTRY_KIND + payload)
+        except BaseException:
+            # Nothing of the entry was written: forget what it numbered.
+            strings.forget(defined)
+            raise
+        pending = strings.pending
+        pending.append(record)
+        buffer = b"".join(pending)
+        pending.clear()
+        self._crc = zlib.crc32(buffer, self._crc)
+        handle.write(buffer)
         self.entries_written += 1
 
     def close(self) -> None:

@@ -341,6 +341,38 @@ class TestErrorMapping:
         assert exc_info.value.status == 400
         assert server.service.events_ingested == 0
 
+    @pytest.mark.parametrize("limit", [-1, -5])
+    def test_replay_negative_limit_400(self, served, tmp_path, limit):
+        server, client = served
+        trace = write_trace(tmp_path / "t.rptr", campaign_entries())
+        with pytest.raises(ServeClientError) as exc_info:
+            client.post("/replay", {"path": trace, "limit": limit})
+        assert exc_info.value.status == 400
+        assert f"limit must be >= 0: {limit}" in (
+            exc_info.value.payload["error"]
+        )
+        assert server.service.events_ingested == 0
+
+    @pytest.mark.parametrize(
+        "path, name", [(None, "None"), (123, "123")],
+        ids=["null", "number"],
+    )
+    def test_replay_path_not_a_string_400(
+        self, served, tmp_path, monkeypatch, path, name
+    ):
+        """A trace named as the value would print is in the server's
+        working directory, so only the type check keeps it out."""
+        server, client = served
+        monkeypatch.chdir(tmp_path)
+        write_trace(tmp_path / name, campaign_entries())
+        with pytest.raises(ServeClientError) as exc_info:
+            client.post("/replay", {"path": path})
+        assert exc_info.value.status == 400
+        assert '"path" must be a string' in (
+            exc_info.value.payload["error"]
+        )
+        assert server.service.events_ingested == 0
+
     @pytest.mark.parametrize(
         "seq", [True, 0.0, "0", [0]],
         ids=["bool", "float", "string", "list"],
